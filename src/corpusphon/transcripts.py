@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 from .errors import ToolkitError
 from .kaldi import format_seconds
-from .lexicon import Lexicon, MARKUP_TOKENS
+from .lexicon import DEFAULT_STRIP_CHARS, Lexicon, MARKUP_TOKENS
 from .report import Report
 from .textgrid import TextGrid
 
 # the overlap-bug precondition: a phone is assumed to take 30 ms
 PHONE_BUDGET_SECONDS = 0.030
-
-DEFAULT_STRIP_CHARS = ".,?!;:"
 
 
 class TranscriptError(ToolkitError):

@@ -14,14 +14,16 @@ files and prints the recommended decode command per stop class.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from .ctm import split_position
 from .errors import ToolkitError, ToolkitWarning
 from .kaldi import format_seconds
 from .lexicon import VOWELS, Lexicon, is_vowel, stress_base
-from .textgrid import Interval, IntervalTier, TextGrid
+from .textgrid import _SNAP, Interval, IntervalTier, TextGrid
 
 VOICELESS = frozenset({"P", "T", "K"})
 VOICED = frozenset({"B", "D", "G"})
@@ -113,10 +115,6 @@ class StopClass:
         return PAD_VOICELESS if self.voiceless else PAD_VOICED
 
     @property
-    def min_vot(self) -> float:
-        return (MIN_VOT_MS_VOICELESS if self.voiceless else MIN_VOT_MS_VOICED) / 1000.0
-
-    @property
     def min_vot_ms(self) -> int:
         return MIN_VOT_MS_VOICELESS if self.voiceless else MIN_VOT_MS_VOICED
 
@@ -152,6 +150,34 @@ class VotMeasurement:
 
 
 # ---------------------------------------------------------------------------
+# interval lookup
+
+
+def _overlap_length(a: Interval, b: Interval, tol: float) -> float:
+    return min(a.xmax, b.xmax) - max(a.xmin, b.xmin) + tol
+
+
+class _TierIndex:
+    """A tier's intervals in start order, for bisect lookups.
+
+    reach[i] is the latest end among intervals[:i + 1], which keeps lookups
+    exact on tiers whose intervals overlap, as parsed tiers can.
+    """
+
+    def __init__(self, intervals: tuple[Interval, ...]) -> None:
+        self.intervals = intervals
+        self.starts = [iv.xmin for iv in intervals]
+        self.reach = list(accumulate((iv.xmax for iv in intervals), max))
+
+    def overlapping(self, xmin: float, xmax: float, tol: float = 0.0) -> range:
+        """Indices of all intervals whose _overlap_length with [xmin, xmax]
+        can be positive, and maybe a few more: callers test each one."""
+        lo = bisect_left(self.reach, True, key=lambda end: end - xmin + tol > 0)
+        hi = bisect_left(self.starts, True, key=lambda s: xmax - s + tol <= 0)
+        return range(lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # finding and locating stops
 
 
@@ -183,20 +209,22 @@ def locate_words(
     """
     wtier, _ = grid.find_tier(word_tier)
     ptier, _ = grid.find_tier(phone_tier)
+    phones = _TierIndex(ptier.non_empty())
     occurrences = []
     for word_iv in wtier.non_empty():
         if word_iv.text not in words:
             continue
-        stop_iv = None
-        for phone_iv in ptier.non_empty():
-            if abs(phone_iv.xmin - word_iv.xmin) <= tolerance:
-                stop_iv = phone_iv
-                break
-        if stop_iv is None:
+        # the starts within tolerance of the word's form one run: its first
+        t = word_iv.xmin
+        i = bisect_left(
+            phones.starts, True, key=lambda s: s >= t or abs(s - t) <= tolerance
+        )
+        if i == len(phones.starts) or abs(phones.starts[i] - t) > tolerance:
             raise PhoneAlignmentGap(
                 f"word {word_iv.text!r} at {word_iv.xmin}: no phone interval "
                 f"starts there (tolerance {tolerance} s)"
             )
+        stop_iv = phones.intervals[i]
         letter = phone_letter(stop_iv.text)
         if letter not in STOP_LETTERS:
             raise VotError(
@@ -304,10 +332,6 @@ class BoundaryComparison:
     conflicts: list[str]
 
 
-def _overlap_length(a: Interval, b: Interval, tol: float) -> float:
-    return min(a.xmax, b.xmax) - max(a.xmin, b.xmin) + tol
-
-
 def _pair_tokens(
     manual: tuple[Interval, ...],
     auto: tuple[Interval, ...],
@@ -315,10 +339,11 @@ def _pair_tokens(
 ) -> tuple[list[tuple[Interval, Interval]], list[str]]:
     # maximal-overlap greedy matching; a token overlapping two counterparts
     # pairs with the larger overlap and the conflict is reported
+    auto_index = _TierIndex(auto)
     candidates = []
     for mi, m in enumerate(manual):
-        for ai, a in enumerate(auto):
-            length = _overlap_length(m, a, tolerance)
+        for ai in auto_index.overlapping(m.xmin, m.xmax, tolerance):
+            length = _overlap_length(m, auto[ai], tolerance)
             if length > 0:
                 candidates.append((length, mi, ai))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
@@ -376,11 +401,12 @@ def prefer_manual(
     """
     mtier, _ = grid.find_tier(manual_tier)
     atier, _ = grid.find_tier(auto_tier)
-    pairs, _ = _pair_tokens(mtier.non_empty(), atier.non_empty(), 0.0)
+    auto = atier.non_empty()
+    pairs, _ = _pair_tokens(mtier.non_empty(), auto, 0.0)
     replacement = {id(a): m for m, a in pairs}
 
     new_intervals = []
-    for iv in atier.non_empty():
+    for iv in auto:
         m = replacement.get(id(iv))
         if m is not None:
             new_intervals.append(Interval(m.xmin, m.xmax, iv.text))
@@ -428,16 +454,6 @@ def _sentences(
     return sentences, found_delimiter
 
 
-def _containing(ivs: tuple[Interval, ...], token: Interval) -> Interval | None:
-    best = None
-    best_len = 0.0
-    for iv in ivs:
-        length = min(iv.xmax, token.xmax) - max(iv.xmin, token.xmin)
-        if length > best_len:
-            best, best_len = iv, length
-    return best
-
-
 def measure_cues(
     grid: TextGrid,
     vot_tier: str,
@@ -449,8 +465,9 @@ def measure_cues(
     """Per decoded token: VOT, following vowel, word duration, speaking rate.
 
     The decoded token spans burst onset to vocalic onset, so VOT is its
-    length. The vowel is the phone interval immediately after the stop; the
-    word is the word interval containing the token. Speaking rate is the
+    length. The stop is the phone interval holding the burst onset, and the
+    vowel is the phone interval immediately after the stop; the word is the
+    word interval overlapping the token the most. Speaking rate is the
     mean word duration within the token's sentence, sentences being
     separated by two consecutive silent word intervals; pass
     include_speaking_rate=False when a corpus has no such structure.
@@ -459,7 +476,8 @@ def measure_cues(
     ptier, _ = grid.find_tier(phone_tier)
     wtier, _ = grid.find_tier(word_tier)
 
-    sentences, found = (None, False)
+    # a word interval's speaking rate, from the first sentence holding it
+    rates: dict[Interval, float] = {}
     if include_speaking_rate:
         sentences, found = _sentences(wtier, silent_labels)
         if not found:
@@ -468,43 +486,55 @@ def measure_cues(
                 "delimit sentences (disable the speaking-rate measurement "
                 "for this corpus)"
             )
+        for sentence in sentences:
+            mean = sum(iv.duration for iv in sentence) / len(sentence)
+            for iv in sentence:
+                rates.setdefault(iv, mean)
 
-    phone_ivs = ptier.intervals
+    phones = _TierIndex(ptier.intervals)
+    words = _TierIndex(wtier.non_empty())
     measurements = []
     for token in vtier.non_empty():
         if token.text not in STOP_LETTERS:
             raise UnknownLabel(f"decoded token label {token.text!r} at {token.xmin}")
 
-        stop_iv = _containing(phone_ivs, token)
-        if stop_iv is None:
+        # the stop holds the burst onset, or starts a float drift after it
+        onset = token.xmin + _SNAP
+        holding = [
+            i for i in phones.overlapping(onset, onset)
+            if phones.intervals[i].xmax > onset
+        ]
+        if not holding:
             raise MissingVowel(
-                f"token at {token.xmin}: no phone interval overlaps it"
+                f"token at {token.xmin}: no phone interval holds its burst onset"
             )
-        following = [iv for iv in phone_ivs if iv.xmin >= stop_iv.xmax - 1e-9]
-        if not following:
+        stop_iv = phones.intervals[holding[-1]]
+        i = bisect_left(phones.starts, stop_iv.xmax - _SNAP)
+        if i == len(phones.starts):
             raise MissingVowel(f"token at {token.xmin}: nothing follows the stop")
-        vowel_iv = following[0]
+        vowel_iv = phones.intervals[i]
         if not label_is_vowel(vowel_iv.text):
             raise MissingVowel(
                 f"token at {token.xmin}: phone after the stop is "
                 f"{vowel_iv.text!r}, not a vowel"
             )
 
-        word_iv = _containing(wtier.non_empty(), token)
+        word_iv, most = None, 0.0
+        for i in words.overlapping(token.xmin, token.xmax):
+            length = _overlap_length(words.intervals[i], token, 0.0)
+            if length > most:
+                word_iv, most = words.intervals[i], length
         if word_iv is None:
             raise VotError(f"token at {token.xmin}: no containing word interval")
 
         rate = None
         if include_speaking_rate:
-            sentence = next(
-                (s for s in sentences if word_iv in s), None
-            )
-            if sentence is None:
+            rate = rates.get(word_iv)
+            if rate is None:
                 raise NoSentenceStructure(
                     f"word {word_iv.text!r} at {word_iv.xmin} belongs to no "
                     "sentence"
                 )
-            rate = sum(iv.duration for iv in sentence) / len(sentence)
 
         measurements.append(
             VotMeasurement(

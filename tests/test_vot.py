@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpusphon.lexicon import parse_lexicon
 from corpusphon.textgrid import (
@@ -12,11 +15,13 @@ from corpusphon.textgrid import (
     textgrid_equal,
 )
 from corpusphon.vot import (
+    STOP_LETTERS,
     MissingVowel,
     NoSentenceStructure,
     PhoneAlignmentGap,
     StopClass,
     UnknownLabel,
+    VotError,
     WindowOverlapWarning,
     WordOccurrence,
     compare_boundaries,
@@ -25,10 +30,13 @@ from corpusphon.vot import (
     locate_words,
     make_vot_windows,
     measure_cues,
+    phone_letter,
     plan_windows,
     prefer_manual,
     render_measurements,
     split_windows_by_stop,
+    _overlap_length,
+    _pair_tokens,
 )
 
 
@@ -49,8 +57,8 @@ class TestStopClass:
         assert StopClass("B").padding == 0.011
 
     def test_min_vot(self):
-        assert StopClass("K").min_vot == 0.015
-        assert StopClass("G").min_vot == 0.004
+        assert StopClass("K").min_vot_ms == 15
+        assert StopClass("G").min_vot_ms == 4
 
     def test_unknown(self):
         with pytest.raises(UnknownLabel):
@@ -404,7 +412,7 @@ class TestMeasure:
             measurement_fixture_grid(), "vot", "phones", "words"
         ):
             assert m.vot == m.vocalic_onset - m.burst_onset
-            assert m.vot >= StopClass(m.stop).min_vot
+            assert m.vot >= StopClass(m.stop).min_vot_ms / 1000
 
     def test_rate_skippable(self):
         grid = measurement_fixture_grid()
@@ -513,3 +521,220 @@ class TestMeasureWorkedExample:
         grid = TextGrid(0.0, 4.0, (phones, words, vot))
         (m,) = measure_cues(grid, "vot", "phones", "words")
         assert m.speaking_rate == pytest.approx(0.45, abs=1e-9)
+
+
+class TestMeasureStopChoice:
+    """The stop is the phone holding the burst onset, whatever the overlaps."""
+
+    def grid(self, token):
+        phones = IntervalTier(
+            "phones", 0.0, 1.0,
+            (Interval(0.50, 0.58, "P_B"), Interval(0.58, 0.75, "AE1_I"),
+             Interval(0.75, 0.82, "T_E")),
+        ).normalized()
+        words = IntervalTier(
+            "words", 0.0, 1.0, (Interval(0.50, 0.82, "PAT"),)
+        ).normalized()
+        vot_tier = IntervalTier("vot", 0.0, 1.0, (token,)).normalized()
+        return TextGrid(0.0, 1.0, (phones, words, vot_tier))
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            Interval(0.56, 0.64, "P"),  # long lag: 20 ms in the stop, 60 in the vowel
+            Interval(0.54, 0.62, "P"),  # 40 ms in each, but the vowel's is the larger float
+        ],
+    )
+    def test_long_lag_token_keeps_its_stop(self, token):
+        (m,) = measure_cues(
+            self.grid(token), "vot", "phones", "words", include_speaking_rate=False
+        )
+        assert m.stop == "P"
+        assert m.word == "PAT"
+        assert m.vowel_duration == pytest.approx(0.17, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the bisect lookups against the linear scans they replaced
+
+
+def _pair_tokens_all_pairs(manual, auto, tolerance):
+    candidates = []
+    for mi, m in enumerate(manual):
+        for ai, a in enumerate(auto):
+            length = _overlap_length(m, a, tolerance)
+            if length > 0:
+                candidates.append((length, mi, ai))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+
+    conflicts = []
+    used_m = set()
+    used_a = set()
+    pairs = []
+    for length, mi, ai in candidates:
+        if mi in used_m or ai in used_a:
+            if not (mi in used_m and ai in used_a):
+                conflicts.append(
+                    f"token at [{manual[mi].xmin}, {manual[mi].xmax}] overlaps "
+                    "more than one counterpart; paired by maximal overlap"
+                )
+            continue
+        used_m.add(mi)
+        used_a.add(ai)
+        pairs.append((manual[mi], auto[ai]))
+    pairs.sort(key=lambda p: p[0].xmin)
+    return pairs, conflicts
+
+
+def _locate_by_scan(grid, word_tier, phone_tier, words, tolerance):
+    wtier, _ = grid.find_tier(word_tier)
+    ptier, _ = grid.find_tier(phone_tier)
+    found = []
+    for word_iv in wtier.non_empty():
+        if word_iv.text not in words:
+            continue
+        stop_iv = None
+        for phone_iv in ptier.non_empty():
+            if abs(phone_iv.xmin - word_iv.xmin) <= tolerance:
+                stop_iv = phone_iv
+                break
+        if stop_iv is None:
+            raise PhoneAlignmentGap(word_iv.xmin)
+        if phone_letter(stop_iv.text) not in STOP_LETTERS:
+            raise VotError(word_iv.xmin)
+        found.append((word_iv.xmin, word_iv.xmax, stop_iv.xmax, stop_iv.text))
+    return found
+
+
+def _most_overlapping_by_scan(ivs, token):
+    best = None
+    best_len = 0.0
+    for iv in ivs:
+        length = min(iv.xmax, token.xmax) - max(iv.xmin, token.xmin)
+        if length > best_len:
+            best, best_len = iv, length
+    return best
+
+
+# centisecond and millisecond times make exact and float-rounded ties
+# common; arbitrary floats cover the rest
+_starts = st.one_of(
+    st.integers(0, 400).map(lambda k: k / 100),
+    st.integers(0, 4000).map(lambda k: k / 1000),
+    st.floats(0.0, 4.0, allow_nan=False),
+)
+_lengths = st.one_of(
+    st.integers(1, 60).map(lambda k: k / 100),
+    st.floats(1e-6, 0.6, allow_nan=False),
+)
+_tolerances = st.sampled_from([0.0, 0.005, 0.01, 0.011, 0.02, 0.05, 0.3])
+
+
+@st.composite
+def overlapping_tiers(draw, name="t", labels=("P", "T", "K")):
+    """A sorted tier whose intervals may overlap, as a parsed grid's can."""
+    spans = draw(
+        st.lists(st.tuples(_starts, _lengths, st.sampled_from(labels)), max_size=25)
+    )
+    return IntervalTier(
+        name, 0.0, 5.0, tuple(Interval(x, x + d, t) for x, d, t in spans)
+    )
+
+
+def _ids(pairs):
+    return [(id(m), id(a)) for m, a in pairs]
+
+
+class TestLookupsMatchScans:
+    @settings(max_examples=60, deadline=None)
+    @given(overlapping_tiers("m"), overlapping_tiers("a"), _tolerances)
+    def test_pair_tokens(self, mtier, atier, tolerance):
+        manual, auto = mtier.non_empty(), atier.non_empty()
+        pairs, conflicts = _pair_tokens(manual, auto, tolerance)
+        want_pairs, want_conflicts = _pair_tokens_all_pairs(manual, auto, tolerance)
+        assert _ids(pairs) == _ids(want_pairs)
+        assert conflicts == want_conflicts
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        overlapping_tiers("words", labels=("PAT", "SO")),
+        overlapping_tiers("phones", labels=("P", "AE1", "S")),
+        _tolerances,
+    )
+    # 0.989 >= 1.0 - 0.011, yet abs(0.989 - 1.0) > 0.011; 0.99 is the match
+    @example(
+        IntervalTier("words", 0.0, 5.0, (Interval(1.0, 1.3, "PAT"),)),
+        IntervalTier(
+            "phones", 0.0, 5.0, (Interval(0.989, 0.99, "S"), Interval(0.99, 1.1, "P"))
+        ),
+        0.011,
+    )
+    def test_locate_words(self, wtier, ptier, tolerance):
+        grid = TextGrid(0.0, 5.0, (ptier, wtier))
+        try:
+            want = _locate_by_scan(grid, "words", "phones", {"PAT"}, tolerance)
+        except VotError as e:
+            with pytest.raises(type(e)) as raised:
+                locate_words(grid, "words", "phones", {"PAT"}, tolerance=tolerance)
+            assert f"at {e.args[0]}:" in str(raised.value)
+            return
+        got = locate_words(grid, "words", "phones", {"PAT"}, tolerance=tolerance)
+        assert [
+            (o.start, o.end, o.stop_end, o.initial_stop.phone) for o in got
+        ] == [(s, e, se, phone_letter(text)) for s, e, se, text in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(overlapping_tiers("words", labels=("PAT", "PIT")), _starts, _lengths)
+    @example(  # equal overlaps: the first word in tier order wins
+        IntervalTier("words", 0.0, 5.0, (Interval(1.0, 1.1, "PAT"), Interval(1.0, 1.2, "PIT"))),
+        1.05,
+        0.05,
+    )
+    def test_measure_word(self, wtier, xmin, length):
+        phones = IntervalTier(
+            "phones", 0.0, 5.0, (Interval(0.0, 4.9, "P"), Interval(4.9, 5.0, "AE1"))
+        )
+        token = Interval(xmin, xmin + length, "P")
+        vot_tier = IntervalTier("vot", 0.0, 5.0, (token,))
+        grid = TextGrid(0.0, 5.0, (phones, wtier, vot_tier))
+        want = _most_overlapping_by_scan(wtier.non_empty(), token)
+        if want is None:
+            with pytest.raises(VotError):
+                measure_cues(grid, "vot", "phones", "words", include_speaking_rate=False)
+            return
+        (m,) = measure_cues(grid, "vot", "phones", "words", include_speaking_rate=False)
+        assert (m.word, m.word_duration) == (want.text, want.duration)
+
+
+def long_grid(n_words):
+    """phones/words/vot grid: PAT words, one token each, a sentence per 8."""
+    phones, words, tokens = [], [], []
+    t = 0.5
+    for i in range(n_words):
+        phones += [Interval(t, t + 0.08, "P"), Interval(t + 0.08, t + 0.2, "AE1"),
+                   Interval(t + 0.2, t + 0.26, "T")]
+        words.append(Interval(t, t + 0.26, "PAT"))
+        tokens.append(Interval(t + 0.01, t + 0.08, "P"))
+        t += 0.26
+        if i % 8 == 7:
+            words.append(Interval(t, t + 0.1, "sp"))
+            t += 0.3
+    xmax = t + 1.0
+    tiers = tuple(
+        IntervalTier(name, 0.0, xmax, tuple(ivs)).normalized()
+        for name, ivs in (("phones", phones), ("words", words), ("vot", tokens))
+    )
+    return TextGrid(0.0, xmax, tiers)
+
+
+def test_vot_path_scales_linearly():
+    grid = long_grid(8000)
+    tokens = grid.get_tier("vot")
+    start = time.perf_counter()
+    occurrences = locate_words(grid, "words", "phones", {"PAT"})
+    measurements = measure_cues(grid, "vot", "phones", "words")
+    comparison = compare_boundaries(tokens, tokens)
+    elapsed = time.perf_counter() - start
+    assert len(occurrences) == len(measurements) == len(comparison.pairs) == 8000
+    # the all-pairs scans this replaced took over 100 s here
+    assert elapsed < 2.0
