@@ -201,6 +201,17 @@ def step_name(stem: str, suffix: str) -> str:
     return stem + suffix
 
 
+def write_grid_step(ctx: Ctx, paths: list[Path], out_dir: Path, suffix: str, fn) -> None:
+    """Write fn(path, grid) for each grid file as a step_name()-named TextGrid."""
+
+    def step(path: Path) -> bytes:
+        return textgrid.write_textgrid(fn(path, read_grid(path)))
+
+    for path, data in process_files(ctx, paths, step):
+        if data is not None:
+            ctx.out_file(out_dir / f"{step_name(path.stem, suffix)}.TextGrid", data)
+
+
 # ---------------------------------------------------------------------------
 # kaldi-prep
 
@@ -258,12 +269,20 @@ def cmd_kaldi_fix(args, ctx: Ctx) -> None:
 # lexicon
 
 
+_SEPARATORS = {
+    "whitespace": lexicon.Separator.ANY_WHITESPACE,
+    "two-spaces": lexicon.Separator.TWO_SPACES,
+    "tab": lexicon.Separator.TAB,
+}
+
+
+def add_lexicon_options(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--lexicon", required=required)
+    p.add_argument("--separator", choices=list(_SEPARATORS), default=None)
+
+
 def _load_lexicon(args, ctx: Ctx) -> lexicon.Lexicon:
-    sep = {
-        "whitespace": lexicon.Separator.ANY_WHITESPACE,
-        "two-spaces": lexicon.Separator.TWO_SPACES,
-        "tab": lexicon.Separator.TAB,
-    }[ctx.value(args, "separator", "whitespace", str)]
+    sep = _SEPARATORS[ctx.value(args, "separator", "whitespace", str)]
     return lexicon.parse_lexicon(
         Path(args.lexicon).read_text(encoding="utf-8"), sep
     )
@@ -539,16 +558,12 @@ def cmd_vot_windows(args, ctx: Ctx) -> None:
 
     tier_name = ctx.value(args, "vot_tier", "vot", str)
 
-    def add_windows(path: Path) -> bytes:
-        grid = read_grid(path)
+    def add_windows(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
         occs = by_file.get(path.stem, [])
         tier = vot.make_vot_windows(occs, grid.xmax, tier_name)
-        stacked = textgrid.TextGrid(grid.xmin, grid.xmax, grid.tiers + (tier,))
-        return textgrid.write_textgrid(stacked)
+        return textgrid.TextGrid(grid.xmin, grid.xmax, grid.tiers + (tier,))
 
-    for path, data in process_files(ctx, grids, add_windows):
-        if data is not None:
-            ctx.out_file(out_dir / f"{step_name(path.stem, args.suffix)}.TextGrid", data)
+    write_grid_step(ctx, grids, out_dir, args.suffix, add_windows)
 
 
 def cmd_vot_lists(args, ctx: Ctx) -> None:
@@ -575,14 +590,10 @@ def cmd_vot_merge(args, ctx: Ctx) -> None:
     check_output_separation(out_dir, grids)
     indices = _parse_indices(args.tiers)
 
-    def merge(path: Path) -> bytes:
-        grid = read_grid(path)
-        merged = textgrid.merge_interval_tiers(grid, indices, args.name)
-        return textgrid.write_textgrid(merged)
+    def merge(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
+        return textgrid.merge_interval_tiers(grid, indices, args.name)
 
-    for path, data in process_files(ctx, grids, merge):
-        if data is not None:
-            ctx.out_file(out_dir / f"{step_name(path.stem, args.suffix)}.TextGrid", data)
+    write_grid_step(ctx, grids, out_dir, args.suffix, merge)
 
 
 def cmd_vot_prefer_manual(args, ctx: Ctx) -> None:
@@ -590,14 +601,10 @@ def cmd_vot_prefer_manual(args, ctx: Ctx) -> None:
     grids = expand_paths(ctx, args.textgrids)
     check_output_separation(out_dir, grids)
 
-    def prefer(path: Path) -> bytes:
-        grid = read_grid(path)
-        result = vot.prefer_manual(grid, args.manual_tier, args.auto_tier)
-        return textgrid.write_textgrid(result)
+    def prefer(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
+        return vot.prefer_manual(grid, args.manual_tier, args.auto_tier)
 
-    for path, data in process_files(ctx, grids, prefer):
-        if data is not None:
-            ctx.out_file(out_dir / f"{step_name(path.stem, args.suffix)}.TextGrid", data)
+    write_grid_step(ctx, grids, out_dir, args.suffix, prefer)
 
 
 def cmd_vot_measure(args, ctx: Ctx) -> None:
@@ -775,9 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     lxs = lx.add_subparsers(dest="subcommand", required=True)
 
     def lex_common(p):
-        p.add_argument("--lexicon", required=True)
-        p.add_argument("--separator", choices=["whitespace", "two-spaces", "tab"],
-                       default=None)
+        add_lexicon_options(p)
         p.add_argument("--words", help="word list file (one per line)")
         p.add_argument("--transcripts", nargs="*", default=[])
         p.add_argument("--kaldi-text", dest="kaldi_text",
@@ -797,9 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_lexicon_missing)
     p = lxs.add_parser("phones", parents=[common])
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--separator", choices=["whitespace", "two-spaces", "tab"],
-                   default=None)
+    add_lexicon_options(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--exclude", default=None,
                    help="comma-separated phones to leave out of nonsilence")
@@ -811,9 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ctm", required=True)
     p.add_argument("--segments", required=True)
     p.add_argument("--phones", required=True, help="phones.txt symbol table")
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--separator", choices=["whitespace", "two-spaces", "tab"],
-                   default=None)
+    add_lexicon_options(p)
     p.add_argument("--text", help="data-dir text file for positional matching")
     p.add_argument("--wav-dir", help="read true file durations from audio")
     p.add_argument("--out", required=True)
@@ -840,9 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = fvs.add_parser("check", parents=[common])
     p.add_argument("transcripts", nargs="+")
     p.add_argument("--wav-dir")
-    p.add_argument("--lexicon")
-    p.add_argument("--separator", choices=["whitespace", "two-spaces", "tab"],
-                   default=None)
+    add_lexicon_options(p, required=False)
     p.set_defaults(func=cmd_fave_check)
 
     # audio
@@ -861,9 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     vt = top.add_parser("vot", help="AutoVOT preparation and measurement")
     vts = vt.add_subparsers(dest="subcommand", required=True)
     p = vts.add_parser("words", parents=[common])
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--separator", choices=["whitespace", "two-spaces", "tab"],
-                   default=None)
+    add_lexicon_options(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_vot_words)
     p = vts.add_parser("locate", parents=[common])

@@ -14,12 +14,11 @@ trailing-zero-free (0.0, 3.44).
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping
 
-from .errors import ToolkitError, ToolkitWarning
+from .errors import ToolkitError
 from .report import Report
 
 DATA_FILES = ("text", "segments", "wav.scp", "utt2spk", "spk2utt")
@@ -29,20 +28,12 @@ class KaldiDataError(ToolkitError):
     """Malformed data-directory file content."""
 
 
-class RuleFailure(KaldiDataError):
-    """A speaker rule produced no usable speaker for an utterance."""
-
-
 class DuplicateUtt(KaldiDataError):
     """Two records share an utterance ID."""
 
 
 class EmptyResult(KaldiDataError):
     """No utterance survived repair; the inputs are grossly inconsistent."""
-
-
-class SpeakerRuleWarning(ToolkitWarning):
-    """Degenerate input to a speaker rule (utterance mapped to itself)."""
 
 
 def _bytes_key(s: str) -> bytes:
@@ -239,101 +230,8 @@ def read_data_dir(path: Path | str) -> KaldiDataDir:
     )
 
 
-def write_data_dir(d: KaldiDataDir, path: Path | str) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    for name, content in d.render().items():
-        (path / name).write_text(content, encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
-# speaker rules
-
-
-@dataclass(frozen=True)
-class FieldBeforeDelimiter:
-    """Speaker = the first `field_index` delimiter-separated fields."""
-
-    delimiter: str
-    field_index: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.delimiter:
-            raise ValueError("empty delimiter")
-        if self.field_index < 1:
-            raise ValueError("field_index must be >= 1")
-
-
-@dataclass(frozen=True)
-class FixedPrefixLength:
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("prefix length must be >= 1")
-
-
-@dataclass(frozen=True)
-class ExplicitTable:
-    table: Mapping[str, str]
-
-
-SpeakerRule = Union[FieldBeforeDelimiter, FixedPrefixLength, ExplicitTable]
-
-
-def derive_utt2spk(utts: list[str], rule: SpeakerRule) -> dict[str, str]:
-    """Map every utterance to a speaker token.
-
-    A delimiter rule with no delimiter present maps the utterance to itself
-    (with a SpeakerRuleWarning) so one-utterance-per-speaker corpora stay
-    usable; a genuinely empty speaker is a RuleFailure.
-    """
-    out: dict[str, str] = {}
-    for utt in utts:
-        _check_token(utt, "utterance ID")
-        if isinstance(rule, FieldBeforeDelimiter):
-            parts = utt.split(rule.delimiter)
-            if len(parts) <= rule.field_index:
-                if len(parts) == 1:
-                    warnings.warn(
-                        f"utterance {utt!r} has no {rule.delimiter!r}; "
-                        "using the whole ID as its speaker",
-                        SpeakerRuleWarning,
-                        stacklevel=2,
-                    )
-                    out[utt] = utt
-                    continue
-                warnings.warn(
-                    f"utterance {utt!r} has fewer than {rule.field_index} "
-                    f"{rule.delimiter!r}-separated fields; using the whole ID",
-                    SpeakerRuleWarning,
-                    stacklevel=2,
-                )
-                out[utt] = utt
-                continue
-            speaker = rule.delimiter.join(parts[: rule.field_index])
-            if not speaker:
-                raise RuleFailure(f"utterance {utt!r} yields an empty speaker")
-            out[utt] = speaker
-        elif isinstance(rule, FixedPrefixLength):
-            if len(utt) < rule.length:
-                warnings.warn(
-                    f"utterance {utt!r} is shorter than prefix length "
-                    f"{rule.length}; using the whole ID",
-                    SpeakerRuleWarning,
-                    stacklevel=2,
-                )
-                out[utt] = utt
-            else:
-                out[utt] = utt[: rule.length]
-        elif isinstance(rule, ExplicitTable):
-            speaker = rule.table.get(utt, "")
-            if not speaker:
-                raise RuleFailure(f"no speaker table entry for utterance {utt!r}")
-            out[utt] = speaker
-        else:
-            raise TypeError(f"unknown speaker rule {rule!r}")
-    return out
+# speaker maps
 
 
 def invert_utt2spk(utt2spk: Mapping[str, str]) -> dict[str, tuple[str, ...]]:

@@ -75,9 +75,3 @@ class Report:
 
     def __bool__(self) -> bool:
         return bool(self.findings)
-
-    def machine_text(self, file: str | None = None) -> str:
-        return "".join(f.machine_line(file) + "\n" for f in self.findings)
-
-    def human_text(self) -> str:
-        return "".join(f.human_line() + "\n" for f in self.findings)

@@ -12,7 +12,8 @@ function, so grids can be processed from multiple threads without locking.
 from __future__ import annotations
 
 import codecs
-import re
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ToolkitError
@@ -34,6 +35,10 @@ class MalformedHeader(TextGridParseError):
 
 class NonMonotonicInterval(TextGridParseError):
     """Interval with xmax <= xmin (zero-length intervals are rejected too)."""
+
+
+class NonFiniteTime(TextGridParseError):
+    """NaN or infinite time, which Praat never writes."""
 
 
 class TierCountMismatch(TextGridParseError):
@@ -64,6 +69,11 @@ def format_time(t: float) -> str:
     return _TIME_FORMAT.format(t)
 
 
+def _require_finite(what: str, *times: float) -> None:
+    if not all(map(math.isfinite, times)):
+        raise NonFiniteTime(f"{what}: times must be finite, got {times!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """One labeled stretch of time on an interval tier."""
@@ -73,6 +83,9 @@ class Interval:
     text: str = ""
 
     def __post_init__(self) -> None:
+        if 0 <= self.xmin < self.xmax < math.inf:  # false for NaN too
+            return
+        _require_finite("interval", self.xmin, self.xmax)
         if self.xmax < self.xmin:
             raise NonMonotonicInterval(
                 f"interval xmax {self.xmax!r} < xmin {self.xmin!r}"
@@ -99,6 +112,9 @@ class Point:
     time: float
     mark: str = ""
 
+    def __post_init__(self) -> None:
+        _require_finite("point", self.time)
+
 
 @dataclass(frozen=True)
 class PointTier:
@@ -110,6 +126,7 @@ class PointTier:
     points: tuple[Point, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_finite(f"tier {self.name!r}", self.xmin, self.xmax)
         if self.xmax <= self.xmin:
             raise NonMonotonicInterval(
                 f"tier {self.name!r}: xmax {self.xmax!r} <= xmin {self.xmin!r}"
@@ -133,6 +150,7 @@ class IntervalTier:
     intervals: tuple[Interval, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_finite(f"tier {self.name!r}", self.xmin, self.xmax)
         if self.xmax <= self.xmin:
             raise NonMonotonicInterval(
                 f"tier {self.name!r}: xmax {self.xmax!r} <= xmin {self.xmin!r}"
@@ -194,6 +212,7 @@ class TextGrid:
     tiers: tuple[Tier, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_finite("grid", self.xmin, self.xmax)
         if self.xmax <= self.xmin:
             raise NonMonotonicInterval(
                 f"grid xmax {self.xmax!r} <= xmin {self.xmin!r}"
@@ -270,223 +289,174 @@ def _decode(content: bytes) -> str:
         raise EncodingError(f"not valid UTF-8 (and no UTF-16 BOM): {exc}") from None
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def take_raw(self) -> str | None:
-        if self.pos >= len(self.lines):
-            return None
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def peek(self) -> str | None:
-        pos = self.pos
-        while pos < len(self.lines):
-            if self.lines[pos].strip():
-                return self.lines[pos]
-            pos += 1
-        return None
-
-    def take(self) -> str | None:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            if line.strip():
-                return line
-        return None
+def _closing_quote(s: str, start: int) -> int:
+    """Index of the first quote at or after start that is not doubled, or -1."""
+    i = s.find('"', start)
+    while i >= 0 and s.startswith('"', i + 1):
+        i = s.find('"', i + 2)
+    return i
 
 
-_ITEM_RE = re.compile(r"^\s*item\s*\[\d*\]\s*:?\s*$")
-_SUBITEM_RE = re.compile(r"^\s*(intervals|points)\s*\[\d*\]\s*:?\s*$")
+def _tokens(text: str):
+    """Yield (line number, label, value) for each non-blank logical line.
+
+    The label is the text before the first '=' with all whitespace removed
+    ('intervals: size' -> 'intervals:size'); value is None for lines without
+    '='. A bare value is stripped. A quoted value keeps its quotes (and its
+    doubled quotes) and ends at the first undoubled quote, possibly on a
+    later line; continuation lines are joined with '\n' verbatim.
+
+    Only '\n' breaks lines (CR, in a file without any '\n'), so a CR, form
+    feed or U+2028 inside a label survives a round trip. In a CRLF file
+    (judged by its first line) the CR before each '\n' belongs to the line
+    break.
+    """
+    lines = text.split("\n")
+    if len(lines) == 1:  # classic Mac OS line breaks
+        lines = text.split("\r")
+    crlf = lines[0].endswith("\r")
+    numbered = enumerate(lines, 1)
+    for n, line in numbered:
+        label, eq, raw = line.partition("=")
+        if not eq:
+            if line and not line.isspace():
+                yield n, "".join(line.split()), None
+            continue
+        value = rest = raw.strip()
+        if value.startswith('"'):
+            last, end = n, _closing_quote(value, 1)
+            if end < 0:  # the string goes on over the next lines
+                parts, rest = [], raw.lstrip()
+                while end < 0:
+                    parts.append(rest.removesuffix("\r") if crlf else rest)
+                    last, rest = next(numbered, (n, None))
+                    if rest is None:
+                        raise TextGridParseError(f"line {n}: unterminated string value")
+                    end = _closing_quote(rest, 0)
+                parts.append(rest[: end + 1])
+                value = "\n".join(parts)
+            if rest[end + 1 :].strip():
+                raise TextGridParseError(f"line {last}: content after closing quote")
+        yield n, "".join(label.split()), value
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.cur = _Cursor(text)
+def _is_block(token, kinds: tuple[str, ...]) -> bool:
+    """True for a block header such as 'item [3]:' or 'intervals []:'."""
+    if token is None or token[2] is not None:
+        return False
+    kind, _, index = token[1].removesuffix(":").partition("[")
+    return kind in kinds and (
+        index == "]" or (index.endswith("]") and index[:-1].isdecimal())
+    )
 
-    def fail(self, message: str) -> TextGridParseError:
-        return TextGridParseError(f"line {self.cur.pos}: {message}")
 
-    def number(self, label: str) -> float:
-        line = self.cur.take()
-        if line is None:
-            raise self.fail(f"expected '{label} = <number>', got end of file")
-        m = re.match(rf"^\s*{re.escape(label)}\s*=\s*(\S+)\s*$", line)
-        if not m:
-            raise self.fail(f"expected '{label} = <number>', got {line.strip()!r}")
+_KINDS = {str: "a quoted string", float: "a number", int: "a non-negative integer"}
+
+
+def _expect(tokens, kind: type, *labels: str):
+    """Read the next 'label = value' token; return its value as kind."""
+    token = next(tokens, None)
+    if token is None:
+        raise TextGridParseError(f"expected {labels[0]!r}, got end of file")
+    n, label, value = token
+    if label not in labels or value is None:
+        raise TextGridParseError(
+            f"line {n}: expected {' or '.join(labels)!r}, got {label!r}"
+        )
+    if kind is str:
+        if value.startswith('"'):
+            return value[1:-1].replace('""', '"')
+    else:
         try:
-            return float(m.group(1))
+            number = float(value)
         except ValueError:
-            raise self.fail(f"non-numeric value for {label}: {m.group(1)!r}") from None
-
-    def size(self, label: str) -> int:
-        line = self.cur.take()
-        if line is None:
-            raise self.fail(f"expected '{label}: size = <int>'")
-        m = re.match(rf"^\s*{re.escape(label)}\s*:\s*size\s*=\s*(\d+)\s*$", line)
-        if not m:
-            raise self.fail(f"expected '{label}: size = <int>', got {line.strip()!r}")
-        return int(m.group(1))
-
-    def string(self, label: str) -> str:
-        line = self.cur.take()
-        if line is None:
-            raise self.fail(f'expected \'{label} = "..."\'')
-        m = re.match(rf'^\s*{re.escape(label)}\s*=\s*"(.*)$', line, re.DOTALL)
-        if not m:
-            raise self.fail(f'expected \'{label} = "..."\', got {line.strip()!r}')
-        return self._finish_quoted(m.group(1))
-
-    def string_any(self, labels: tuple[str, ...]) -> str:
-        line = self.cur.take()
-        if line is None:
-            raise self.fail(f"expected one of {labels}")
-        for label in labels:
-            m = re.match(rf'^\s*{re.escape(label)}\s*=\s*"(.*)$', line, re.DOTALL)
-            if m:
-                return self._finish_quoted(m.group(1))
-        raise self.fail(f"expected one of {labels}, got {line.strip()!r}")
-
-    def number_any(self, labels: tuple[str, ...]) -> float:
-        line = self.cur.take()
-        if line is None:
-            raise self.fail(f"expected one of {labels}")
-        for label in labels:
-            m = re.match(rf"^\s*{re.escape(label)}\s*=\s*(\S+)\s*$", line)
-            if m:
-                try:
-                    return float(m.group(1))
-                except ValueError:
-                    raise self.fail(f"non-numeric {label}: {m.group(1)!r}") from None
-        raise self.fail(f"expected one of {labels}, got {line.strip()!r}")
-
-    def _finish_quoted(self, rest: str) -> str:
-        # Praat doubles embedded quotes; a string value may span lines.
-        chars: list[str] = []
-        line = rest
-        while True:
-            i = 0
-            n = len(line)
-            while i < n:
-                c = line[i]
-                if c == '"':
-                    if line[i + 1 : i + 2] == '"':
-                        chars.append('"')
-                        i += 2
-                        continue
-                    if line[i + 1 :].strip():
-                        raise self.fail("content after closing quote")
-                    return "".join(chars)
-                chars.append(c)
-                i += 1
-            nxt = self.cur.take_raw()
-            if nxt is None:
-                raise self.fail("unterminated string value")
-            chars.append("\n")
-            line = nxt
+            pass
+        else:
+            if kind is float or (number >= 0 and number.is_integer()):
+                return kind(number)
+    raise TextGridParseError(f"line {n}: {label} must be {_KINDS[kind]}, got {value!r}")
 
 
 def parse_textgrid(content: bytes) -> TextGrid:
     """Parse a complete long-format TextGrid file image."""
     if content.startswith(b"ooBinaryFile"):
         raise MalformedHeader("binary TextGrid format is not supported")
-    text = _decode(content)
-    p = _Parser(text)
+    tokens = _tokens(_decode(content))
 
     try:
-        file_type = p.string("File type")
+        file_type = _expect(tokens, str, "Filetype")
+        object_class = _expect(tokens, str, "Objectclass")
     except TextGridParseError:
-        raise MalformedHeader('missing \'File type = "ooTextFile"\' header') from None
+        raise MalformedHeader(
+            'missing \'File type = "ooTextFile"\' or \'Object class = "TextGrid"\' header'
+        ) from None
     if file_type != "ooTextFile":
         raise MalformedHeader(f"unsupported file type {file_type!r}")
-    try:
-        object_class = p.string("Object class")
-    except TextGridParseError:
-        raise MalformedHeader('missing \'Object class = "TextGrid"\' header') from None
     if object_class != "TextGrid":
-        raise MalformedHeader(
-            f"object class {object_class!r} is not a TextGrid"
-        )
+        raise MalformedHeader(f"object class {object_class!r} is not a TextGrid")
 
-    nxt = p.cur.peek()
-    if nxt is not None and re.match(r"^\s*-?[\d.]+\s*$", nxt):
+    token = next(tokens, None)
+    if token and token[2] is None and token[1].lstrip("-").replace(".", "").isdecimal():
         raise MalformedHeader(
             "short text format is not supported; save as a full ('long') text file"
         )
+    tokens = itertools.chain([token], tokens)
+    xmin = _expect(tokens, float, "xmin")
+    xmax = _expect(tokens, float, "xmax")
 
-    xmin = p.number("xmin")
-    xmax = p.number("xmax")
-
-    line = p.cur.take()
-    if line is None or not line.strip().startswith("tiers?"):
+    token = next(tokens, None)
+    if token is None or not token[1].startswith("tiers?"):
         raise TextGridParseError("expected 'tiers? <exists>' line")
-    if "<absent>" in line:
+    if "<absent>" in token[1]:
         return TextGrid(xmin, xmax, ())
 
-    declared = int(p.number("size"))
-    nxt = p.cur.peek()
-    if nxt is not None and re.match(r"^\s*item\s*\[\s*\]\s*:?\s*$", nxt):
-        p.cur.take()
-
+    declared = _expect(tokens, int, "size")
+    token = next(tokens, None)
+    if _is_block(token, ("item",)) and token[1] in ("item[]", "item[]:"):
+        token = next(tokens, None)
     tiers: list[Tier] = []
     for k in range(declared):
-        nxt = p.cur.peek()
-        if nxt is None or not _ITEM_RE.match(nxt):
-            raise TierCountMismatch(
-                f"grid declares {declared} tiers but only {k} found"
-            )
-        p.cur.take()
-        tiers.append(_parse_tier(p))
-
-    nxt = p.cur.peek()
-    if nxt is not None and _ITEM_RE.match(nxt):
+        if not _is_block(token, ("item",)):
+            raise TierCountMismatch(f"grid declares {declared} tiers but only {k} found")
+        tiers.append(_parse_tier(tokens))
+        token = next(tokens, None)
+    if _is_block(token, ("item",)):
         raise TierCountMismatch(
             f"grid declares {declared} tiers but more item blocks follow"
         )
-    if nxt is not None:
-        raise TextGridParseError(f"unexpected trailing content: {nxt.strip()!r}")
+    if token is not None:
+        raise TextGridParseError(
+            f"line {token[0]}: unexpected trailing content: {token[1]!r}"
+        )
     return TextGrid(xmin, xmax, tuple(tiers))
 
 
-def _parse_tier(p: _Parser) -> Tier:
-    cls = p.string("class")
-    name = p.string("name")
-    xmin = p.number("xmin")
-    xmax = p.number("xmax")
+def _parse_tier(tokens) -> Tier:
+    cls = _expect(tokens, str, "class")
+    name = _expect(tokens, str, "name")
+    xmin = _expect(tokens, float, "xmin")
+    xmax = _expect(tokens, float, "xmax")
+    if cls not in ("IntervalTier", "TextTier"):
+        raise TextGridParseError(f"unsupported tier class {cls!r}")
+    what = "intervals" if cls == "IntervalTier" else "points"
+    declared = _expect(tokens, int, f"{what}:size")
+    items: list = []
+    for j in range(declared):
+        # either block name is accepted in either tier class
+        if not _is_block(next(tokens, None), ("intervals", "points")):
+            raise TierCountMismatch(
+                f"tier {name!r} declares {declared} {what} but only {j} found"
+            )
+        if cls == "IntervalTier":
+            ixmin = _expect(tokens, float, "xmin")
+            ixmax = _expect(tokens, float, "xmax")
+            items.append(Interval(ixmin, ixmax, _expect(tokens, str, "text")))
+        else:
+            time = _expect(tokens, float, "number", "time")
+            items.append(Point(time, _expect(tokens, str, "mark", "text")))
     if cls == "IntervalTier":
-        declared = p.size("intervals")
-        intervals = []
-        for j in range(declared):
-            nxt = p.cur.peek()
-            if nxt is None or not _SUBITEM_RE.match(nxt):
-                raise TierCountMismatch(
-                    f"tier {name!r} declares {declared} intervals "
-                    f"but only {j} found"
-                )
-            p.cur.take()
-            ixmin = p.number("xmin")
-            ixmax = p.number("xmax")
-            text = p.string("text")
-            intervals.append(Interval(ixmin, ixmax, text))
-        return IntervalTier(name, xmin, xmax, tuple(intervals))
-    if cls == "TextTier":
-        declared = p.size("points")
-        points = []
-        for j in range(declared):
-            nxt = p.cur.peek()
-            if nxt is None or not _SUBITEM_RE.match(nxt):
-                raise TierCountMismatch(
-                    f"tier {name!r} declares {declared} points but only {j} found"
-                )
-            p.cur.take()
-            time = p.number_any(("number", "time"))
-            mark = p.string_any(("mark", "text"))
-            points.append(Point(time, mark))
-        return PointTier(name, xmin, xmax, tuple(points))
-    raise TextGridParseError(f"unsupported tier class {cls!r}")
+        return IntervalTier(name, xmin, xmax, tuple(items))
+    return PointTier(name, xmin, xmax, tuple(items))
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,12 @@ class TestBatch:
             write_wav(src / f"ok{i}.wav")
         (src / "broken.TextGrid").write_bytes(b"not a textgrid")
         write_wav(src / "broken.wav")
+        inf_size = src / "inf_size.TextGrid"
+        write_grid(inf_size, [Interval(1.0, 9.9, "HI")])
+        inf_size.write_bytes(
+            inf_size.read_bytes().replace(b"\nsize = 1\n", b"\nsize = inf\n")
+        )
+        write_wav(src / "inf_size.wav")
         report = tmp_path / "report.tsv"
         rc = main(
             [
@@ -189,7 +195,9 @@ class TestBatch:
         )
         assert rc == 1
         lines = report.read_text().splitlines()
-        assert any("broken.TextGrid" in l and l.startswith("ERROR") for l in lines)
+        for name in ("broken.TextGrid", "inf_size.TextGrid"):
+            assert any(name in l and l.startswith("ERROR") for l in lines)
+        assert not any("ok0.TextGrid" in l and l.startswith("ERROR") for l in lines)
 
     def test_empty_glob_warns_exit_0(self, tmp_path):
         report = tmp_path / "r.tsv"

@@ -7,15 +7,9 @@ from corpusphon import kaldi
 from corpusphon.kaldi import (
     DuplicateUtt,
     EmptyResult,
-    ExplicitTable,
-    FieldBeforeDelimiter,
-    FixedPrefixLength,
     KaldiDataDir,
-    RuleFailure,
-    SpeakerRuleWarning,
     UtteranceRecord,
     build_from_records,
-    derive_utt2spk,
     fix_data_dir,
     format_seconds,
     invert_spk2utt,
@@ -67,41 +61,11 @@ class TestReferenceRows:
         pairs = parse_utt2spk(UTT2SPK_SAMPLE)
         assert "".join(f"{u} {s}\n" for u, s in pairs) == UTT2SPK_SAMPLE
 
-    def test_utt2spk_derivation(self):
-        got = derive_utt2spk(
-            ["110236_20091006_82330_F_0001"], FieldBeforeDelimiter("_", 1)
-        )
-        assert got == {"110236_20091006_82330_F_0001": "110236"}
-
     def test_spk2utt_from_reference_sample(self):
         pairs = parse_utt2spk(UTT2SPK_SAMPLE)
         inv = invert_utt2spk(dict(pairs))
         assert set(inv) == {"110236", "120958"}
         assert all(len(utts) == 3 for utts in inv.values())
-
-
-class TestSpeakerRules:
-    def test_no_delimiter_maps_to_self_with_warning(self):
-        with pytest.warns(SpeakerRuleWarning):
-            got = derive_utt2spk(["abc"], FieldBeforeDelimiter("_", 1))
-        assert got == {"abc": "abc"}
-
-    def test_explicit_table_missing(self):
-        with pytest.raises(RuleFailure):
-            derive_utt2spk(["u1"], ExplicitTable({"other": "s"}))
-
-    def test_fixed_prefix(self):
-        assert derive_utt2spk(["spk01_000"], FixedPrefixLength(5)) == {
-            "spk01_000": "spk01"
-        }
-
-    def test_leading_delimiter_fails(self):
-        with pytest.raises(RuleFailure):
-            derive_utt2spk(["_x"], FieldBeforeDelimiter("_", 1))
-
-    def test_two_field_speaker(self):
-        got = derive_utt2spk(["a_b_c"], FieldBeforeDelimiter("_", 2))
-        assert got == {"a_b_c": "a_b"}
 
 
 class TestInvert:

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_grid
 from corpusphon.textgrid import (
@@ -10,11 +13,13 @@ from corpusphon.textgrid import (
     IntervalTier,
     MalformedHeader,
     MergeConflict,
+    NonFiniteTime,
     NonMonotonicInterval,
     OverlapError,
     Point,
     PointTier,
     TextGrid,
+    TextGridParseError,
     TierCountMismatch,
     diagnose_overlaps,
     merge_interval_tiers,
@@ -121,6 +126,42 @@ class TestParse:
         grid = parse_textgrid(b"\xef\xbb\xbf" + MINIMAL)
         assert grid.xmax == 2.5
 
+    @pytest.mark.parametrize("size", [b"inf", b"1.9", b"nan"])
+    def test_declared_size_must_be_non_negative_integer(self, size):
+        bad = MINIMAL.replace(b"\nsize = 1\n", b"\nsize = " + size + b"\n")
+        with pytest.raises(TextGridParseError, match="^line 7: size must be"):
+            parse_textgrid(bad)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            (b"xmin = 0\n            xmax", b"xmin = nan\n            xmax"),
+            (b"xmax = 2.5\ntiers", b"xmax = inf\ntiers"),
+        ],
+    )
+    def test_non_finite_time_rejected(self, old, new):
+        with pytest.raises(NonFiniteTime):
+            parse_textgrid(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (b"xmax = 2.5\n            text", b"xmax = x\n            text",
+             "line 17: xmax must be a number"),
+            (b'text = ""\n', b'text = "a\n', "line 18: unterminated string"),
+            (b'text = ""\n', b'text = "a\nb" c\n', "line 19: content after closing"),
+            (b'text = ""\n', b'text = ""\nextra\n', "line 19: unexpected trailing"),
+        ],
+    )
+    def test_error_names_line(self, old, new, message):
+        with pytest.raises(TextGridParseError, match=f"^{message}"):
+            parse_textgrid(MINIMAL.replace(old, new))
+
+    def test_crlf_multiline_label(self):
+        data = MINIMAL.replace(b'text = ""', b'text = "a  \nb"')
+        grid = parse_textgrid(data.replace(b"\n", b"\r\n"))
+        assert grid.tiers[0].intervals[0].text == "a  \nb"
+
     def test_quote_escaping(self):
         data = MINIMAL.replace(b'text = ""', b'text = "say ""hi"" now"')
         grid = parse_textgrid(data)
@@ -205,6 +246,85 @@ class TestRoundTrip:
             for tier in grid.tiers:
                 once = tier.normalized()
                 assert once.normalized() == once
+
+
+# label pieces that stress quoting, line handling and whitespace stripping
+_LABEL_PIECES = st.sampled_from(
+    ['"', '""', "=", "\n", "\r\n", "\r", " ", "\t", "\x0c", "\u2028", "naïve"]
+)
+labels = st.lists(
+    st.one_of(_LABEL_PIECES, st.characters(exclude_categories=("Cs",))),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def grids(draw) -> TextGrid:
+    """Normalized grids whose times survive six-decimal output exactly."""
+    span = draw(st.integers(2, 10**8))  # microseconds
+    tiers = []
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(labels)
+        if draw(st.booleans()):
+            cuts = draw(st.sets(st.integers(1, span - 1), max_size=6))
+            bounds = [0, *sorted(cuts), span]
+            intervals = tuple(
+                Interval(a / 1e6, b / 1e6, draw(labels))
+                for a, b in zip(bounds, bounds[1:])
+            )
+            tiers.append(IntervalTier(name, 0.0, span / 1e6, intervals))
+        else:
+            times = draw(st.lists(st.integers(0, span), max_size=4))
+            points = tuple(Point(t / 1e6, draw(labels)) for t in times)
+            tiers.append(PointTier(name, 0.0, span / 1e6, points))
+    return TextGrid(0.0, span / 1e6, tuple(tiers))
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(grids())
+    @example(
+        TextGrid(0.0, 1.0, (
+            IntervalTier(' "q"" =\t', 0.0, 1.0, (
+                Interval(0.0, 0.5, "a\r\nb\u2028c \n"),
+                Interval(0.5, 1.0, "\r\x0c\x85"),
+            )),
+        ))
+    )
+    def test_parse_inverts_write(self, grid):
+        assert parse_textgrid(write_textgrid(grid)) == grid
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids(), st.data())
+    def test_mutated_input_raises_only_parse_errors(self, grid, data):
+        blob = bytearray(write_textgrid(grid))
+        start = data.draw(st.integers(0, len(blob)))
+        end = data.draw(st.integers(start, min(len(blob), start + 40)))
+        if data.draw(st.booleans()):
+            del blob[start:end]
+        else:
+            blob[start:start] = blob[start:end]
+        try:
+            parse_textgrid(bytes(blob))
+        except TextGridParseError:
+            pass
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Interval(math.nan, 1.0),
+            lambda: Interval(0.0, math.inf),
+            lambda: Point(math.nan),
+            lambda: IntervalTier("t", 0.0, math.inf),
+            lambda: PointTier("t", -math.inf, 1.0),
+            lambda: TextGrid(math.nan, 1.0),
+        ],
+    )
+    def test_constructors_reject(self, make):
+        with pytest.raises(NonFiniteTime):
+            make()
 
 
 class TestZeroLength:
