@@ -8,8 +8,10 @@ corpus, so the validator points at sox instead (the aligners only need
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
+from typing import BinaryIO
 
 from .errors import ToolkitError
 from .report import Report
@@ -66,38 +68,35 @@ class WavInfo:
         return self.data_bytes / (self.bytes_per_frame * self.sample_rate)
 
 
-def _walk_chunks(content: bytes):
-    pos = 12
-    end = len(content)
-    while pos + 8 <= end:
-        cid = content[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", content, pos + 4)
-        body_start = pos + 8
-        body_end = min(body_start + size, end)
-        yield cid, body_start, body_end - body_start
-        pos = body_start + size + (size & 1)  # chunks are word-aligned
-
-
-def parse_wav_header(content: bytes) -> WavInfo:
+def read_wav_header(f: BinaryIO) -> WavInfo:
     """Locate the fmt and data chunks by walking the RIFF chunk list.
 
-    Unknown chunks (LIST, bext, PEAK, ...) are skipped, so metadata ahead of
-    fmt does not disturb the parse. WAVE_FORMAT_EXTENSIBLE is resolved
-    through its sub-format GUID.
+    Only the chunk headers and the first 40 bytes of fmt are read, so the
+    cost does not grow with the audio. Unknown chunks (LIST, bext, PEAK,
+    ...) are skipped, so metadata ahead of fmt does not disturb the parse.
+    WAVE_FORMAT_EXTENSIBLE is resolved through its sub-format GUID.
     """
-    if len(content) < 12 or content[0:4] != b"RIFF" or content[8:12] != b"WAVE":
+    head = f.read(12)
+    if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise NotRiff("not a RIFF/WAVE file")
 
     fmt: tuple[int, int, int, int] | None = None
     data: tuple[int, int] | None = None
-    for cid, start, size in _walk_chunks(content):
+    pos, end = 12, f.seek(0, io.SEEK_END)
+    while pos + 8 <= end:
+        f.seek(pos)
+        cid, size = struct.unpack("<4sI", f.read(8))
+        start = pos + 8
+        pos = start + size + (size & 1)  # chunks are word-aligned
+        size = min(size, end - start)  # a truncated file cuts the body short
         if cid == b"fmt " and fmt is None:
             if size < 16:
                 raise MissingFmtChunk(f"fmt chunk truncated to {size} bytes")
-            code, channels, rate = struct.unpack_from("<HHI", content, start)
-            (bits,) = struct.unpack_from("<H", content, start + 14)
+            body = f.read(min(size, 40))
+            code, channels, rate = struct.unpack_from("<HHI", body)
+            (bits,) = struct.unpack_from("<H", body, 14)
             if code == WAVE_FORMAT_EXTENSIBLE:
-                code = _resolve_extensible(content, start, size)
+                code = _resolve_extensible(body)
             fmt = (code, channels, rate, bits)
         elif cid == b"data" and data is None:
             data = (start, size)
@@ -126,12 +125,17 @@ def parse_wav_header(content: bytes) -> WavInfo:
     )
 
 
-def _resolve_extensible(content: bytes, start: int, size: int) -> int:
-    if size < 40:
+def parse_wav_header(content: bytes) -> WavInfo:
+    """read_wav_header over a file image held in memory."""
+    return read_wav_header(io.BytesIO(content))
+
+
+def _resolve_extensible(fmt_body: bytes) -> int:
+    if len(fmt_body) < 40:
         raise UnsupportedFormatCode(
             "WAVE_FORMAT_EXTENSIBLE fmt chunk too short for a sub-format GUID"
         )
-    guid = content[start + 24 : start + 40]
+    guid = fmt_body[24:40]
     if guid[2:] != _KSDATAFORMAT_TAIL:
         raise UnsupportedFormatCode(
             f"unrecognized extensible sub-format GUID {guid.hex()}"

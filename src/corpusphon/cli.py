@@ -4,21 +4,21 @@ Exit codes: 0 success, 1 validation errors found, 2 usage or I/O failure.
 Human-readable findings go to stderr; --report writes the machine format,
 one finding per line: SEVERITY<TAB>file<TAB>location<TAB>message.
 
-Batch subcommands process independent files through a worker pool; the
-aggregate output depends only on the input file list and configuration,
-never on the worker count. No subcommand ever writes into an input
-directory (the MFA deletes everything in its output folder, so mixing the
-two destroys corpora; the same discipline is enforced everywhere here).
+Batch subcommands process independent files one at a time, in input
+order, so the aggregate output depends only on the input file list and
+configuration; --jobs is accepted and has no effect. No subcommand ever
+writes into an input directory (the MFA deletes everything in its output
+folder, so mixing the two destroys corpora; the same discipline is
+enforced everywhere here).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob as globmod
 import sys
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import audio, ctm, kaldi, lexicon, textgrid, transcripts, vot
@@ -41,7 +41,6 @@ class Ctx:
         self.config = config
         self.report_path: str | None = getattr(args, "report", None)
         self.dry_run: bool = bool(getattr(args, "dry_run", False))
-        self.jobs: int = self.value(args, "jobs", 1, int)
         self.findings: list[tuple[str, Finding]] = []
         self.written: list[Path] = []
 
@@ -53,7 +52,12 @@ class Ctx:
             raw = self.config[key]
             if cast is bool:
                 return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            try:
+                return cast(raw)
+            except ValueError:
+                raise UsageError(
+                    f"config value {key} = {raw!r} is not a valid {cast.__name__}"
+                ) from None
         return default
 
     def add(self, file: str, report: Report) -> None:
@@ -121,61 +125,44 @@ def expand_paths(ctx: Ctx, patterns: list[str]) -> list[Path]:
     return out
 
 
-def process_files(ctx: Ctx, paths: list[Path], fn) -> list[tuple[Path, object]]:
-    """Apply fn per file; per-file failures become findings, never aborts.
-
-    Results keep input order regardless of worker count, so the aggregate
-    report is deterministic. Warnings are funneled through one main-thread
-    warnings context (catch_warnings is process-global, so a per-worker
-    context would race) and attributed to their file via a thread local.
-    """
-    tls = threading.local()
-    caught: dict[int, list[str]] = {i: [] for i in range(len(paths))}
-    lock = threading.Lock()
-
-    def safe(item):
-        index, path = item
-        tls.index = index
-        try:
-            return fn(path)
-        except (ToolkitError, OSError) as exc:
-            return exc
-        finally:
-            tls.index = None
-
-    def collect(message, category, filename, lineno, file=None, line=None):
-        index = getattr(tls, "index", None)
-        if index is not None:
-            with lock:
-                caught[index].append(str(message))
-
-    with warnings.catch_warnings():
+@contextlib.contextmanager
+def warnings_as_findings(ctx: Ctx, file: str):
+    """Record every warning raised inside as a WARNING finding for file."""
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        previous = warnings.showwarning
-        warnings.showwarning = collect
         try:
-            if ctx.jobs <= 1 or len(paths) <= 1:
-                raw = [safe(item) for item in enumerate(paths)]
-            else:
-                with ThreadPoolExecutor(max_workers=ctx.jobs) as pool:
-                    raw = list(pool.map(safe, enumerate(paths)))
+            yield
         finally:
-            warnings.showwarning = previous
+            for w in caught:
+                ctx.add_finding(file, Severity.WARNING, "", str(w.message))
 
+
+def process_files(ctx: Ctx, paths: list[Path], fn) -> list[tuple[Path, object]]:
+    """Apply fn to each file in input order; per-file failures become findings.
+
+    A file's warnings become WARNING findings and a ToolkitError or OSError
+    an ERROR finding for that file (its result is then None); the batch
+    never aborts.
+    """
     results = []
-    for index, (path, result) in enumerate(zip(paths, raw)):
-        for message in caught[index]:
-            ctx.add_finding(str(path), Severity.WARNING, "", message)
-        if isinstance(result, Exception):
-            ctx.add_finding(str(path), Severity.ERROR, "", str(result))
-            results.append((path, None))
-        else:
-            results.append((path, result))
+    for path in paths:
+        result = None
+        try:
+            with warnings_as_findings(ctx, str(path)):
+                result = fn(path)
+        except (ToolkitError, OSError) as exc:
+            ctx.add_finding(str(path), Severity.ERROR, "", str(exc))
+        results.append((path, result))
     return results
 
 
 def read_grid(path: Path) -> textgrid.TextGrid:
     return textgrid.parse_textgrid(path.read_bytes())
+
+
+def read_wav_info(path: Path) -> audio.WavInfo:
+    with path.open("rb") as f:
+        return audio.read_wav_header(f)
 
 
 def _parse_indices(raw: str) -> list[int]:
@@ -282,10 +269,14 @@ def add_lexicon_options(p: argparse.ArgumentParser, required: bool = True) -> No
 
 
 def _load_lexicon(args, ctx: Ctx) -> lexicon.Lexicon:
-    sep = _SEPARATORS[ctx.value(args, "separator", "whitespace", str)]
-    return lexicon.parse_lexicon(
-        Path(args.lexicon).read_text(encoding="utf-8"), sep
-    )
+    sep = ctx.value(args, "separator", "whitespace", str)
+    if sep not in _SEPARATORS:
+        raise UsageError(
+            f"separator {sep!r} is not one of: {', '.join(_SEPARATORS)}"
+        )
+    text = Path(args.lexicon).read_text(encoding="utf-8")
+    with warnings_as_findings(ctx, args.lexicon):
+        return lexicon.parse_lexicon(text, _SEPARATORS[sep])
 
 
 def _corpus_words(args, ctx: Ctx) -> set[str]:
@@ -394,7 +385,7 @@ def cmd_ctm2tg(args, ctx: Ctx) -> None:
         for fid in list(durations):
             wav = _stem_wav(Path(args.wav_dir), fid)
             if wav is not None:
-                durations[fid] = audio.parse_wav_header(wav.read_bytes()).duration
+                durations[fid] = read_wav_info(wav).duration
 
     per_file = ctm.align_corpus(resolved, segments, lex, text)
     for fid, (tokens, words) in per_file.items():
@@ -445,7 +436,7 @@ def cmd_validate_mfa(args, ctx: Ctx) -> None:
             report.warning("wav", "no matching wav file; skipping audio checks")
             duration = grid.xmax
         else:
-            info = audio.parse_wav_header(wav_path.read_bytes())
+            info = read_wav_info(wav_path)
             report.extend(audio.validate_for_mfa(info, target))
             duration = info.duration
         report.extend(transcripts.validate_mfa_textgrid(grid, duration, cfg))
@@ -470,7 +461,7 @@ def cmd_fave_check(args, ctx: Ctx) -> None:
         if wav_dir:
             wav = _stem_wav(wav_dir, path.stem)
             if wav is not None:
-                duration = audio.parse_wav_header(wav.read_bytes()).duration
+                duration = read_wav_info(wav).duration
         return transcripts.validate_fave(records, duration, lex)
 
     for path, report in process_files(
@@ -485,10 +476,7 @@ def cmd_fave_check(args, ctx: Ctx) -> None:
 
 
 def cmd_audio_info(args, ctx: Ctx) -> None:
-    def inspect(path: Path) -> audio.WavInfo:
-        return audio.parse_wav_header(path.read_bytes())
-
-    for path, info in process_files(ctx, expand_paths(ctx, args.wavs), inspect):
+    for path, info in process_files(ctx, expand_paths(ctx, args.wavs), read_wav_info):
         if info is None:
             continue
         kind = "PCM" if info.format_code == audio.WAVE_FORMAT_PCM else "float"
@@ -747,7 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value settings file; flags win")
     common.add_argument("--report", help="write machine-readable findings here")
-    common.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    common.add_argument(
+        "--jobs", type=int, default=None, help="accepted and has no effect"
+    )
     common.add_argument(
         "--dry-run", action="store_true", help="print intended outputs, write nothing"
     )

@@ -405,9 +405,13 @@ def parse_textgrid(content: bytes) -> TextGrid:
     xmax = _expect(tokens, float, "xmax")
 
     token = next(tokens, None)
-    if token is None or not token[1].startswith("tiers?"):
-        raise TextGridParseError("expected 'tiers? <exists>' line")
-    if "<absent>" in token[1]:
+    if token is None:
+        raise TextGridParseError("expected 'tiers? <exists>', got end of file")
+    if token[2] is not None or token[1] not in ("tiers?<exists>", "tiers?<absent>"):
+        raise TextGridParseError(
+            f"line {token[0]}: expected 'tiers? <exists>' or 'tiers? <absent>'"
+        )
+    if token[1] == "tiers?<absent>":
         return TextGrid(xmin, xmax, ())
 
     declared = _expect(tokens, int, "size")

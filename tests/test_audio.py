@@ -1,8 +1,11 @@
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpusphon.audio import (
+    AudioError,
     ChannelOutOfRange,
     MissingDataChunk,
     MissingFmtChunk,
@@ -11,6 +14,7 @@ from corpusphon.audio import (
     build_wav,
     extract_channel,
     parse_wav_header,
+    read_wav_header,
     validate_for_mfa,
 )
 
@@ -109,6 +113,88 @@ class TestParseHeader:
         assert info.format_code == 3
         with pytest.raises(UnsupportedFormatCode):
             extract_channel(blob, 1)
+
+
+_EXTENSIBLE_PCM_FMT = (
+    struct.pack("<HHIIHH", 0xFFFE, 2, 16000, 64000, 4, 16)
+    + struct.pack("<HHI", 22, 16, 3)
+    + struct.pack("<H", 1) + bytes.fromhex("000000001000800000aa00389b71")
+)
+
+
+@st.composite
+def mutated_wavs(draw):
+    """A valid WAV with an odd-sized chunk inserted, a chunk size rewritten
+    and/or the image truncated."""
+    frames = draw(st.binary(max_size=40))
+    if draw(st.booleans()):
+        blob = build_wav(frames, 16000, draw(st.integers(1, 2)), 16)
+    else:
+        fmt = _EXTENSIBLE_PCM_FMT
+        blob = (
+            b"RIFF" + struct.pack("<I", 4 + 16 + len(fmt) + len(frames)) + b"WAVE"
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(frames)) + frames
+        )
+    if draw(st.booleans()):
+        size = draw(st.integers(0, 9))
+        padded = draw(st.booleans())  # RIFF pads odd chunks; not every writer does
+        chunk = b"odd " + struct.pack("<I", size) + b"x" * size
+        if size % 2 and padded:
+            chunk += b"\0"
+        at = draw(st.sampled_from([12, len(blob) - len(frames) - 8]))
+        blob = blob[:at] + chunk + blob[at:]
+    if draw(st.booleans()):
+        at = draw(st.integers(12, len(blob) - 4))
+        size = draw(st.sampled_from([0, 1, 15, 16, 17, 39, 40, 41, 2**32 - 1]))
+        blob = blob[:at] + struct.pack("<I", size) + blob[at + 4 :]
+    if draw(st.booleans()):
+        blob = blob[: draw(st.integers(0, len(blob)))]
+    return blob
+
+
+def _outcome(parse, arg):
+    try:
+        return parse(arg)
+    except AudioError as exc:
+        return type(exc)
+
+
+class TestReadFromFile:
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_wavs())
+    @example(build_wav(b"\0\0", 16000, 1, 16)[:30])  # fmt cut short
+    @example(build_wav(b"\0" * 9, 16000, 1, 16)[:44])  # no data body
+    def test_file_read_matches_bytes_parse(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "mutated.wav"
+        path.write_bytes(blob)
+        with path.open("rb") as f:
+            from_file = _outcome(read_wav_header, f)
+        assert from_file == _outcome(parse_wav_header, blob)
+
+    def test_multi_megabyte_wav_reads_only_its_header(self, tmp_path):
+        class CountingFile:
+            def __init__(self, f):
+                self.f, self.bytes_read = f, 0
+
+            def read(self, n=-1):
+                data = self.f.read(n)
+                self.bytes_read += len(data)
+                return data
+
+            def seek(self, *args):
+                return self.f.seek(*args)
+
+        frames = b"\0\0" * 2_000_000
+        plain = build_wav(frames, 16000, 2, 16)
+        junk = b"LIST" + struct.pack("<I", 7) + b"comment\0"
+        path = tmp_path / "big.wav"
+        path.write_bytes(plain[:12] + junk + plain[12:])
+        with path.open("rb") as f:
+            counting = CountingFile(f)
+            info = read_wav_header(counting)
+        assert info.data_bytes == len(frames) and info.channels == 2
+        assert counting.bytes_read < 4096
 
 
 class TestValidate:

@@ -1,4 +1,5 @@
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +148,45 @@ class TestValidateMfa:
         assert rc == 0
 
 
+class TestConfigValues:
+    def run_with(self, tmp_path, line, argv):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text(line + "\n")
+        return main([*argv, "--config", str(cfg)])
+
+    def test_unknown_separator(self, tmp_path, capsys):
+        rc = self.run_with(
+            tmp_path, "separator = tabs",
+            ["vot", "words", "--lexicon", str(FIXTURES / "lexicon.txt"),
+             "--out", str(tmp_path / "out" / "w.txt")],
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'tabs'" in err and "whitespace, two-spaces, tab" in err
+
+    def test_non_numeric_margin(self, tmp_path, capsys):
+        write_grid(tmp_path / "f.TextGrid", [Interval(1.0, 9.9, "HI")])
+        write_wav(tmp_path / "f.wav")
+        rc = self.run_with(
+            tmp_path, "min_end_margin = x",
+            ["validate-mfa", "--wav", str(tmp_path / "f.wav"),
+             "--textgrid", str(tmp_path / "f.TextGrid")],
+        )
+        assert rc == 2
+        assert "min_end_margin = 'x'" in capsys.readouterr().err
+
+    def test_non_numeric_tolerance(self, tmp_path, capsys):
+        words = tmp_path / "words.txt"
+        words.write_text("PAT\n")
+        rc = self.run_with(
+            tmp_path, "tolerance = x",
+            ["vot", "locate", str(FIXTURES / "golden" / "f1.TextGrid"),
+             "--words", str(words), "--out", str(tmp_path / "out" / "loc.txt")],
+        )
+        assert rc == 2
+        assert "tolerance = 'x'" in capsys.readouterr().err
+
+
 class TestBatch:
     def run_batch(self, corpus_dir, tmp_path, jobs, name):
         report = tmp_path / name
@@ -218,6 +258,23 @@ class TestBatch:
             assert fields[0] in ("ERROR", "WARNING", "INFO")
             assert len(fields) == 4
 
+    def test_wavs_read_by_header_only(self, corpus_dir, tmp_path, monkeypatch):
+        read_bytes = Path.read_bytes
+
+        def guarded(path):
+            assert path.suffix != ".wav", f"whole-file read of {path}"
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", guarded)
+        transcript = tmp_path / "ok0.txt"
+        transcript.write_text("S1\tSpeaker One\t1.0\t9.0\tHI\n")
+        wavs = sorted(str(p) for p in corpus_dir.glob("*.wav"))
+        assert self.run_batch(corpus_dir, tmp_path, 1, "r.tsv")[0] == 1
+        assert main(["audio", "info", *wavs]) == 0
+        assert main(
+            ["fave", "check", str(transcript), "--wav-dir", str(corpus_dir)]
+        ) == 0
+
 
 class TestVotCli:
     def test_words_locate_windows(self, tmp_path):
@@ -265,6 +322,37 @@ class TestVotCli:
         )
         tier, _ = grid.find_tier("vot")
         assert {iv.text for iv in tier.non_empty()} <= set("PTKBDG")
+
+    def test_window_overlap_warning_names_its_grid(self, tmp_path):
+        src = tmp_path / "in"
+        src.mkdir()
+        for stem in ("a", "b"):
+            write_grid(src / f"{stem}.TextGrid", [Interval(1.0, 9.0, "HI")])
+        # a's two windows collide; b's are far apart
+        locations = src / "CVWordLocations.txt"
+        locations.write_text(
+            "a\tPAT\t1.0\t1.3\tP\t1.05\n"
+            "a\tTUTT\t1.07\t1.4\tT\t1.12\n"
+            "b\tPAT\t1.0\t1.3\tP\t1.05\n"
+            "b\tDOT\t5.0\t5.3\tD\t5.05\n"
+        )
+        reports = []
+        for jobs in (1, 4):
+            report = tmp_path / f"r{jobs}.tsv"
+            rc = main(
+                [
+                    "vot", "windows",
+                    str(src / "a.TextGrid"), str(src / "b.TextGrid"),
+                    "--locations", str(locations),
+                    "--out-dir", str(tmp_path / f"out{jobs}"),
+                    "--jobs", str(jobs), "--report", str(report),
+                ]
+            )
+            assert rc == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        (line,) = reports[0].decode().splitlines()
+        assert line.startswith(f"WARNING\t{src / 'a.TextGrid'}\t\twindows for 'PAT'")
 
     def test_windows_refuses_out_inside_input(self, tmp_path):
         work = tmp_path / "work"
@@ -404,6 +492,25 @@ class TestLexiconCli:
         )
         assert rc == 0
         assert missing_out.read_text() == "A\nZZZ\n"
+
+    def test_duplicate_entry_is_a_finding(self, tmp_path, capsys):
+        lex = tmp_path / "in" / "lex.txt"
+        lex.parent.mkdir()
+        lex.write_text("PAT P AE1 T\nPAT  P AE1 T\n")
+        words = tmp_path / "in" / "words.txt"
+        words.write_text("PAT\n")
+        report = tmp_path / "r.tsv"
+        rc = main(
+            [
+                "lexicon", "missing", "--lexicon", str(lex),
+                "--words", str(words), "--report", str(report),
+            ]
+        )
+        assert rc == 0
+        assert report.read_text().splitlines() == [
+            f"WARNING\t{lex}\t\tline 2: duplicate entry for 'PAT' collapsed"
+        ]
+        assert "DuplicateEntryWarning" not in capsys.readouterr().err
 
     def test_phones(self, tmp_path):
         out = tmp_path / "lang"

@@ -132,6 +132,18 @@ class TestParse:
         with pytest.raises(TextGridParseError, match="^line 7: size must be"):
             parse_textgrid(bad)
 
+    @pytest.mark.parametrize("line", [b"tiers? garbage", b"tiers? <es>"])
+    def test_tiers_line_is_strict(self, line):
+        bad = MINIMAL.replace(b"tiers? <exists>", line)
+        with pytest.raises(TextGridParseError, match="^line 6: expected 'tiers?"):
+            parse_textgrid(bad)
+
+    def test_tiers_absent_and_spacing(self):
+        head = MINIMAL.split(b"tiers?")[0]
+        assert parse_textgrid(head + b"tiers? <absent>\n").tiers == ()
+        spaced = MINIMAL.replace(b"tiers? <exists>", b"tiers?  < exists >\t")
+        assert parse_textgrid(spaced) == parse_textgrid(MINIMAL)
+
     @pytest.mark.parametrize(
         "old,new",
         [
