@@ -36,6 +36,12 @@ class UsageError(Exception):
 # context: findings, report output, dry-run
 
 
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 class Ctx:
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
         self.config = config
@@ -51,7 +57,13 @@ class Ctx:
         if key in self.config:
             raw = self.config[key]
             if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+                word = raw.strip().lower()
+                if word in _BOOL_WORDS:
+                    return _BOOL_WORDS[word]
+                raise UsageError(
+                    f"config value {key} = {raw!r} is not a boolean; use one of "
+                    f"{', '.join(_BOOL_WORDS)}"
+                )
             try:
                 return cast(raw)
             except ValueError:
@@ -376,10 +388,10 @@ def cmd_ctm2tg(args, ctx: Ctx) -> None:
             for line in kaldi.parse_text(Path(args.text).read_text(encoding="utf-8"))
         }
 
-    rows = ctm.alignment_rows(entries, segments, table)
+    resolved = ctm.resolve_phone_ids(entries, table)
+    rows = ctm.alignment_rows(entries, segments, resolved)
     ctx.out_text(out / "final_ali.txt", ctm.render_alignment_table(rows))
 
-    resolved = ctm.resolve_phone_ids(entries, table)
     durations = ctm.corpus_durations(segments)
     if args.wav_dir:
         for fid in list(durations):
@@ -406,13 +418,16 @@ def cmd_ctm2tg(args, ctx: Ctx) -> None:
 
 
 def cmd_validate_mfa(args, ctx: Ctx) -> None:
-    cfg = transcripts.MfaCheckConfig(
-        min_end_margin=ctx.value(args, "min_end_margin", 0.020, float),
-        recommended_end_margin=ctx.value(args, "recommended_end_margin", 0.050, float),
-        require_separator_intervals=ctx.value(
-            args, "require_separator_intervals", False, bool
-        ),
-    )
+    min_margin = ctx.value(args, "min_end_margin", 0.020, float)
+    recommended = ctx.value(args, "recommended_end_margin", 0.050, float)
+    separators = ctx.value(args, "require_separator_intervals", False, bool)
+    try:
+        cfg = transcripts.MfaCheckConfig(min_margin, recommended, separators)
+    except ValueError:
+        raise UsageError(
+            f"min_end_margin {min_margin} must be > 0 and no larger than "
+            f"recommended_end_margin {recommended}"
+        ) from None
     target = ctx.value(args, "target_rate", audio.MFA_SAMPLE_RATE, int)
 
     pairs: list[tuple[Path, Path | None]] = []

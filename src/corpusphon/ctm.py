@@ -7,13 +7,19 @@ B/I/E/S position suffixes, and match each reconstructed pronunciation to its
 lexicon word. The 11-column intermediate table is emitted for
 interoperability with existing downstream scripts and can be read back.
 
-Per-file processing is embarrassingly parallel; everything here is pure.
+Phone IDs are resolved once: the one resolved entry list feeds both the
+table (`alignment_rows`, which also keeps each raw phone column) and the
+word alignment (`align_corpus`). The per-line records are named tuples,
+and per-line work that depends only on a symbol or a time (the position
+split, the table's time formatting) is done once per distinct value.
+Everything here is pure.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ToolkitError
 from .kaldi import SegmentLine, format_seconds
@@ -60,8 +66,7 @@ class TokenBeyondDuration(CtmError):
     """Phone token extends past the declared file duration."""
 
 
-@dataclass(frozen=True)
-class CtmEntry:
+class CtmEntry(NamedTuple):
     utt: str
     channel: int
     start: float
@@ -74,8 +79,7 @@ class CtmEntry:
         return isinstance(self.phone, int)
 
 
-@dataclass(frozen=True)
-class PhoneToken:
+class PhoneToken(NamedTuple):
     """One aligned phone on the file timeline."""
 
     phone_base: str  # symbol without the position suffix (stress retained)
@@ -174,9 +178,9 @@ def parse_ctm(content: str) -> list[CtmEntry]:
     """Parse `utt channel start dur phone` lines, auto-detecting numeric IDs."""
     entries = []
     for i, line in enumerate(content.splitlines(), 1):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 5:
             raise MalformedCtmLine(
                 f"line {i}: expected 5 fields, got {len(fields)}"
@@ -195,7 +199,7 @@ def parse_ctm(content: str) -> list[CtmEntry]:
         if dur <= 0:
             raise MalformedCtmLine(f"line {i}: non-positive duration")
         phone: int | str = int(raw_phone) if raw_phone.isdigit() else raw_phone
-        entries.append(CtmEntry(utt, channel, start, dur, phone, line=i))
+        entries.append(CtmEntry(utt, channel, start, dur, phone, i))
     return entries
 
 
@@ -229,6 +233,7 @@ def to_file_times(
     suffix is split off here.
     """
     seg_by_utt = {s.utt: s for s in segments}
+    split: dict[str, tuple[str, str | None]] = {}
     tokens = []
     for e in entries:
         seg = seg_by_utt.get(e.utt)
@@ -238,7 +243,10 @@ def to_file_times(
             raise CtmError(
                 f"line {e.line}: numeric phone ID {e.phone}; resolve IDs first"
             )
-        base, position = split_position(e.phone)
+        parts = split.get(e.phone)
+        if parts is None:
+            parts = split[e.phone] = split_position(e.phone)
+        base, position = parts
         start = seg.start + e.start
         tokens.append(
             PhoneToken(base, position, seg.file_id, start, start + e.dur, e.utt)
@@ -432,8 +440,7 @@ def words_to_tier(
 # the 11-column intermediate table
 
 
-@dataclass(frozen=True)
-class AlignmentRow:
+class AlignmentRow(NamedTuple):
     utt: str
     file_id: str
     phone_field: str  # the raw CTM phone column (ID or symbol)
@@ -450,9 +457,13 @@ class AlignmentRow:
 def alignment_rows(
     entries: list[CtmEntry],
     segments: list[SegmentLine],
-    table: PhoneSymbolTable | None = None,
+    resolved: list[CtmEntry],
 ) -> list[AlignmentRow]:
-    resolved = resolve_phone_ids(entries, table) if table else entries
+    """One table row per CTM entry.
+
+    entries keep the raw phone column; resolved is the same list after
+    resolve_phone_ids.
+    """
     seg_by_utt = {s.utt: s for s in segments}
     rows = []
     for raw, e in zip(entries, resolved):
@@ -480,25 +491,25 @@ def alignment_rows(
     return rows
 
 
+class _Seconds(dict):
+    """format_seconds of each distinct time, computed on first lookup."""
+
+    def __missing__(self, t: float) -> str:
+        s = format_seconds(t)
+        if t:  # 0.0 and -0.0 are one key but two renderings
+            self[t] = s
+        return s
+
+
 def render_alignment_table(rows: list[AlignmentRow]) -> str:
+    sec = _Seconds()
     lines = [ALIGNMENT_HEADER]
-    for r in rows:
+    for (utt, file_id, phone_field, channel, start_in_utt, dur, phone,
+         utt_start, utt_end, start, end) in rows:
         lines.append(
-            "\t".join(
-                [
-                    r.utt,
-                    r.file_id,
-                    r.phone_field,
-                    str(r.channel),
-                    format_seconds(r.start_in_utt),
-                    format_seconds(r.dur),
-                    r.phone,
-                    format_seconds(r.utt_start),
-                    format_seconds(r.utt_end),
-                    format_seconds(r.start),
-                    format_seconds(r.end),
-                ]
-            )
+            f"{utt}\t{file_id}\t{phone_field}\t{channel}\t{sec[start_in_utt]}\t"
+            f"{sec[dur]}\t{phone}\t{sec[utt_start]}\t{sec[utt_end]}\t"
+            f"{sec[start]}\t{sec[end]}"
         )
     return "\n".join(lines) + "\n"
 

@@ -172,15 +172,18 @@ class IntervalTier:
 
         Sub-nanosecond float drift between consecutive boundaries is snapped
         shut; anything larger in the negative direction is an overlap.
-        Normalizing twice equals normalizing once.
+        A tier that already partitions its span is returned as it is, so
+        normalizing twice returns the very tier normalizing once did.
         """
         out: list[Interval] = []
+        changed = False
         cursor = self.xmin
         for iv in self.intervals:
             gap = iv.xmin - cursor
             if gap > _SNAP:
                 out.append(Interval(cursor, iv.xmin))
                 cursor = iv.xmin
+                changed = True
             elif gap < -_SNAP:
                 raise OverlapError(
                     f"tier {self.name!r}: interval starting at {iv.xmin} "
@@ -188,6 +191,7 @@ class IntervalTier:
                 )
             if iv.xmin != cursor:
                 iv = Interval(cursor, iv.xmax, iv.text)
+                changed = True
             out.append(iv)
             cursor = iv.xmax
         if self.xmax - cursor > _SNAP:
@@ -195,6 +199,8 @@ class IntervalTier:
         elif out and cursor != self.xmax:
             last = out[-1]
             out[-1] = Interval(last.xmin, self.xmax, last.text)
+        elif out and not changed:
+            return self  # already a partition: nothing to rebuild
         if not out:
             out.append(Interval(self.xmin, self.xmax))
         return IntervalTier(self.name, self.xmin, self.xmax, tuple(out))
@@ -377,6 +383,14 @@ def _expect(tokens, kind: type, *labels: str):
     raise TextGridParseError(f"line {n}: {label} must be {_KINDS[kind]}, got {value!r}")
 
 
+_TIME_ERRORS = (NonFiniteTime, NonMonotonicInterval)
+
+
+def _at_line(n: int, exc: TextGridParseError) -> TextGridParseError:
+    """The same error, its message prefixed with the line it belongs to."""
+    return type(exc)(f"line {n}: {exc}")
+
+
 def parse_textgrid(content: bytes) -> TextGrid:
     """Parse a complete long-format TextGrid file image."""
     if content.startswith(b"ooBinaryFile"):
@@ -401,6 +415,7 @@ def parse_textgrid(content: bytes) -> TextGrid:
             "short text format is not supported; save as a full ('long') text file"
         )
     tokens = itertools.chain([token], tokens)
+    grid_line = token[0] if token else 0
     xmin = _expect(tokens, float, "xmin")
     xmax = _expect(tokens, float, "xmax")
 
@@ -412,7 +427,10 @@ def parse_textgrid(content: bytes) -> TextGrid:
             f"line {token[0]}: expected 'tiers? <exists>' or 'tiers? <absent>'"
         )
     if token[1] == "tiers?<absent>":
-        return TextGrid(xmin, xmax, ())
+        try:
+            return TextGrid(xmin, xmax, ())
+        except _TIME_ERRORS as exc:
+            raise _at_line(grid_line, exc) from None
 
     declared = _expect(tokens, int, "size")
     token = next(tokens, None)
@@ -422,7 +440,7 @@ def parse_textgrid(content: bytes) -> TextGrid:
     for k in range(declared):
         if not _is_block(token, ("item",)):
             raise TierCountMismatch(f"grid declares {declared} tiers but only {k} found")
-        tiers.append(_parse_tier(tokens))
+        tiers.append(_parse_tier(tokens, token[0]))
         token = next(tokens, None)
     if _is_block(token, ("item",)):
         raise TierCountMismatch(
@@ -432,10 +450,14 @@ def parse_textgrid(content: bytes) -> TextGrid:
         raise TextGridParseError(
             f"line {token[0]}: unexpected trailing content: {token[1]!r}"
         )
-    return TextGrid(xmin, xmax, tuple(tiers))
+    try:
+        return TextGrid(xmin, xmax, tuple(tiers))
+    except _TIME_ERRORS as exc:
+        raise _at_line(grid_line, exc) from None
 
 
-def _parse_tier(tokens) -> Tier:
+def _parse_tier(tokens, line: int) -> Tier:
+    """Parse the tier whose 'item [k]:' header is on the given line."""
     cls = _expect(tokens, str, "class")
     name = _expect(tokens, str, "name")
     xmin = _expect(tokens, float, "xmin")
@@ -447,20 +469,32 @@ def _parse_tier(tokens) -> Tier:
     items: list = []
     for j in range(declared):
         # either block name is accepted in either tier class
-        if not _is_block(next(tokens, None), ("intervals", "points")):
+        block = next(tokens, None)
+        if not _is_block(block, ("intervals", "points")):
             raise TierCountMismatch(
                 f"tier {name!r} declares {declared} {what} but only {j} found"
             )
         if cls == "IntervalTier":
             ixmin = _expect(tokens, float, "xmin")
             ixmax = _expect(tokens, float, "xmax")
-            items.append(Interval(ixmin, ixmax, _expect(tokens, str, "text")))
+            text = _expect(tokens, str, "text")
+            try:
+                items.append(Interval(ixmin, ixmax, text))
+            except _TIME_ERRORS as exc:
+                raise _at_line(block[0], exc) from None
         else:
             time = _expect(tokens, float, "number", "time")
-            items.append(Point(time, _expect(tokens, str, "mark", "text")))
-    if cls == "IntervalTier":
-        return IntervalTier(name, xmin, xmax, tuple(items))
-    return PointTier(name, xmin, xmax, tuple(items))
+            mark = _expect(tokens, str, "mark", "text")
+            try:
+                items.append(Point(time, mark))
+            except _TIME_ERRORS as exc:
+                raise _at_line(block[0], exc) from None
+    try:
+        if cls == "IntervalTier":
+            return IntervalTier(name, xmin, xmax, tuple(items))
+        return PointTier(name, xmin, xmax, tuple(items))
+    except _TIME_ERRORS as exc:
+        raise _at_line(line, exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +529,14 @@ def write_textgrid(grid: TextGrid) -> bytes:
             w.append(f"        xmin = {format_time(tier.xmin)}")
             w.append(f"        xmax = {format_time(tier.xmax)}")
             w.append(f"        intervals: size = {len(filled.intervals)}")
+            # {x:.6f} spells a time exactly as format_time does
             for j, iv in enumerate(filled.intervals, 1):
-                w.append(f"        intervals [{j}]:")
-                w.append(f"            xmin = {format_time(iv.xmin)}")
-                w.append(f"            xmax = {format_time(iv.xmax)}")
-                w.append(f"            text = {_quote(iv.text)}")
+                w.append(
+                    f"        intervals [{j}]:\n"
+                    f"            xmin = {iv.xmin:.6f}\n"
+                    f"            xmax = {iv.xmax:.6f}\n"
+                    f"            text = {_quote(iv.text)}"
+                )
         else:
             w.append('        class = "TextTier"')
             w.append(f"        name = {_quote(tier.name)}")

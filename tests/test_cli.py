@@ -1,9 +1,12 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from corpusphon import audio
+from corpusphon import audio, ctm
 from corpusphon.cli import main
 from corpusphon.textgrid import (
     Interval,
@@ -78,6 +81,45 @@ class TestCtm2Tg:
         )
         assert rc == 2
         assert not (src / "out").exists()
+
+    def run_mixed(self, out):
+        mixed = FIXTURES / "mixed"
+        return main(
+            [
+                "ctm2tg",
+                "--ctm", str(mixed / "ali.ctm"),
+                "--segments", str(mixed / "segments"),
+                "--phones", str(FIXTURES / "phones.txt"),
+                "--lexicon", str(FIXTURES / "lexicon.txt"),
+                "--text", str(mixed / "text"),
+                "--out", str(out),
+            ]
+        )
+
+    def test_mixed_ctm_matches_goldens(self, tmp_path):
+        # numeric and symbolic phones, suffixless silences (SIL, sp), times
+        # repeated across utterances, and -0.0 starts both before and after
+        # a 0.0 start: the table keeps each spelling of zero
+        out = tmp_path / "out"
+        assert self.run_mixed(out) == 0
+        golden = FIXTURES / "mixed" / "golden"
+        names = sorted(p.name for p in golden.iterdir())
+        assert names == ["final_ali.txt", "g1.TextGrid", "g2.TextGrid"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (golden / name).read_bytes()
+
+    def test_resolves_phone_ids_once(self, tmp_path, monkeypatch):
+        calls = []
+        resolve = ctm.resolve_phone_ids
+
+        def counted(entries, table):
+            calls.append(len(entries))
+            return resolve(entries, table)
+
+        monkeypatch.setattr(ctm, "resolve_phone_ids", counted)
+        assert self.run_mixed(tmp_path / "out") == 0
+        assert calls == [16]
 
 
 class TestValidateMfa:
@@ -174,6 +216,57 @@ class TestConfigValues:
         )
         assert rc == 2
         assert "min_end_margin = 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line,argv",
+        [
+            ("min_end_margin = 0.1", []),
+            ("", ["--min-end-margin", "0.1"]),
+            ("recommended_end_margin = 0.01", []),
+            ("min_end_margin = 0", []),
+        ],
+    )
+    def test_end_margin_out_of_order(self, tmp_path, capsys, line, argv):
+        write_grid(tmp_path / "f.TextGrid", [Interval(1.0, 9.9, "HI")])
+        write_wav(tmp_path / "f.wav")
+        rc = self.run_with(
+            tmp_path, line,
+            ["validate-mfa", "--wav", str(tmp_path / "f.wav"),
+             "--textgrid", str(tmp_path / "f.TextGrid"), *argv],
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "min_end_margin" in err and "recommended_end_margin" in err
+
+    def separator_grid(self, tmp_path):
+        """Two touching text intervals: one warning when separators are required."""
+        write_grid(
+            tmp_path / "f.TextGrid",
+            [Interval(1.0, 5.0, "HI"), Interval(5.0, 9.9, "THERE")],
+        )
+        write_wav(tmp_path / "f.wav")
+        return ["validate-mfa", "--wav", str(tmp_path / "f.wav"),
+                "--textgrid", str(tmp_path / "f.TextGrid"),
+                "--report", str(tmp_path / "r.tsv")]
+
+    @pytest.mark.parametrize(
+        "value,findings",
+        [("yes", 1), ("On", 1), ("1", 1), ("TRUE", 1),
+         ("no", 0), ("off", 0), ("0", 0), ("False", 0)],
+    )
+    def test_boolean_words(self, tmp_path, value, findings):
+        argv = self.separator_grid(tmp_path)
+        rc = self.run_with(tmp_path, f"require_separator_intervals = {value}", argv)
+        assert rc == 0
+        lines = (tmp_path / "r.tsv").read_text().splitlines()
+        assert len(lines) == findings
+
+    def test_unrecognised_boolean(self, tmp_path, capsys):
+        argv = self.separator_grid(tmp_path)
+        rc = self.run_with(tmp_path, "require_separator_intervals = maybe", argv)
+        assert rc == 2
+        assert "require_separator_intervals = 'maybe'" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
 
     def test_non_numeric_tolerance(self, tmp_path, capsys):
         words = tmp_path / "words.txt"
@@ -703,3 +796,16 @@ class TestKaldiTextWordSource:
         # every word in the fixture corpus is covered; the utterance IDs
         # must not leak in as words
         assert out.read_text() == ""
+
+
+class TestModuleEntry:
+    def test_python_dash_m_help(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "corpusphon", "--help"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "ctm2tg" in result.stdout

@@ -306,7 +306,7 @@ class TestTiers:
 class TestAlignmentTable:
     def test_header_and_round_trip(self, corpus):
         entries, segments, table, _, _ = corpus
-        rows = alignment_rows(entries, segments, table)
+        rows = alignment_rows(entries, segments, resolve_phone_ids(entries, table))
         rendered = render_alignment_table(rows)
         assert rendered.splitlines()[0] == ALIGNMENT_HEADER
         back = parse_alignment_table(rendered)
@@ -325,7 +325,7 @@ class TestAlignmentTable:
 
     def test_raw_phone_field_preserved(self, corpus):
         entries, segments, table, _, _ = corpus
-        rows = alignment_rows(entries, segments, table)
+        rows = alignment_rows(entries, segments, resolve_phone_ids(entries, table))
         numeric = [r for r in rows if r.utt == "s1_001"]
         assert numeric[0].phone_field == "1" and numeric[0].phone == "SIL"
         symbolic = [r for r in rows if r.utt == "s2_003"]

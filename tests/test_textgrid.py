@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grid
+from corpusphon.textgrid import _quote  # the writer's label quoting
 from corpusphon.textgrid import (
     EncodingError,
     IndexOutOfRange,
@@ -23,6 +24,7 @@ from corpusphon.textgrid import (
     TierCountMismatch,
     diagnose_overlaps,
     merge_interval_tiers,
+    format_time,
     parse_textgrid,
     rename_tier,
     stack_tiers,
@@ -149,11 +151,29 @@ class TestParse:
         [
             (b"xmin = 0\n            xmax", b"xmin = nan\n            xmax"),
             (b"xmax = 2.5\ntiers", b"xmax = inf\ntiers"),
+            (b"xmax = 2.5\n        intervals:", b"xmax = inf\n        intervals:"),
         ],
     )
     def test_non_finite_time_rejected(self, old, new):
-        with pytest.raises(NonFiniteTime):
+        # reported at the interval's header ('intervals [1]:', line 15), the
+        # tier's header ('item [1]:', line 9) or the grid's 'xmin' (line 4)
+        line = 15 if b"nan" in new else 9 if b"intervals" in new else 4
+        with pytest.raises(NonFiniteTime, match=f"^line {line}: "):
             parse_textgrid(MINIMAL.replace(old, new))
+
+    def test_backwards_interval_names_its_line(self):
+        bad = MINIMAL.replace(
+            b"intervals [1]:\n            xmin = 0\n            xmax = 2.5",
+            b"intervals [1]:\n            xmin = 2\n            xmax = 1",
+        )
+        with pytest.raises(NonMonotonicInterval, match="^line 15: interval xmax"):
+            parse_textgrid(bad)
+
+    def test_non_finite_point_names_its_line(self):
+        grid = TextGrid(0.0, 2.0, (PointTier("p", 0.0, 2.0, (Point(1.0, "x"),)),))
+        bad = write_textgrid(grid).replace(b"number = 1.000000", b"number = nan")
+        with pytest.raises(NonFiniteTime, match="^line 15: point"):
+            parse_textgrid(bad)
 
     @pytest.mark.parametrize(
         "old,new,message",
@@ -292,7 +312,63 @@ def grids(draw) -> TextGrid:
     return TextGrid(0.0, span / 1e6, tuple(tiers))
 
 
+@st.composite
+def raw_tiers(draw) -> IntervalTier:
+    """Interval tiers as aligners leave them: gappy, with boundaries drifted
+    by less than the snap tolerance, or already partitioning their span."""
+    span = draw(st.integers(2, 10**7))  # microseconds
+    cuts = draw(st.sets(st.integers(1, span - 1), max_size=8))
+    bounds = [0, *sorted(cuts), span]
+    drift = st.sampled_from([0.0, 0.0, 4e-10, -4e-10])
+    intervals = []
+    for a, b in zip(bounds, bounds[1:]):
+        if draw(st.integers(0, 3)) == 0:
+            continue  # a gap
+        start = a / 1e6 + (draw(drift) if a else 0.0)
+        intervals.append(Interval(start, b / 1e6 + draw(drift), draw(labels)))
+    return IntervalTier(draw(labels), 0.0, span / 1e6, tuple(intervals))
+
+
+def reference_lines(tier: IntervalTier) -> list[str]:
+    """The long-format lines of a partitioned tier, one value per line."""
+    lines = [
+        "    item [1]:",
+        '        class = "IntervalTier"',
+        f"        name = {_quote(tier.name)}",
+        f"        xmin = {format_time(tier.xmin)}",
+        f"        xmax = {format_time(tier.xmax)}",
+        f"        intervals: size = {len(tier.intervals)}",
+    ]
+    for j, iv in enumerate(tier.intervals, 1):
+        lines.append(f"        intervals [{j}]:")
+        lines.append(f"            xmin = {format_time(iv.xmin)}")
+        lines.append(f"            xmax = {format_time(iv.xmax)}")
+        lines.append(f"            text = {_quote(iv.text)}")
+    return lines
+
+
 class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_tiers())
+    @example(IntervalTier("t", 0.0, 1.0, ()))
+    @example(IntervalTier("t", 0.0, 1.0, (Interval(0.0, 1.0, "a"),)))
+    @example(IntervalTier("t", 0.0, 1.0, (Interval(0.0, 1.0 + 4e-10, "a"),)))
+    def test_normalized_is_idempotent_and_written_alike(self, tier):
+        once = tier.normalized()
+        assert once.normalized() is once
+        partitioned = all(
+            a.xmax == b.xmin for a, b in zip(once.intervals, once.intervals[1:])
+        )
+        assert partitioned and once.intervals[0].xmin == once.xmin
+        assert once.intervals[-1].xmax == once.xmax
+        if once == tier:
+            assert once is tier
+        grid = TextGrid(0.0, tier.xmax, (tier,))
+        written = write_textgrid(grid)
+        assert written == write_textgrid(TextGrid(0.0, tier.xmax, (once,)))
+        body = "\n".join(["item []:", *reference_lines(once)]) + "\n"
+        assert written.endswith(body.encode())
+
     @settings(max_examples=100, deadline=None)
     @given(grids())
     @example(
