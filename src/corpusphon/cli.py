@@ -388,9 +388,9 @@ def cmd_ctm2tg(args, ctx: Ctx) -> None:
             for line in kaldi.parse_text(Path(args.text).read_text(encoding="utf-8"))
         }
 
-    resolved = ctm.resolve_phone_ids(entries, table)
-    rows = ctm.alignment_rows(entries, segments, resolved)
-    ctx.out_text(out / "final_ali.txt", ctm.render_alignment_table(rows))
+    symbols = ctm.resolve_phone_ids(entries, table)
+    tokens = ctm.alignment_rows(entries, segments, symbols)
+    ctx.out_text(out / "final_ali.txt", ctm.render_alignment_table(tokens))
 
     durations = ctm.corpus_durations(segments)
     if args.wav_dir:
@@ -399,14 +399,14 @@ def cmd_ctm2tg(args, ctx: Ctx) -> None:
             if wav is not None:
                 durations[fid] = read_wav_info(wav).duration
 
-    per_file = ctm.align_corpus(resolved, segments, lex, text)
-    for fid, (tokens, words) in per_file.items():
+    per_file = ctm.align_corpus(tokens, segments, lex, text)
+    for fid, (file_tokens, words) in per_file.items():
         duration = durations[fid]
         grid = textgrid.TextGrid(
             0.0,
             duration,
             (
-                ctm.phones_to_tier(tokens, duration),
+                ctm.phones_to_tier(file_tokens, duration),
                 ctm.words_to_tier(words, duration),
             ),
         )

@@ -1,24 +1,26 @@
 """CTM post-processing: from aligner output to per-file word alignments.
 
 The pipeline: parse the 5-field CTM, map numeric phone IDs to symbols via
-the phones.txt table, shift utterance-relative times onto the file timeline
-using the segments file, split per file, regroup phones into words via their
-B/I/E/S position suffixes, and match each reconstructed pronunciation to its
-lexicon word. The 11-column intermediate table is emitted for
-interoperability with existing downstream scripts and can be read back.
+the phones.txt table, join each line with its segments row, regroup phones
+into words via their B/I/E/S position suffixes, and match each
+reconstructed pronunciation to its lexicon word. The 11-column intermediate
+table is written for downstream scripts that expect it.
 
-Phone IDs are resolved once: the one resolved entry list feeds both the
-table (`alignment_rows`, which also keeps each raw phone column) and the
-word alignment (`align_corpus`). The per-line records are named tuples,
-and per-line work that depends only on a symbol or a time (the position
-split, the table's time formatting) is done once per distinct value.
-Everything here is pure.
+Each CTM line is joined with its segments row once (`alignment_rows`),
+into one `PhoneToken`: the table's 11 columns, utterance and file times
+included, plus the split position suffix. The one token list feeds both
+the table (`render_alignment_table`) and the word alignment
+(`align_corpus`). Per-line work that depends only on a symbol or a time
+(the position split, the table's time formatting) is done once per
+distinct value. Everything here is pure.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ToolkitError
@@ -43,7 +45,7 @@ class CtmError(ToolkitError):
 
 
 class MalformedCtmLine(CtmError):
-    """Wrong field count or a non-numeric numeric field."""
+    """Wrong field count, or a numeric field that is not a finite number."""
 
 
 class UnknownPhoneId(CtmError):
@@ -71,31 +73,26 @@ class CtmEntry(NamedTuple):
     channel: int
     start: float
     dur: float
-    phone: int | str  # numeric ID until resolved, then the symbol
+    phone: int | str  # the numeric ID or the symbol
     line: int = 0
-
-    @property
-    def is_numeric(self) -> bool:
-        return isinstance(self.phone, int)
 
 
 class PhoneToken(NamedTuple):
-    """One aligned phone on the file timeline."""
+    """One CTM line joined with its segment: a table row and a word-alignment token."""
 
+    utt: str
+    file_id: str
+    phone_field: str  # the raw CTM phone column (ID or symbol)
+    channel: int
+    start_in_utt: float
+    dur: float
+    phone: str  # resolved full symbol
+    utt_start: float
+    utt_end: float
+    start: float  # on the file timeline
+    end: float
     phone_base: str  # symbol without the position suffix (stress retained)
     position: str | None  # B, I, E, S, or None for suffixless symbols
-    file_id: str
-    start: float
-    end: float
-    utt: str = ""
-
-    @property
-    def symbol(self) -> str:
-        return (
-            self.phone_base
-            if self.position is None
-            else f"{self.phone_base}_{self.position}"
-        )
 
     @property
     def duration(self) -> float:
@@ -194,75 +191,72 @@ def parse_ctm(content: str) -> list[CtmEntry]:
             start, dur = float(raw_start), float(raw_dur)
         except ValueError:
             raise MalformedCtmLine(f"line {i}: non-numeric time") from None
+        if not (math.isfinite(start) and math.isfinite(dur)):
+            raise MalformedCtmLine(f"line {i}: non-finite time")
         if start < 0:
             raise MalformedCtmLine(f"line {i}: negative start time")
         if dur <= 0:
             raise MalformedCtmLine(f"line {i}: non-positive duration")
-        phone: int | str = int(raw_phone) if raw_phone.isdigit() else raw_phone
+        phone: int | str = raw_phone
+        if raw_phone.isdigit():
+            try:
+                phone = int(raw_phone)
+            except ValueError:  # digits such as "²" that int() rejects
+                raise MalformedCtmLine(
+                    f"line {i}: phone ID {raw_phone!r} is not a decimal integer"
+                ) from None
         entries.append(CtmEntry(utt, channel, start, dur, phone, i))
     return entries
 
 
 def resolve_phone_ids(
     entries: list[CtmEntry], table: PhoneSymbolTable
-) -> list[CtmEntry]:
-    """Replace numeric phone IDs with symbols; symbolic entries pass through."""
-    out = []
+) -> list[str]:
+    """The phone symbol of each entry: numeric IDs looked up, symbols kept."""
+    by_id = table.by_id
+    symbols = []
     for e in entries:
-        if isinstance(e.phone, int):
-            symbol = table.by_id.get(e.phone)
-            if symbol is None:
+        phone = e.phone
+        if isinstance(phone, int):
+            phone = by_id.get(phone)
+            if phone is None:
                 raise UnknownPhoneId(
                     f"line {e.line}: phone ID {e.phone} not in phones.txt"
                 )
-            out.append(
-                CtmEntry(e.utt, e.channel, e.start, e.dur, symbol, e.line)
-            )
-        else:
-            out.append(e)
-    return out
+        symbols.append(phone)
+    return symbols
 
 
-def to_file_times(
-    entries: list[CtmEntry], segments: list[SegmentLine]
+def alignment_rows(
+    entries: list[CtmEntry],
+    segments: list[SegmentLine],
+    symbols: list[str],
 ) -> list[PhoneToken]:
-    """Shift utterance-relative CTM times onto the file timeline.
+    """Join each CTM entry with its segments row, in CTM order.
 
     The CTM reports times relative to the utterance; the segments row
-    supplies the utterance's offset and file ID. The B/I/E/S word-position
-    suffix is split off here.
+    supplies the utterance's offset and file ID. symbols is the
+    resolve_phone_ids list for entries; the B/I/E/S word-position suffix
+    is split off each distinct symbol once.
     """
     seg_by_utt = {s.utt: s for s in segments}
     split: dict[str, tuple[str, str | None]] = {}
     tokens = []
-    for e in entries:
-        seg = seg_by_utt.get(e.utt)
+    for (utt, channel, in_utt, dur, raw, _), phone in zip(entries, symbols):
+        seg = seg_by_utt.get(utt)
         if seg is None:
-            raise UnknownUtterance(f"utterance {e.utt!r} has no segments row")
-        if isinstance(e.phone, int):
-            raise CtmError(
-                f"line {e.line}: numeric phone ID {e.phone}; resolve IDs first"
-            )
-        parts = split.get(e.phone)
+            raise UnknownUtterance(f"utterance {utt!r} has no segments row")
+        parts = split.get(phone)
         if parts is None:
-            parts = split[e.phone] = split_position(e.phone)
-        base, position = parts
-        start = seg.start + e.start
+            parts = split[phone] = split_position(phone)
+        start = seg.start + in_utt
         tokens.append(
-            PhoneToken(base, position, seg.file_id, start, start + e.dur, e.utt)
+            PhoneToken(
+                utt, seg.file_id, str(raw), channel, in_utt, dur, phone,
+                seg.start, seg.end, start, start + dur, *parts,
+            )
         )
     return tokens
-
-
-def split_by_file(tokens: list[PhoneToken]) -> dict[str, list[PhoneToken]]:
-    """Group by file ID (keys byte-sorted), each group sorted by start time."""
-    grouped: dict[str, list[PhoneToken]] = {}
-    for t in tokens:
-        grouped.setdefault(t.file_id, []).append(t)
-    return {
-        fid: sorted(grouped[fid], key=lambda t: t.start)
-        for fid in sorted(grouped, key=lambda f: f.encode("utf-8"))
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +302,12 @@ def group_words(
     for i, token in enumerate(tokens):
         pos = token.position
         if pos is None:
-            abandon(f"token {i}: word interrupted by {token.symbol!r}")
+            abandon(f"token {i}: word interrupted by {token.phone!r}")
             if token.phone_base not in silence_symbols:
                 result.defects.append(
                     GroupDefect(
                         i,
-                        f"token {i}: {token.symbol!r} has no word-position "
+                        f"token {i}: {token.phone!r} has no word-position "
                         "suffix and is not a known silence symbol",
                     )
                 )
@@ -412,11 +406,11 @@ def phones_to_tier(
     for t in tokens:
         if t.end > file_duration + TIME_TOL:
             raise TokenBeyondDuration(
-                f"token {t.symbol!r} ends at {t.end} but the file is "
+                f"token {t.phone!r} ends at {t.end} but the file is "
                 f"{file_duration} s"
             )
     intervals = tuple(
-        Interval(t.start, min(t.end, file_duration), t.symbol) for t in tokens
+        Interval(t.start, min(t.end, file_duration), t.phone) for t in tokens
     )
     return IntervalTier(name, 0.0, file_duration, intervals).normalized()
 
@@ -440,57 +434,6 @@ def words_to_tier(
 # the 11-column intermediate table
 
 
-class AlignmentRow(NamedTuple):
-    utt: str
-    file_id: str
-    phone_field: str  # the raw CTM phone column (ID or symbol)
-    channel: int
-    start_in_utt: float
-    dur: float
-    phone: str  # resolved full symbol
-    utt_start: float
-    utt_end: float
-    start: float
-    end: float
-
-
-def alignment_rows(
-    entries: list[CtmEntry],
-    segments: list[SegmentLine],
-    resolved: list[CtmEntry],
-) -> list[AlignmentRow]:
-    """One table row per CTM entry.
-
-    entries keep the raw phone column; resolved is the same list after
-    resolve_phone_ids.
-    """
-    seg_by_utt = {s.utt: s for s in segments}
-    rows = []
-    for raw, e in zip(entries, resolved):
-        seg = seg_by_utt.get(e.utt)
-        if seg is None:
-            raise UnknownUtterance(f"utterance {e.utt!r} has no segments row")
-        if isinstance(e.phone, int):
-            raise CtmError(f"line {e.line}: unresolved phone ID {e.phone}")
-        start = seg.start + e.start
-        rows.append(
-            AlignmentRow(
-                utt=e.utt,
-                file_id=seg.file_id,
-                phone_field=str(raw.phone),
-                channel=e.channel,
-                start_in_utt=e.start,
-                dur=e.dur,
-                phone=e.phone,
-                utt_start=seg.start,
-                utt_end=seg.end,
-                start=start,
-                end=start + e.dur,
-            )
-        )
-    return rows
-
-
 class _Seconds(dict):
     """format_seconds of each distinct time, computed on first lookup."""
 
@@ -501,11 +444,11 @@ class _Seconds(dict):
         return s
 
 
-def render_alignment_table(rows: list[AlignmentRow]) -> str:
+def render_alignment_table(tokens: list[PhoneToken]) -> str:
     sec = _Seconds()
     lines = [ALIGNMENT_HEADER]
     for (utt, file_id, phone_field, channel, start_in_utt, dur, phone,
-         utt_start, utt_end, start, end) in rows:
+         utt_start, utt_end, start, end, _, _) in tokens:
         lines.append(
             f"{utt}\t{file_id}\t{phone_field}\t{channel}\t{sec[start_in_utt]}\t"
             f"{sec[dur]}\t{phone}\t{sec[utt_start]}\t{sec[utt_end]}\t"
@@ -514,59 +457,29 @@ def render_alignment_table(rows: list[AlignmentRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_alignment_table(content: str) -> list[AlignmentRow]:
-    lines = content.splitlines()
-    if not lines or lines[0] != ALIGNMENT_HEADER:
-        raise CtmError("missing or wrong alignment table header")
-    rows = []
-    for i, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 11:
-            raise CtmError(f"alignment table line {i}: expected 11 columns")
-        try:
-            rows.append(
-                AlignmentRow(
-                    utt=fields[0],
-                    file_id=fields[1],
-                    phone_field=fields[2],
-                    channel=int(fields[3]),
-                    start_in_utt=float(fields[4]),
-                    dur=float(fields[5]),
-                    phone=fields[6],
-                    utt_start=float(fields[7]),
-                    utt_end=float(fields[8]),
-                    start=float(fields[9]),
-                    end=float(fields[10]),
-                )
-            )
-        except ValueError:
-            raise CtmError(f"alignment table line {i}: non-numeric field") from None
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # end-to-end convenience
 
 
 def align_corpus(
-    entries: list[CtmEntry],
+    tokens: list[PhoneToken],
     segments: list[SegmentLine],
     lex: Lexicon,
     text: dict[str, list[str]] | None = None,
     silence_symbols: frozenset[str] | set[str] = DEFAULT_SILENCE,
 ) -> dict[str, tuple[list[PhoneToken], list[AlignedWord]]]:
-    """Per-file phone tokens and aligned words from resolved CTM entries.
+    """Per-file phone tokens and aligned words from the alignment_rows tokens.
 
-    Word grouping and matching run per utterance so the reference transcript
-    (when given) can be applied positionally; results are then collected per
-    file in byte-sorted file order.
+    Word grouping and matching run per utterance, in segments order, so the
+    reference transcript (when given) can be applied positionally; results
+    are then collected per file in byte-sorted file order, each file's
+    tokens and words sorted by start time.
     """
-    tokens = to_file_times(entries, segments)
     by_utt: dict[str, list[PhoneToken]] = {}
+    by_file: dict[str, list[PhoneToken]] = {}
     for t in tokens:
         by_utt.setdefault(t.utt, []).append(t)
+        by_file.setdefault(t.file_id, []).append(t)
 
     words_by_file: dict[str, list[AlignedWord]] = {}
     for seg in segments:
@@ -578,21 +491,19 @@ def align_corpus(
         aligned = match_words(grouped.units, lex, reference)
         words_by_file.setdefault(seg.file_id, []).extend(aligned)
 
-    out: dict[str, tuple[list[PhoneToken], list[AlignedWord]]] = {}
-    for fid, file_tokens in split_by_file(tokens).items():
-        words = sorted(words_by_file.get(fid, []), key=lambda w: w.start)
-        out[fid] = (file_tokens, words)
-    return out
+    by_start = attrgetter("start")
+    return {
+        fid: (
+            sorted(by_file[fid], key=by_start),
+            sorted(words_by_file.get(fid, []), key=by_start),
+        )
+        for fid in sorted(by_file, key=lambda f: f.encode("utf-8"))
+    }
 
 
-def corpus_durations(
-    segments: list[SegmentLine],
-    file_durations: dict[str, float] | None = None,
-) -> dict[str, float]:
-    """File durations, defaulting to the last segment end per file."""
+def corpus_durations(segments: list[SegmentLine]) -> dict[str, float]:
+    """File durations: the last segment end per file."""
     out: dict[str, float] = {}
     for seg in segments:
         out[seg.file_id] = max(out.get(seg.file_id, 0.0), seg.end)
-    if file_durations:
-        out.update(file_durations)
     return out

@@ -222,11 +222,6 @@ def extract_word_list(
     return [WordCount(w, c) for w, c in ordered]
 
 
-def unique_words(counts: list[WordCount]) -> list[str]:
-    """The words.txt projection: sorted unique words."""
-    return sorted((wc.word for wc in counts), key=lambda w: w.encode("utf-8"))
-
-
 # ---------------------------------------------------------------------------
 # filtering and phone sets
 

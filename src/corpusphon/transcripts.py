@@ -76,22 +76,6 @@ def parse_fave_transcript(content: str) -> list[FaveRecord]:
     return records
 
 
-def render_fave_transcript(records: list[FaveRecord]) -> str:
-    return "".join(
-        "\t".join(
-            [
-                r.speaker_id,
-                r.speaker_name,
-                format_seconds(r.onset),
-                format_seconds(r.offset),
-                r.text,
-            ]
-        )
-        + "\n"
-        for r in records
-    )
-
-
 def validate_fave(
     records: list[FaveRecord],
     wav_duration: float | None = None,

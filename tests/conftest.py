@@ -21,6 +21,42 @@ def fixtures() -> Path:
 
 
 # ---------------------------------------------------------------------------
+# TextGrid comparison
+
+
+def textgrid_equal(a: TextGrid, b: TextGrid, time_tol: float = 1e-6) -> bool:
+    """Structural equality with a time tolerance (default 1 µs)."""
+
+    def teq(x: float, y: float) -> bool:
+        return abs(x - y) <= time_tol
+
+    if not (teq(a.xmin, b.xmin) and teq(a.xmax, b.xmax)):
+        return False
+    if len(a.tiers) != len(b.tiers):
+        return False
+    for ta, tb in zip(a.tiers, b.tiers):
+        if type(ta) is not type(tb) or ta.name != tb.name:
+            return False
+        if not (teq(ta.xmin, tb.xmin) and teq(ta.xmax, tb.xmax)):
+            return False
+        if isinstance(ta, IntervalTier):
+            if len(ta.intervals) != len(tb.intervals):
+                return False
+            for ia, ib in zip(ta.intervals, tb.intervals):
+                if ia.text != ib.text:
+                    return False
+                if not (teq(ia.xmin, ib.xmin) and teq(ia.xmax, ib.xmax)):
+                    return False
+        else:
+            if len(ta.points) != len(tb.points):
+                return False
+            for pa, pb in zip(ta.points, tb.points):
+                if pa.mark != pb.mark or not teq(pa.time, pb.time):
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # random TextGrids
 
 

@@ -10,19 +10,24 @@ import struct
 
 import pytest
 
-from conftest import FIXTURES, corrupt_dir, random_consistent_dir, random_grid
+from conftest import (
+    FIXTURES,
+    corrupt_dir,
+    random_consistent_dir,
+    random_grid,
+    textgrid_equal,
+)
 from corpusphon import audio, kaldi, lexicon
 from corpusphon.cli import main
 from corpusphon.ctm import (
     PhoneSymbolTable,
     align_corpus,
+    alignment_rows,
     corpus_durations,
     group_words,
     parse_ctm,
     phones_to_tier,
     resolve_phone_ids,
-    split_by_file,
-    to_file_times,
     words_to_tier,
 )
 from corpusphon.textgrid import (
@@ -33,7 +38,6 @@ from corpusphon.textgrid import (
     merge_interval_tiers,
     parse_textgrid,
     stack_tiers,
-    textgrid_equal,
     write_textgrid,
 )
 from corpusphon.transcripts import validate_mfa_textgrid
@@ -144,13 +148,14 @@ def test_criterion_05_ctm_pipeline_end_to_end():
     assert len({s.file_id for s in segments}) == 2
 
     ctm_total = sum(e.dur for e in entries)
-    resolved = resolve_phone_ids(entries, table)
-    assert sum(e.dur for e in resolved) == pytest.approx(ctm_total, abs=1e-6)
-    tokens = to_file_times(resolved, segments)
+    tokens = alignment_rows(entries, segments, resolve_phone_ids(entries, table))
+    assert sum(t.dur for t in tokens) == pytest.approx(ctm_total, abs=1e-6)
     assert sum(t.duration for t in tokens) == pytest.approx(ctm_total, abs=1e-6)
 
+    durations = corpus_durations(segments)
+    per_file = align_corpus(tokens, segments, lex, text)
     klatt_units = []
-    for file_tokens in split_by_file(tokens).values():
+    for file_tokens, _ in per_file.values():
         result = group_words(file_tokens)
         assert result.defects == []
         klatt_units += [
@@ -158,8 +163,6 @@ def test_criterion_05_ctm_pipeline_end_to_end():
         ]
     assert len(klatt_units) == 2  # one KLATT token per file
 
-    durations = corpus_durations(segments)
-    per_file = align_corpus(resolved, segments, lex, text)
     tier_total = 0.0
     for fid, (file_tokens, words) in per_file.items():
         for w in words:

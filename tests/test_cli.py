@@ -109,6 +109,27 @@ class TestCtm2Tg:
         for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes()
 
+    @pytest.mark.parametrize("phone, start", [("²", "0.00"), ("1", "nan")])
+    def test_malformed_ctm_line_is_named(self, tmp_path, capsys, phone, start):
+        src = tmp_path / "in"
+        src.mkdir()
+        lines = (FIXTURES / "merged_alignment.ctm").read_text().splitlines()
+        utt, channel, _, dur, _ = lines[2].split()
+        lines[2] = f"{utt} {channel} {start} {dur} {phone}"
+        (src / "ali.ctm").write_text("\n".join(lines) + "\n")
+        rc = main(
+            [
+                "ctm2tg",
+                "--ctm", str(src / "ali.ctm"),
+                "--segments", str(FIXTURES / "segments"),
+                "--phones", str(FIXTURES / "phones.txt"),
+                "--lexicon", str(FIXTURES / "lexicon.txt"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 1
+        assert "line 3:" in capsys.readouterr().err
+
     def test_resolves_phone_ids_once(self, tmp_path, monkeypatch):
         calls = []
         resolve = ctm.resolve_phone_ids

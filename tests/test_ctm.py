@@ -17,14 +17,11 @@ from corpusphon.ctm import (
     corpus_durations,
     group_words,
     match_words,
-    parse_alignment_table,
     parse_ctm,
     phones_to_tier,
     render_alignment_table,
     resolve_phone_ids,
-    split_by_file,
     split_position,
-    to_file_times,
     words_to_tier,
 )
 from corpusphon.lexicon import parse_lexicon
@@ -79,15 +76,29 @@ def corpus(fixtures):
     return entries, segments, table, lex, text
 
 
+def _joined(corpus):
+    entries, segments, table, _, _ = corpus
+    return alignment_rows(entries, segments, resolve_phone_ids(entries, table))
+
+
+def _tok(base, pos, start, end):
+    """A token of file "f"; the table-only columns are placeholders."""
+    phone = base if pos is None else f"{base}_{pos}"
+    return PhoneToken(
+        "u", "f", phone, 1, start, end - start, phone, 0.0, end, start, end,
+        base, pos,
+    )
+
+
 class TestParseCtm:
     def test_numeric_id(self):
         (entry,) = parse_ctm("u1 1 0.00 0.12 42\n")
         assert entry == CtmEntry("u1", 1, 0.0, 0.12, 42, line=1)
-        assert entry.is_numeric
+        assert isinstance(entry.phone, int)
 
     def test_symbolic(self):
         (entry,) = parse_ctm("u1 1 0.00 0.12 AH1_B\n")
-        assert entry.phone == "AH1_B" and not entry.is_numeric
+        assert entry.phone == "AH1_B"
 
     def test_four_fields(self):
         with pytest.raises(MalformedCtmLine):
@@ -101,17 +112,29 @@ class TestParseCtm:
         with pytest.raises(MalformedCtmLine):
             parse_ctm("u1 1 0.00 0.00 42\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["u1 1 nan 0.10 SIL", "u1 1 0.00 nan SIL", "u1 1 inf 0.10 SIL",
+         "u1 1 0.00 inf SIL", "u1 1 -inf 0.10 SIL"],
+    )
+    def test_non_finite_time(self, line):
+        with pytest.raises(MalformedCtmLine, match=r"^line 2: non-finite time"):
+            parse_ctm(f"u1 1 0.00 0.10 SIL\n{line}\n")
+
+    def test_digit_that_is_not_decimal(self):
+        # "²".isdigit() is true, but int() rejects it
+        with pytest.raises(MalformedCtmLine, match=r"^line 1: phone ID '²'"):
+            parse_ctm("u1 1 0.00 0.10 ²\n")
+
 
 class TestResolve:
     def test_table_lookup(self):
         table = PhoneSymbolTable.parse("AH1_B 42\n")
-        out = resolve_phone_ids(parse_ctm("u1 1 0.0 0.1 42\n"), table)
-        assert out[0].phone == "AH1_B"
+        assert resolve_phone_ids(parse_ctm("u1 1 0.0 0.1 42\n"), table) == ["AH1_B"]
 
     def test_symbolic_passthrough(self):
         table = PhoneSymbolTable.parse("AH1_B 42\n")
-        entries = parse_ctm("u1 1 0.0 0.1 X_B\n")
-        assert resolve_phone_ids(entries, table) == entries
+        assert resolve_phone_ids(parse_ctm("u1 1 0.0 0.1 X_B\n"), table) == ["X_B"]
 
     def test_unknown_id(self):
         table = PhoneSymbolTable.parse("AH1_B 42\n")
@@ -123,7 +146,7 @@ class TestFileTimes:
     def test_offset_addition(self):
         segments = kaldi.parse_segments("u_002 f 4.60 8.54\n")
         entries = [CtmEntry("u_002", 1, 0.25, 0.10, "AH1_B")]
-        (token,) = to_file_times(entries, segments)
+        (token,) = alignment_rows(entries, segments, ["AH1_B"])
         assert token.start == pytest.approx(4.85, abs=1e-9)
         assert token.end == pytest.approx(4.95, abs=1e-9)
         assert token.file_id == "f"
@@ -131,13 +154,14 @@ class TestFileTimes:
 
     def test_zero_start_is_segment_start(self):
         segments = kaldi.parse_segments("u f 3.25 5.0\n")
-        (token,) = to_file_times([CtmEntry("u", 1, 0.0, 0.1, "SIL")], segments)
+        entries = [CtmEntry("u", 1, 0.0, 0.1, "SIL")]
+        (token,) = alignment_rows(entries, segments, ["SIL"])
         assert token.start == 3.25
         assert token.position is None
 
     def test_unknown_utterance(self):
         with pytest.raises(UnknownUtterance):
-            to_file_times([CtmEntry("zz", 1, 0.0, 0.1, "SIL")], [])
+            alignment_rows([CtmEntry("zz", 1, 0.0, 0.1, "SIL")], [], ["SIL"])
 
     def test_suffix_split(self):
         assert split_position("AH1_B") == ("AH1", "B")
@@ -146,23 +170,21 @@ class TestFileTimes:
 
 
 class TestSplitByFile:
+    """align_corpus collects the tokens per file."""
+
     def test_two_files(self, corpus):
-        entries, segments, table, _, _ = corpus
-        tokens = to_file_times(resolve_phone_ids(entries, table), segments)
-        grouped = split_by_file(tokens)
-        assert list(grouped) == ["f1", "f2"]
-        for file_tokens in grouped.values():
+        _, segments, _, lex, text = corpus
+        tokens = _joined(corpus)
+        per_file = align_corpus(tokens, segments, lex, text)
+        assert list(per_file) == ["f1", "f2"]
+        for file_tokens, _ in per_file.values():
             starts = [t.start for t in file_tokens]
             assert starts == sorted(starts)
-        total = sum(len(v) for v in grouped.values())
+        total = sum(len(v) for v, _ in per_file.values())
         assert total == len(tokens)
 
     def test_empty(self):
-        assert split_by_file([]) == {}
-
-
-def _tok(base, pos, start, end):
-    return PhoneToken(base, pos, "f", start, end)
+        assert align_corpus([], [], parse_lexicon("")) == {}
 
 
 class TestGroupWords:
@@ -202,14 +224,14 @@ class TestGroupWords:
         assert len(result.defects) == 1
 
     def test_partition_property(self, corpus):
-        entries, segments, table, _, _ = corpus
-        tokens = to_file_times(resolve_phone_ids(entries, table), segments)
-        for file_tokens in split_by_file(tokens).values():
+        _, segments, _, lex, text = corpus
+        per_file = align_corpus(_joined(corpus), segments, lex, text)
+        for file_tokens, _ in per_file.values():
             result = group_words(file_tokens)
             in_units = [t for u in result.units for t in u.phones]
             assert sorted(
-                in_units + result.non_words, key=lambda t: (t.start, t.symbol)
-            ) == sorted(file_tokens, key=lambda t: (t.start, t.symbol))
+                in_units + result.non_words, key=lambda t: (t.start, t.phone)
+            ) == sorted(file_tokens, key=lambda t: (t.start, t.phone))
 
     def test_silence_goes_to_non_words(self):
         result = group_words([_tok("SIL", None, 0.0, 0.5)])
@@ -305,27 +327,31 @@ class TestTiers:
 
 class TestAlignmentTable:
     def test_header_and_round_trip(self, corpus):
-        entries, segments, table, _, _ = corpus
-        rows = alignment_rows(entries, segments, resolve_phone_ids(entries, table))
-        rendered = render_alignment_table(rows)
-        assert rendered.splitlines()[0] == ALIGNMENT_HEADER
-        back = parse_alignment_table(rendered)
-        assert len(back) == len(rows)
-        for a, b in zip(back, rows):
-            assert (a.utt, a.file_id, a.phone_field, a.channel, a.phone) == (
-                b.utt, b.file_id, b.phone_field, b.channel, b.phone
+        tokens = _joined(corpus)
+        rendered = render_alignment_table(tokens)
+        lines = rendered.splitlines()
+        assert lines[0] == ALIGNMENT_HEADER
+        assert len(lines) == len(tokens) + 1
+        back = []
+        for line, t in zip(lines[1:], tokens):
+            f = line.split("\t")
+            assert f[:4] + f[6:7] == [
+                t.utt, t.file_id, t.phone_field, str(t.channel), t.phone
+            ]
+            times = [float(x) for x in f[4:6] + f[7:]]
+            assert times == pytest.approx(
+                [t.start_in_utt, t.dur, t.utt_start, t.utt_end, t.start, t.end],
+                abs=1e-6,
             )
-            for field in ("start_in_utt", "dur", "utt_start", "utt_end",
-                          "start", "end"):
-                assert getattr(a, field) == pytest.approx(
-                    getattr(b, field), abs=1e-6
-                )
-        # re-rendering the parsed table is byte-stable
+            back.append(
+                PhoneToken(f[0], f[1], f[2], int(f[3]), *times[:2], f[6],
+                           *times[2:], *split_position(f[6]))
+            )
+        # re-rendering the columns read back is byte-stable
         assert render_alignment_table(back) == rendered
 
     def test_raw_phone_field_preserved(self, corpus):
-        entries, segments, table, _, _ = corpus
-        rows = alignment_rows(entries, segments, resolve_phone_ids(entries, table))
+        rows = _joined(corpus)
         numeric = [r for r in rows if r.utt == "s1_001"]
         assert numeric[0].phone_field == "1" and numeric[0].phone == "SIL"
         symbolic = [r for r in rows if r.utt == "s2_003"]
@@ -338,16 +364,15 @@ class TestEndToEnd:
         assert corpus_durations(segments) == {"f1": 7.0, "f2": 7.0}
 
     def test_duration_conservation(self, corpus):
-        entries, segments, table, _, _ = corpus
+        entries, segments, _, lex, text = corpus
         ctm_total = sum(e.dur for e in entries)
-        resolved = resolve_phone_ids(entries, table)
-        assert sum(e.dur for e in resolved) == pytest.approx(ctm_total, abs=1e-9)
-        tokens = to_file_times(resolved, segments)
+        tokens = _joined(corpus)
+        assert sum(t.dur for t in tokens) == pytest.approx(ctm_total, abs=1e-9)
         assert sum(t.duration for t in tokens) == pytest.approx(
             ctm_total, abs=1e-6
         )
         grouped_total = 0.0
-        for file_tokens in split_by_file(tokens).values():
+        for file_tokens, _ in align_corpus(tokens, segments, lex, text).values():
             result = group_words(file_tokens)
             grouped_total += sum(
                 t.duration for u in result.units for t in u.phones
@@ -356,9 +381,8 @@ class TestEndToEnd:
         assert grouped_total == pytest.approx(ctm_total, abs=1e-6)
 
     def test_word_alignment_matches_hand_trace(self, corpus):
-        entries, segments, table, lex, text = corpus
-        resolved = resolve_phone_ids(entries, table)
-        per_file = align_corpus(resolved, segments, lex, text)
+        _, segments, _, lex, text = corpus
+        per_file = align_corpus(_joined(corpus), segments, lex, text)
         for fid, expected in (("f1", F1_WORDS), ("f2", F2_WORDS)):
             _, words = per_file[fid]
             got = [(w.word, w.start, w.end) for w in words]
@@ -369,29 +393,24 @@ class TestEndToEnd:
                 assert ge == pytest.approx(ee, abs=1e-9)
 
     def test_first_utterance_phones_match_hand_trace(self, corpus):
-        entries, segments, table, _, _ = corpus
-        resolved = resolve_phone_ids(entries, table)
-        tokens = to_file_times(resolved, segments)
-        first = [t for t in tokens if t.utt == "s1_001"]
+        first = [t for t in _joined(corpus) if t.utt == "s1_001"]
         assert len(first) == len(F1_FIRST_PHONES)
         for token, (symbol, start, end) in zip(first, F1_FIRST_PHONES):
-            assert token.symbol == symbol
+            assert token.phone == symbol
             assert token.start == pytest.approx(start, abs=1e-9)
             assert token.end == pytest.approx(end, abs=1e-9)
 
     def test_pron_reconstruction_exact(self, corpus):
-        entries, segments, table, lex, text = corpus
-        resolved = resolve_phone_ids(entries, table)
-        per_file = align_corpus(resolved, segments, lex, text)
+        _, segments, _, lex, text = corpus
+        per_file = align_corpus(_joined(corpus), segments, lex, text)
         for _, words in per_file.values():
             for w in words:
                 assert w.pron in lex.prons(w.word)
 
     def test_textgrids_match_goldens(self, corpus, fixtures):
-        entries, segments, table, lex, text = corpus
-        resolved = resolve_phone_ids(entries, table)
+        _, segments, _, lex, text = corpus
         durations = corpus_durations(segments)
-        per_file = align_corpus(resolved, segments, lex, text)
+        per_file = align_corpus(_joined(corpus), segments, lex, text)
         for fid, (tokens, words) in per_file.items():
             grid = TextGrid(
                 0.0,

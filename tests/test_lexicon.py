@@ -21,7 +21,6 @@ from corpusphon.lexicon import (
     parse_lexicon,
     render_lexicon,
     render_phone_groups,
-    unique_words,
 )
 
 
@@ -91,10 +90,6 @@ class TestExtractWordList:
     def test_markup_tokens_pass(self):
         counts = extract_word_list("{NS} HI {SP}")
         assert {wc.word for wc in counts} == {"{NS}", "HI", "{SP}"}
-
-    def test_unique_words_projection(self):
-        counts = extract_word_list("B A B")
-        assert unique_words(counts) == ["A", "B"]
 
 
 class TestFilter:

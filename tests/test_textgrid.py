@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grid
+from conftest import random_grid, textgrid_equal
 from corpusphon.textgrid import _quote  # the writer's label quoting
 from corpusphon.textgrid import (
     EncodingError,
@@ -28,7 +28,6 @@ from corpusphon.textgrid import (
     parse_textgrid,
     rename_tier,
     stack_tiers,
-    textgrid_equal,
     write_textgrid,
 )
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from corpusphon.ctm import phones_to_tier
 from corpusphon.lexicon import parse_lexicon
 from corpusphon.report import Severity
 from corpusphon.textgrid import Interval, IntervalTier, TextGrid
@@ -12,11 +13,12 @@ from corpusphon.transcripts import (
     NonNumericTime,
     TranscriptError,
     parse_fave_transcript,
-    render_fave_transcript,
     validate_fave,
     validate_mfa_textgrid,
     validate_single_line_transcript,
 )
+
+from test_ctm import _tok
 
 
 class TestParseFave:
@@ -51,7 +53,11 @@ class TestParseFave:
                 )
                 for i in range(rng.randint(1, 6))
             ]
-            assert parse_fave_transcript(render_fave_transcript(records)) == records
+            lines = "".join(
+                f"{r.speaker_id}\t{r.speaker_name}\t{r.onset}\t{r.offset}\t{r.text}\n"
+                for r in records
+            )
+            assert parse_fave_transcript(lines) == records
 
 
 class TestValidateFave:
@@ -180,12 +186,10 @@ class TestMfaOnAlignerOutput:
     """Both directions: margin-respecting tokens pass, edge tokens fail."""
 
     def make_grid(self, last_end, duration=7.0):
-        from corpusphon.ctm import PhoneToken, phones_to_tier
-
         tokens = [
-            PhoneToken("SIL", None, "f", 0.5, 1.0),
-            PhoneToken("K", "B", "f", 1.0, 1.2),
-            PhoneToken("AE1", "I", "f", 1.2, last_end),
+            _tok("SIL", None, 0.5, 1.0),
+            _tok("K", "B", 1.0, 1.2),
+            _tok("AE1", "I", 1.2, last_end),
         ]
         tier = phones_to_tier(tokens, duration)
         return TextGrid(0.0, duration, (tier,))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import textgrid_equal
 from corpusphon.lexicon import parse_lexicon
 from corpusphon.textgrid import (
     Interval,
@@ -12,7 +13,6 @@ from corpusphon.textgrid import (
     TextGrid,
     merge_interval_tiers,
     stack_tiers,
-    textgrid_equal,
 )
 from corpusphon.vot import (
     STOP_LETTERS,
