@@ -5,11 +5,11 @@ Human-readable findings go to stderr; --report writes the machine format,
 one finding per line: SEVERITY<TAB>file<TAB>location<TAB>message.
 
 Batch subcommands process independent files one at a time, in input
-order, so the aggregate output depends only on the input file list and
-configuration; --jobs is accepted and has no effect. No subcommand ever
-writes into an input directory (the MFA deletes everything in its output
-folder, so mixing the two destroys corpora; the same discipline is
-enforced everywhere here).
+order, and report each file's findings together, so the aggregate output
+depends only on the input file list and configuration; --jobs is accepted
+and has no effect. No subcommand ever writes into or below the directory
+of anything it reads (the MFA deletes everything in its output folder, so
+mixing the two destroys corpora).
 """
 
 from __future__ import annotations
@@ -94,6 +94,13 @@ class Ctx:
     def out_text(self, path: Path, text: str) -> None:
         self.out_file(path, text.encode("utf-8"))
 
+    def out_or_print(self, out: str | None, text: str) -> None:
+        """Write text to the --out file when one is given, else to stdout."""
+        if out:
+            self.out_text(Path(out), text)
+        else:
+            print(text, end="")
+
     def flush(self) -> None:
         for file, f in self.findings:
             print(f"{file}: {f.human_line()}" if file else f.human_line(), file=sys.stderr)
@@ -108,7 +115,11 @@ class Ctx:
                 Path(self.report_path).write_text(lines, encoding="utf-8")
 
 
-def check_output_separation(out: Path, inputs: list[Path]) -> None:
+def check_output_separation(out: str | Path | None, inputs: list[Path]) -> None:
+    """Refuse an output (none when out is None) in or under an input's directory."""
+    if out is None:
+        return
+    out = Path(out)
     out_dir = out if out.suffix == "" else out.parent
     out_dir = out_dir.resolve()
     for p in inputs:
@@ -138,34 +149,38 @@ def expand_paths(ctx: Ctx, patterns: list[str]) -> list[Path]:
 
 
 @contextlib.contextmanager
-def warnings_as_findings(ctx: Ctx, file: str):
-    """Record every warning raised inside as a WARNING finding for file."""
-    with warnings.catch_warnings(record=True) as caught:
+def file_findings(ctx: Ctx, file: str):
+    """Yield one file's Report; it also takes every warning raised inside.
+
+    The report goes to ctx.add once, on exit, so a file's findings are
+    reported together and in the order they arose.
+    """
+    report = Report()
+    with warnings.catch_warnings():
         warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: report.warning("", str(message))
         try:
-            yield
+            yield report
         finally:
-            for w in caught:
-                ctx.add_finding(file, Severity.WARNING, "", str(w.message))
+            ctx.add(file, report)
 
 
 def process_files(ctx: Ctx, paths: list[Path], fn) -> list[tuple[Path, object]]:
-    """Apply fn to each file in input order; per-file failures become findings.
+    """Call fn(path, report) for each file in input order, one report per file.
 
-    A file's warnings become WARNING findings and a ToolkitError or OSError
-    an ERROR finding for that file (its result is then None); the batch
-    never aborts.
+    The report collects the file's warnings, whatever fn adds, and a
+    ToolkitError, OSError or undecodable text as an ERROR, so a bad file
+    costs only itself. Returns (path, result) for each file that did not
+    fail.
     """
-    results = []
+    done = []
     for path in paths:
-        result = None
-        try:
-            with warnings_as_findings(ctx, str(path)):
-                result = fn(path)
-        except (ToolkitError, OSError) as exc:
-            ctx.add_finding(str(path), Severity.ERROR, "", str(exc))
-        results.append((path, result))
-    return results
+        with file_findings(ctx, str(path)) as report:
+            try:
+                done.append((path, fn(path, report)))
+            except (ToolkitError, OSError, UnicodeDecodeError) as exc:
+                report.error("", str(exc))
+    return done
 
 
 def read_grid(path: Path) -> textgrid.TextGrid:
@@ -200,15 +215,19 @@ def step_name(stem: str, suffix: str) -> str:
     return stem + suffix
 
 
-def write_grid_step(ctx: Ctx, paths: list[Path], out_dir: Path, suffix: str, fn) -> None:
-    """Write fn(path, grid) for each grid file as a step_name()-named TextGrid."""
+def step_path(out_dir: Path, suffix: str):
+    """The output path of a pipeline step: out_dir/step_name(stem).TextGrid."""
+    return lambda path: out_dir / f"{step_name(path.stem, suffix)}.TextGrid"
 
-    def step(path: Path) -> bytes:
+
+def write_grid_step(ctx: Ctx, paths: list[Path], out_path, fn) -> None:
+    """Write fn(path, grid) to out_path(path) for each grid file that succeeds."""
+
+    def step(path: Path, report: Report) -> bytes:
         return textgrid.write_textgrid(fn(path, read_grid(path)))
 
     for path, data in process_files(ctx, paths, step):
-        if data is not None:
-            ctx.out_file(out_dir / f"{step_name(path.stem, suffix)}.TextGrid", data)
+        ctx.out_file(out_path(path), data)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +238,7 @@ def cmd_kaldi_build(args, ctx: Ctx) -> None:
     out = Path(args.out)
     records_path = Path(args.records)
     check_output_separation(out, [records_path])
+    check_output_separation(args.mfcc_conf, [records_path])
     records = []
     for i, line in enumerate(records_path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -248,8 +268,11 @@ def cmd_kaldi_build(args, ctx: Ctx) -> None:
 
 
 def cmd_kaldi_validate(args, ctx: Ctx) -> None:
-    d = kaldi.read_data_dir(args.dir)
-    ctx.add(args.dir, kaldi.validate_data_dir(d, args.strict_speaker_prefix))
+    def validate(path: Path, report: Report) -> None:
+        d = kaldi.read_data_dir(path)
+        report.extend(kaldi.validate_data_dir(d, args.strict_speaker_prefix))
+
+    process_files(ctx, [Path(args.dir)], validate)
 
 
 def cmd_kaldi_fix(args, ctx: Ctx) -> None:
@@ -287,11 +310,15 @@ def _load_lexicon(args, ctx: Ctx) -> lexicon.Lexicon:
             f"separator {sep!r} is not one of: {', '.join(_SEPARATORS)}"
         )
     text = Path(args.lexicon).read_text(encoding="utf-8")
-    with warnings_as_findings(ctx, args.lexicon):
+    with file_findings(ctx, args.lexicon):
         return lexicon.parse_lexicon(text, _SEPARATORS[sep])
 
 
-def _corpus_words(args, ctx: Ctx) -> set[str]:
+def _corpus_words(args, ctx: Ctx, out: str | None) -> set[str]:
+    """The corpus vocabulary; out, if given, must lie outside every input."""
+    transcripts = [] if args.words else expand_paths(ctx, args.transcripts)
+    inputs = [Path(p) for p in (args.lexicon, args.words, args.kaldi_text) if p]
+    check_output_separation(out, inputs + transcripts)
     if args.words:
         return {
             w.strip()
@@ -305,10 +332,7 @@ def _corpus_words(args, ctx: Ctx) -> set[str]:
         strip_chars=ctx.value(args, "strip_chars", lexicon.DEFAULT_STRIP_CHARS, str),
         keep_apostrophe=not args.strip_apostrophe,
     )
-    chunks = [
-        p.read_text(encoding="utf-8")
-        for p in expand_paths(ctx, args.transcripts)
-    ]
+    chunks = [p.read_text(encoding="utf-8") for p in transcripts]
     if args.kaldi_text:
         # the data-dir text file: drop the utterance-ID column
         chunks += [
@@ -321,8 +345,8 @@ def _corpus_words(args, ctx: Ctx) -> set[str]:
 
 
 def cmd_lexicon_filter(args, ctx: Ctx) -> None:
+    words = _corpus_words(args, ctx, args.out)
     lex = _load_lexicon(args, ctx)
-    words = _corpus_words(args, ctx)
     oov = (
         ctx.value(args, "oov_word", lexicon.DEFAULT_OOV[0], str),
         ctx.value(args, "oov_phone", lexicon.DEFAULT_OOV[1], str),
@@ -334,22 +358,16 @@ def cmd_lexicon_filter(args, ctx: Ctx) -> None:
             f"pronunciation {' '.join(pron)!r} has no stressed vowel; "
             "was the stress annotation step skipped?",
         )
-    out = Path(args.out)
-    check_output_separation(out, [Path(args.lexicon)])
-    ctx.out_text(out, lexicon.render_lexicon(filtered))
+    ctx.out_text(Path(args.out), lexicon.render_lexicon(filtered))
 
 
 def cmd_lexicon_missing(args, ctx: Ctx) -> None:
+    words = _corpus_words(args, ctx, args.out)
     lex = _load_lexicon(args, ctx)
-    words = _corpus_words(args, ctx)
     missing = lexicon.missing_words(words, lex)
     for w in missing:
         ctx.add_finding(args.lexicon, Severity.WARNING, w, "missing from lexicon")
-    body = "".join(w + "\n" for w in missing)
-    if args.out:
-        ctx.out_text(Path(args.out), body)
-    else:
-        print(body, end="")
+    ctx.out_or_print(args.out, "".join(w + "\n" for w in missing))
 
 
 def cmd_lexicon_phones(args, ctx: Ctx) -> None:
@@ -372,10 +390,8 @@ def cmd_lexicon_phones(args, ctx: Ctx) -> None:
 
 def cmd_ctm2tg(args, ctx: Ctx) -> None:
     out = Path(args.out)
-    inputs = [Path(args.ctm), Path(args.segments), Path(args.phones), Path(args.lexicon)]
-    if args.text:
-        inputs.append(Path(args.text))
-    check_output_separation(out, inputs)
+    inputs = [args.ctm, args.segments, args.phones, args.lexicon, args.text, args.wav_dir]
+    check_output_separation(out, [Path(p) for p in inputs if p])
 
     entries = ctm.parse_ctm(Path(args.ctm).read_text(encoding="utf-8"))
     segments = kaldi.parse_segments(Path(args.segments).read_text(encoding="utf-8"))
@@ -430,36 +446,33 @@ def cmd_validate_mfa(args, ctx: Ctx) -> None:
         ) from None
     target = ctx.value(args, "target_rate", audio.MFA_SAMPLE_RATE, int)
 
-    pairs: list[tuple[Path, Path | None]] = []
     if args.wav and args.textgrid:
-        pairs.append((Path(args.textgrid), Path(args.wav)))
+        paths, wavs = [Path(args.textgrid)], [Path(args.wav)]
     elif args.textgrids:
-        wav_dir = Path(args.wav_dir) if args.wav_dir else None
-        for tg in expand_paths(ctx, args.textgrids):
-            wav = _stem_wav(wav_dir, tg.stem) if wav_dir else None
-            pairs.append((tg, wav))
+        paths = expand_paths(ctx, args.textgrids)
+        wavs = [_stem_wav(Path(args.wav_dir), p.stem) if args.wav_dir else None for p in paths]
     else:
         raise UsageError("need --wav/--textgrid or TextGrid paths")
+    wav_by_grid = dict(zip(paths, wavs))
 
-    wav_by_grid = dict(pairs)
-
-    def check(tg_path: Path) -> Report:
-        report = Report()
-        grid = read_grid(tg_path)
-        wav_path = wav_by_grid.get(tg_path)
+    def check(path: Path, report: Report) -> None:
+        # the MFA reads a .lab single-line transcript in place of a TextGrid
+        lab = path.suffix == ".lab"
+        transcript = path.read_text(encoding="utf-8") if lab else read_grid(path)
+        wav_path = wav_by_grid[path]
         if wav_path is None:
             report.warning("wav", "no matching wav file; skipping audio checks")
-            duration = grid.xmax
+            duration = None if lab else transcript.xmax
         else:
             info = read_wav_info(wav_path)
             report.extend(audio.validate_for_mfa(info, target))
             duration = info.duration
-        report.extend(transcripts.validate_mfa_textgrid(grid, duration, cfg))
-        return report
+        if lab:
+            report.extend(transcripts.validate_single_line_transcript(transcript))
+        else:
+            report.extend(transcripts.validate_mfa_textgrid(transcript, duration, cfg))
 
-    for path, report in process_files(ctx, [tg for tg, _ in pairs], check):
-        if report is not None:
-            ctx.add(str(path), report)
+    process_files(ctx, paths, check)
 
 
 def cmd_fave_check(args, ctx: Ctx) -> None:
@@ -468,7 +481,7 @@ def cmd_fave_check(args, ctx: Ctx) -> None:
         lex = _load_lexicon(args, ctx)
     wav_dir = Path(args.wav_dir) if args.wav_dir else None
 
-    def check(path: Path) -> Report:
+    def check(path: Path, report: Report) -> None:
         records = transcripts.parse_fave_transcript(
             path.read_text(encoding="utf-8")
         )
@@ -477,13 +490,9 @@ def cmd_fave_check(args, ctx: Ctx) -> None:
             wav = _stem_wav(wav_dir, path.stem)
             if wav is not None:
                 duration = read_wav_info(wav).duration
-        return transcripts.validate_fave(records, duration, lex)
+        report.extend(transcripts.validate_fave(records, duration, lex))
 
-    for path, report in process_files(
-        ctx, expand_paths(ctx, args.transcripts), check
-    ):
-        if report is not None:
-            ctx.add(str(path), report)
+    process_files(ctx, expand_paths(ctx, args.transcripts), check)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +500,8 @@ def cmd_fave_check(args, ctx: Ctx) -> None:
 
 
 def cmd_audio_info(args, ctx: Ctx) -> None:
-    for path, info in process_files(ctx, expand_paths(ctx, args.wavs), read_wav_info):
-        if info is None:
-            continue
+    def show(path: Path, report: Report) -> None:
+        info = read_wav_info(path)
         kind = "PCM" if info.format_code == audio.WAVE_FORMAT_PCM else "float"
         print(
             f"{path}: {info.sample_rate} Hz, {info.channels} ch, "
@@ -501,18 +509,19 @@ def cmd_audio_info(args, ctx: Ctx) -> None:
             f"{kaldi.format_seconds(info.duration)} s"
         )
 
+    process_files(ctx, expand_paths(ctx, args.wavs), show)
+
 
 def cmd_audio_mono(args, ctx: Ctx) -> None:
     out_dir = Path(args.out_dir)
     wavs = expand_paths(ctx, args.wavs)
     check_output_separation(out_dir, wavs)
 
-    def convert(path: Path) -> bytes:
+    def convert(path: Path, report: Report) -> bytes:
         return audio.extract_channel(path.read_bytes(), args.channel)
 
     for path, mono in process_files(ctx, wavs, convert):
-        if mono is not None:
-            ctx.out_file(out_dir / f"{path.stem}_mono.wav", mono)
+        ctx.out_file(out_dir / f"{path.stem}_mono.wav", mono)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +529,7 @@ def cmd_audio_mono(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_words(args, ctx: Ctx) -> None:
+    check_output_separation(args.out, [Path(args.lexicon)])
     lex = _load_lexicon(args, ctx)
     words = vot.find_cv_stop_words(lex)
     ctx.out_text(Path(args.out), vot.render_word_list(words))
@@ -534,18 +544,17 @@ def cmd_vot_locate(args, ctx: Ctx) -> None:
     word_tier = ctx.value(args, "word_tier", "words", str)
     phone_tier = ctx.value(args, "phone_tier", "phones", str)
     tol = ctx.value(args, "tolerance", vot.DEFAULT_COINCIDENCE_TOL, float)
+    paths = sorted(expand_paths(ctx, args.textgrids), key=lambda p: p.stem)
+    check_output_separation(Path(args.out), paths + [Path(args.words)])
+    occurrences: list[vot.WordOccurrence] = []
 
-    def locate(path: Path) -> list[vot.WordOccurrence]:
+    def locate(path: Path, report: Report) -> None:
         grid = read_grid(path)
-        return vot.locate_words(
-            grid, word_tier, phone_tier, words, file_id=path.stem, tolerance=tol
+        occurrences.extend(
+            vot.locate_words(grid, word_tier, phone_tier, words, file_id=path.stem, tolerance=tol)
         )
 
-    paths = sorted(expand_paths(ctx, args.textgrids), key=lambda p: p.stem)
-    occurrences: list[vot.WordOccurrence] = []
-    for _, occs in process_files(ctx, paths, locate):
-        if occs:
-            occurrences.extend(occs)
+    process_files(ctx, paths, locate)
     ctx.out_text(Path(args.out), vot.render_word_locations(occurrences))
 
 
@@ -566,7 +575,7 @@ def cmd_vot_windows(args, ctx: Ctx) -> None:
         tier = vot.make_vot_windows(occs, grid.xmax, tier_name)
         return textgrid.TextGrid(grid.xmin, grid.xmax, grid.tiers + (tier,))
 
-    write_grid_step(ctx, grids, out_dir, args.suffix, add_windows)
+    write_grid_step(ctx, grids, step_path(out_dir, args.suffix), add_windows)
 
 
 def cmd_vot_lists(args, ctx: Ctx) -> None:
@@ -596,7 +605,7 @@ def cmd_vot_merge(args, ctx: Ctx) -> None:
     def merge(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
         return textgrid.merge_interval_tiers(grid, indices, args.name)
 
-    write_grid_step(ctx, grids, out_dir, args.suffix, merge)
+    write_grid_step(ctx, grids, step_path(out_dir, args.suffix), merge)
 
 
 def cmd_vot_prefer_manual(args, ctx: Ctx) -> None:
@@ -607,87 +616,58 @@ def cmd_vot_prefer_manual(args, ctx: Ctx) -> None:
     def prefer(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
         return vot.prefer_manual(grid, args.manual_tier, args.auto_tier)
 
-    write_grid_step(ctx, grids, out_dir, args.suffix, prefer)
+    write_grid_step(ctx, grids, step_path(out_dir, args.suffix), prefer)
 
 
 def cmd_vot_measure(args, ctx: Ctx) -> None:
     vot_tier = ctx.value(args, "vot_tier", "vot", str)
     phone_tier = ctx.value(args, "phone_tier", "phones", str)
     word_tier = ctx.value(args, "word_tier", "words", str)
-    silent = frozenset(
-        ctx.value(args, "silence_labels", ",sp,SP,sil,SIL", str).split(",")
-    )
-
-    def measure(path: Path) -> list[vot.VotMeasurement]:
-        grid = read_grid(path)
-        return vot.measure_cues(
-            grid,
-            vot_tier,
-            phone_tier,
-            word_tier,
-            include_speaking_rate=not args.no_rate,
-            silent_labels=silent,
-        )
-
+    labels = ctx.value(args, "silence_labels", None, str)
+    silent = vot.DEFAULT_SILENT_LABELS if labels is None else frozenset(labels.split(","))
     paths = sorted(expand_paths(ctx, args.textgrids), key=lambda p: p.stem)
-    chunks = []
-    for path, measurements in process_files(ctx, paths, measure):
-        if measurements is None:
-            continue
+    check_output_separation(args.out, paths)
+    chunks: list[str] = []
+
+    def measure(path: Path, report: Report) -> None:
+        measurements = vot.measure_cues(
+            read_grid(path), vot_tier, phone_tier, word_tier,
+            include_speaking_rate=not args.no_rate, silent_labels=silent,
+        )
         table = vot.render_measurements(measurements, file_id=path.stem)
         chunks.append(table if not chunks else table.split("\n", 1)[1])
-    body = "".join(chunks)
-    if args.out:
-        ctx.out_text(Path(args.out), body)
-    else:
-        print(body, end="")
+
+    process_files(ctx, paths, measure)
+    ctx.out_or_print(args.out, "".join(chunks))
 
 
 def cmd_vot_compare(args, ctx: Ctx) -> None:
     tol = ctx.value(args, "tolerance", 0.0, float)
+    paths = expand_paths(ctx, args.textgrids)
+    check_output_separation(args.out, paths)
+    lines = ["file_id\tlabel\tmanual_burst\tauto_burst\tburst_delta\tvowel_delta"]
 
-    def compare(path: Path) -> vot.BoundaryComparison:
+    def compare(path: Path, report: Report) -> None:
         grid = read_grid(path)
         manual, _ = grid.find_tier(args.manual_tier)
         auto, _ = grid.find_tier(args.auto_tier)
-        return vot.compare_boundaries(manual, auto, tol)
-
-    lines = ["file_id\tlabel\tmanual_burst\tauto_burst\tburst_delta\tvowel_delta"]
-    for path, cmp_result in process_files(
-        ctx, expand_paths(ctx, args.textgrids), compare
-    ):
-        if cmp_result is None:
-            continue
+        cmp_result = vot.compare_boundaries(manual, auto, tol)
         for d in cmp_result.pairs:
-            lines.append(
-                "\t".join(
-                    [
-                        path.stem,
-                        d.label,
-                        kaldi.format_seconds(d.manual.xmin),
-                        kaldi.format_seconds(d.auto.xmin),
-                        kaldi.format_seconds(d.burst_delta),
-                        kaldi.format_seconds(d.vowel_delta),
-                    ]
-                )
-            )
+            times = (d.manual.xmin, d.auto.xmin, d.burst_delta, d.vowel_delta)
+            lines.append("\t".join([path.stem, d.label, *map(kaldi.format_seconds, times)]))
         for iv in cmp_result.unpaired_manual:
-            ctx.add_finding(
-                str(path), Severity.WARNING,
-                f"[{iv.xmin}, {iv.xmax}]", "manual token with no auto counterpart",
+            report.warning(
+                f"[{iv.xmin}, {iv.xmax}]", "manual token with no auto counterpart"
             )
         for iv in cmp_result.unpaired_auto:
-            ctx.add_finding(
-                str(path), Severity.WARNING,
-                f"[{iv.xmin}, {iv.xmax}]", "auto token with no manual counterpart",
+            report.warning(
+                f"[{iv.xmin}, {iv.xmax}]", "auto token with no manual counterpart"
             )
         for msg in cmp_result.conflicts:
-            ctx.add_finding(str(path), Severity.WARNING, "", msg)
-    body = "\n".join(lines) + "\n"
-    if args.out:
-        ctx.out_text(Path(args.out), body)
-    else:
-        print(body, end="")
+            report.warning("", msg)
+
+    process_files(ctx, paths, compare)
+    ctx.out_or_print(args.out, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -698,32 +678,35 @@ def cmd_tg_stack(args, ctx: Ctx) -> None:
     out = Path(args.out)
     paths = expand_paths(ctx, args.textgrids)
     check_output_separation(out, paths)
-    grids = [read_grid(p) for p in paths]
-    ctx.out_file(out, textgrid.write_textgrid(textgrid.stack_tiers(grids)))
+    grids = process_files(ctx, paths, lambda path, report: read_grid(path))
+    if len(grids) == len(paths):  # a stack missing a grid would be wrong
+        ctx.out_file(out, textgrid.write_textgrid(textgrid.stack_tiers([g for _, g in grids])))
 
 
 def cmd_tg_rename(args, ctx: Ctx) -> None:
     out = Path(args.out)
     src = Path(args.textgrid)
     check_output_separation(out, [src])
-    grid = textgrid.rename_tier(read_grid(src), args.index, args.name)
-    ctx.out_file(out, textgrid.write_textgrid(grid))
+    write_grid_step(
+        ctx, [src], lambda _: out,
+        lambda path, grid: textgrid.rename_tier(grid, args.index, args.name),
+    )
 
 
 def cmd_tg_merge(args, ctx: Ctx) -> None:
     out = Path(args.out)
     src = Path(args.textgrid)
     check_output_separation(out, [src])
-    grid = textgrid.merge_interval_tiers(
-        read_grid(src), _parse_indices(args.indices), args.name
+    indices = _parse_indices(args.indices)
+    write_grid_step(
+        ctx, [src], lambda _: out,
+        lambda path, grid: textgrid.merge_interval_tiers(grid, indices, args.name),
     )
-    ctx.out_file(out, textgrid.write_textgrid(grid))
 
 
 def cmd_tg_diagnose(args, ctx: Ctx) -> None:
-    def diagnose(path: Path) -> Report:
+    def diagnose(path: Path, report: Report) -> None:
         grid = read_grid(path)
-        report = Report()
         for i, tier in enumerate(grid.tiers, 1):
             if not isinstance(tier, textgrid.IntervalTier):
                 continue
@@ -733,13 +716,8 @@ def cmd_tg_diagnose(args, ctx: Ctx) -> None:
                     f"intervals {ov.first_index} and {ov.second_index} overlap "
                     f"in [{ov.start}, {ov.end}]",
                 )
-        return report
 
-    for path, report in process_files(
-        ctx, expand_paths(ctx, args.textgrids), diagnose
-    ):
-        if report is not None:
-            ctx.add(str(path), report)
+    process_files(ctx, expand_paths(ctx, args.textgrids), diagnose)
 
 
 # ---------------------------------------------------------------------------

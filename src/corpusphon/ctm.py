@@ -73,7 +73,7 @@ class CtmEntry(NamedTuple):
     channel: int
     start: float
     dur: float
-    phone: int | str  # the numeric ID or the symbol
+    phone: str  # the raw phone column: a decimal ID or a symbol
     line: int = 0
 
 
@@ -172,7 +172,7 @@ def split_position(symbol: str) -> tuple[str, str | None]:
 
 
 def parse_ctm(content: str) -> list[CtmEntry]:
-    """Parse `utt channel start dur phone` lines, auto-detecting numeric IDs."""
+    """Parse `utt channel start dur phone` lines; the phone column is kept as text."""
     entries = []
     for i, line in enumerate(content.splitlines(), 1):
         fields = line.split()
@@ -197,32 +197,30 @@ def parse_ctm(content: str) -> list[CtmEntry]:
             raise MalformedCtmLine(f"line {i}: negative start time")
         if dur <= 0:
             raise MalformedCtmLine(f"line {i}: non-positive duration")
-        phone: int | str = raw_phone
-        if raw_phone.isdigit():
-            try:
-                phone = int(raw_phone)
-            except ValueError:  # digits such as "²" that int() rejects
-                raise MalformedCtmLine(
-                    f"line {i}: phone ID {raw_phone!r} is not a decimal integer"
-                ) from None
-        entries.append(CtmEntry(utt, channel, start, dur, phone, i))
+        if raw_phone.isdigit() and not raw_phone.isdecimal():  # "²": no int()
+            raise MalformedCtmLine(
+                f"line {i}: phone ID {raw_phone!r} is not a decimal integer"
+            )
+        entries.append(CtmEntry(utt, channel, start, dur, raw_phone, i))
     return entries
 
 
 def resolve_phone_ids(
     entries: list[CtmEntry], table: PhoneSymbolTable
 ) -> list[str]:
-    """The phone symbol of each entry: numeric IDs looked up, symbols kept."""
+    """The phone symbol of each entry: decimal IDs looked up, symbols kept."""
     by_id = table.by_id
+    by_column: dict[str, str] = {}  # each distinct phone column converted once
     symbols = []
     for e in entries:
-        phone = e.phone
-        if isinstance(phone, int):
-            phone = by_id.get(phone)
+        phone = by_column.get(e.phone)
+        if phone is None:
+            phone = by_id.get(int(e.phone)) if e.phone.isdecimal() else e.phone
             if phone is None:
                 raise UnknownPhoneId(
                     f"line {e.line}: phone ID {e.phone} not in phones.txt"
                 )
+            by_column[e.phone] = phone
         symbols.append(phone)
     return symbols
 
@@ -252,7 +250,7 @@ def alignment_rows(
         start = seg.start + in_utt
         tokens.append(
             PhoneToken(
-                utt, seg.file_id, str(raw), channel, in_utt, dur, phone,
+                utt, seg.file_id, raw, channel, in_utt, dur, phone,
                 seg.start, seg.end, start, start + dur, *parts,
             )
         )

@@ -2,8 +2,7 @@
 
 Covers the five-file bundle (text, segments, wav.scp, utt2spk, spk2utt) plus
 conf/mfcc.conf. Files are modeled as ordered line lists so that duplicate or
-unsorted input is representable and can be reported; the map view of
-utt2spk/spk2utt is available through properties.
+unsorted input is representable and can be reported.
 
 Sorting is byte-wise (C locale) throughout, which is what Kaldi's own tools
 require. Parsed time fields keep their original spelling so a well-formed
@@ -20,9 +19,6 @@ from typing import Mapping
 
 from .errors import ToolkitError
 from .report import Report
-
-DATA_FILES = ("text", "segments", "wav.scp", "utt2spk", "spk2utt")
-
 
 class KaldiDataError(ToolkitError):
     """Malformed data-directory file content."""
@@ -102,10 +98,6 @@ class WavScpEntry:
         if not self.source.strip():
             raise KaldiDataError(f"wav.scp entry {self.file_id}: empty source")
 
-    @property
-    def is_pipe(self) -> bool:
-        return self.source.rstrip().endswith("|")
-
     def render(self) -> str:
         return f"{self.file_id} {self.source}"
 
@@ -119,14 +111,6 @@ class KaldiDataDir:
     wav_scp: list[WavScpEntry] = field(default_factory=list)
     utt2spk: list[tuple[str, str]] = field(default_factory=list)
     spk2utt: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
-
-    @property
-    def utt2spk_map(self) -> dict[str, str]:
-        return dict(self.utt2spk)
-
-    @property
-    def spk2utt_map(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.spk2utt)
 
     def render(self) -> dict[str, str]:
         return {
@@ -391,11 +375,16 @@ def fix_data_dir(d: KaldiDataDir) -> tuple[KaldiDataDir, list[str]]:
 
     Keeps exactly the utterances present in all of {text, segments, utt2spk}
     whose segments are well-formed and backed by a wav.scp entry; drops
-    wav.scp entries with no surviving segment; regenerates spk2utt. The log
-    lists every dropped line. Raises EmptyResult when nothing survives.
-    Idempotent: fixing a fixed directory changes nothing.
+    wav.scp entries with no surviving segment; regenerates spk2utt. A
+    missing or empty utt2spk is first rebuilt from spk2utt. The log lists
+    the rebuild and every dropped line. Raises EmptyResult when nothing
+    survives. Idempotent: fixing a fixed directory changes nothing.
     """
     log: list[str] = []
+    utt2spk = d.utt2spk
+    if not utt2spk and d.spk2utt:
+        utt2spk = list(invert_spk2utt(dict(d.spk2utt)).items())
+        log.append("utt2spk: missing or empty; rebuilt from spk2utt")
 
     def dedup(pairs, name, key):
         seen = set()
@@ -411,7 +400,7 @@ def fix_data_dir(d: KaldiDataDir) -> tuple[KaldiDataDir, list[str]]:
 
     text = dedup(d.text, "text", lambda l: l.utt)
     segments = dedup(d.segments, "segments", lambda l: l.utt)
-    utt2spk = dedup(d.utt2spk, "utt2spk", lambda p: p[0])
+    utt2spk = dedup(utt2spk, "utt2spk", lambda p: p[0])
 
     good_segments = []
     for line in segments:

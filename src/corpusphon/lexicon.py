@@ -94,10 +94,6 @@ class Lexicon:
         for word, pron in self.entries:
             self._index.setdefault(word, []).append(pron)
 
-    @property
-    def words(self) -> list[str]:
-        return list(self._index)
-
     def prons(self, word: str) -> list[Pron]:
         return list(self._index.get(word, []))
 

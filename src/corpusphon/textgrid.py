@@ -241,9 +241,6 @@ class TextGrid:
             raise TierNotFound(f"no tier named {name!r}")
         return matches[0], len(matches)
 
-    def get_tier(self, name: str) -> Tier:
-        return self.find_tier(name)[0]
-
     def interval_tiers(self) -> tuple[IntervalTier, ...]:
         return tuple(t for t in self.tiers if isinstance(t, IntervalTier))
 

@@ -43,8 +43,6 @@ DEFAULT_COINCIDENCE_TOL = 0.011
 
 DEFAULT_SILENT_LABELS = frozenset({"", "sp", "SP", "sil", "SIL"})
 
-WORD_LIST_NAME = "wordList.txt"
-LOCATIONS_NAME = "CVWordLocations.txt"
 WAV_LIST_NAME = "ListWavFiles.txt"
 TEXTGRID_LIST_NAME = "ListTextGrids.txt"
 

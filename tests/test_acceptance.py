@@ -86,7 +86,7 @@ def test_criterion_02_kaldi_data_dir_suite():
         assert not kaldi.validate_data_dir(fixed).errors
         again, _ = kaldi.fix_data_dir(fixed)
         assert again.render() == fixed.render()
-        u2s = fixed.utt2spk_map
+        u2s = dict(fixed.utt2spk)
         assert kaldi.invert_spk2utt(kaldi.invert_utt2spk(u2s)) == {
             u: u2s[u] for u in sorted(u2s, key=lambda s: s.encode())
         }

@@ -210,6 +210,29 @@ class TestValidateMfa:
         )
         assert rc == 0
 
+    def test_lab_transcripts_get_wav_and_single_line_checks(self, tmp_path):
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "ok.lab").write_text("SAY PAT AGAIN\n")
+        (src / "bad.lab").write_text("SAY PAT, AGAIN\n")
+        write_wav(src / "ok.wav")
+        write_wav(src / "bad.wav", rate=44100)
+        report = tmp_path / "r.tsv"
+        rc = main(
+            [
+                "validate-mfa", str(src / "bad.lab"), str(src / "ok.lab"),
+                "--wav-dir", str(src), "--report", str(report),
+            ]
+        )
+        assert rc == 1
+        rows = [line.split("\t") for line in report.read_text().splitlines()]
+        assert [row[:3] for row in rows] == [
+            ["ERROR", str(src / "bad.lab"), "wav"],
+            ["ERROR", str(src / "bad.lab"), "line 1"],
+        ]
+        assert "sample rate is 44100 Hz" in rows[0][3]
+        assert "contains punctuation ','" in rows[1][3]
+
 
 class TestConfigValues:
     def run_with(self, tmp_path, line, argv):
@@ -353,6 +376,24 @@ class TestBatch:
             assert any(name in l and l.startswith("ERROR") for l in lines)
         assert not any("ok0.TextGrid" in l and l.startswith("ERROR") for l in lines)
 
+    def test_undecodable_transcript_is_a_finding(self, tmp_path):
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "latin1.txt").write_bytes("S1\tSp\t0.0\t1.0\tCAF\u00c9\n".encode("latin-1"))
+        (src / "ok.txt").write_text("S1\tSp\t1.0\t0.5\tBACKWARDS\n")
+        report = tmp_path / "r.tsv"
+        rc = main(
+            ["fave", "check", str(src / "latin1.txt"), str(src / "ok.txt"),
+             "--report", str(report)]
+        )
+        assert rc == 1
+        rows = [line.split("\t") for line in report.read_text().splitlines()]
+        assert [row[:3] for row in rows] == [
+            ["ERROR", str(src / "latin1.txt"), ""],
+            ["ERROR", str(src / "ok.txt"), "line 1"],
+        ]
+        assert "can't decode" in rows[0][3]
+
     def test_empty_glob_warns_exit_0(self, tmp_path):
         report = tmp_path / "r.tsv"
         rc = main(
@@ -413,11 +454,11 @@ class TestVotCli:
                 "vot", "locate",
                 str(work / "f1.TextGrid"), str(work / "f2.TextGrid"),
                 "--words", str(out / "wordList.txt"),
-                "--out", str(out / "CVWordLocations.txt"),
+                "--out", str(tmp_path / "loc" / "CVWordLocations.txt"),
             ]
         )
         assert rc == 0
-        locations = (out / "CVWordLocations.txt").read_text().splitlines()
+        locations = (tmp_path / "loc" / "CVWordLocations.txt").read_text().splitlines()
         # f1: PAT, DOT; f2: TUTT, PAT, DOT (word tiers carry stop suffixes)
         assert len(locations) == 5
 
@@ -426,7 +467,7 @@ class TestVotCli:
             [
                 "vot", "windows",
                 str(work / "f1.TextGrid"), str(work / "f2.TextGrid"),
-                "--locations", str(out / "CVWordLocations.txt"),
+                "--locations", str(tmp_path / "loc" / "CVWordLocations.txt"),
                 "--out-dir", str(grids_out),
             ]
         )
@@ -540,6 +581,111 @@ class TestTgCli:
         assert "would write" in capsys.readouterr().out
 
 
+class TestFindingsScope:
+    """Each file's findings come together, name the file, and follow input order."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tg", "merge", "{grid}", "--indices", "1,2", "--name", "vot"],
+            ["tg", "rename", "{grid}", "--index", "3", "--name", "vot"],
+            ["tg", "stack", "{grid}", "{broken}"],
+        ],
+        ids=["merge", "rename", "stack"],
+    )
+    def test_tg_error_names_its_grid(self, tmp_path, argv):
+        src = tmp_path / "in"
+        src.mkdir()
+        grid = src / "clash.TextGrid"
+        tiers = (
+            IntervalTier("a", 0.0, 10.0, (Interval(1.0, 3.0, "P"),)).normalized(),
+            IntervalTier("b", 0.0, 10.0, (Interval(2.0, 4.0, "T"),)).normalized(),
+        )
+        grid.write_bytes(write_textgrid(TextGrid(0.0, 10.0, tiers)))
+        broken = src / "broken.TextGrid"
+        broken.write_bytes(b"not a textgrid")
+        out = tmp_path / "out" / "g.TextGrid"
+        report = tmp_path / "r.tsv"
+        rc = main(
+            [a.format(grid=grid, broken=broken) for a in argv]
+            + ["--out", str(out), "--report", str(report)]
+        )
+        assert rc == 1
+        (line,) = report.read_text().splitlines()
+        bad = broken if argv[1] == "stack" else grid
+        assert line.startswith(f"ERROR\t{bad}\t\t")
+        assert not out.exists()
+
+    def test_compare_findings_in_input_order(self, tmp_path):
+        src = tmp_path / "in"
+        src.mkdir()
+        manual = IntervalTier(
+            "manual", 0.0, 5.0, (Interval(1.0, 1.06, "P"),)
+        ).normalized()
+        auto = IntervalTier("auto", 0.0, 5.0, (Interval(3.0, 3.05, "T"),)).normalized()
+        a, b = src / "a.TextGrid", src / "b.TextGrid"
+        a.write_bytes(write_textgrid(TextGrid(0.0, 5.0, (manual, auto))))
+        b.write_bytes(write_textgrid(TextGrid(0.0, 5.0, (manual,))))
+        report = tmp_path / "r.tsv"
+        rc = main(
+            [
+                "vot", "compare", str(a), str(b),
+                "--manual-tier", "manual", "--auto-tier", "auto",
+                "--out", str(tmp_path / "deltas.tsv"), "--report", str(report),
+            ]
+        )
+        assert rc == 1
+        rows = [line.split("\t") for line in report.read_text().splitlines()]
+        assert [row[:3] for row in rows] == [
+            ["WARNING", str(a), "[1.0, 1.06]"],
+            ["WARNING", str(a), "[3.0, 3.05]"],
+            ["ERROR", str(b), ""],
+        ]
+
+
+SEPARATION_CASES = {
+    "vot-words": ["vot", "words", "--lexicon", "{in}/lexicon.txt", "--out", "{in}/w.txt"],
+    "vot-locate-grid": ["vot", "locate", "{in}/f1.TextGrid", "--words",
+                        "{aux}/words.txt", "--out", "{in}/loc.txt"],
+    "vot-locate-words": ["vot", "locate", "{aux}/f1.TextGrid", "--words",
+                         "{in}/words.txt", "--out", "{in}/sub/loc.txt"],
+    "vot-measure": ["vot", "measure", "{in}/f1.TextGrid", "--out", "{in}/m.tsv"],
+    "vot-compare": ["vot", "compare", "{in}/f1.TextGrid", "--manual-tier", "words",
+                    "--auto-tier", "phones", "--out", "{in}/d.tsv"],
+    "lexicon-missing": ["lexicon", "missing", "--lexicon", "{in}/lexicon.txt",
+                        "--words", "{aux}/words.txt", "--out", "{in}/missing.txt"],
+    "lexicon-filter-words": ["lexicon", "filter", "--lexicon", "{aux}/lexicon.txt",
+                             "--words", "{in}/words.txt", "--out", "{in}/lex.txt"],
+    "lexicon-filter-transcripts": ["lexicon", "filter", "--lexicon", "{aux}/lexicon.txt",
+                                   "--transcripts", "{in}/*.lab", "--out", "{in}/lex.txt"],
+    "lexicon-filter-kaldi-text": ["lexicon", "filter", "--lexicon", "{aux}/lexicon.txt",
+                                  "--kaldi-text", "{in}/text", "--out", "{in}/lex.txt"],
+    "kaldi-build-mfcc-conf": ["kaldi-prep", "build", "--records", "{in}/records.tsv",
+                              "--out", "{aux}/../data", "--mfcc-conf", "{in}/conf/mfcc.conf"],
+    "ctm2tg-wav-dir": ["ctm2tg", "--ctm", "{fx}/merged_alignment.ctm", "--segments",
+                       "{fx}/segments", "--phones", "{fx}/phones.txt", "--lexicon",
+                       "{fx}/lexicon.txt", "--wav-dir", "{in}", "--out", "{in}/grids"],
+}
+
+
+@pytest.mark.parametrize("argv", SEPARATION_CASES.values(), ids=SEPARATION_CASES.keys())
+def test_no_output_inside_an_input_directory(tmp_path, argv):
+    src, aux = tmp_path / "in", tmp_path / "aux"
+    for d in (src, aux):
+        d.mkdir()
+        shutil.copy(FIXTURES / "lexicon.txt", d / "lexicon.txt")
+        shutil.copy(FIXTURES / "golden" / "f1.TextGrid", d / "f1.TextGrid")
+        (d / "words.txt").write_text("PAT\nSAY\n")
+    (src / "t.lab").write_text("SAY PAT AGAIN\n")
+    shutil.copy(FIXTURES / "text", src / "text")
+    (src / "records.tsv").write_text("u1\tf1\t0.0\t1.5\ts1\tpath/f1.wav\tSAY PAT\n")
+    write_wav(src / "f1.wav", seconds=7.0)
+    before = sorted(tmp_path.rglob("*"))
+    rc = main([a.format(**{"in": src, "aux": aux, "fx": FIXTURES}) for a in argv])
+    assert rc == 2
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestKaldiCli:
     def test_build_validate_fix(self, tmp_path):
         records = tmp_path / "in" / "records.tsv"
@@ -574,6 +720,17 @@ class TestKaldiCli:
             ["kaldi-prep", "fix", str(out), "--out", str(fixed)]
         ) == 0
         assert main(["kaldi-prep", "validate", str(fixed)]) == 0
+
+        (out / "utt2spk").unlink()
+        report = tmp_path / "r.tsv"
+        assert main(
+            ["kaldi-prep", "fix", str(out), "--out", str(tmp_path / "fixed2"),
+             "--report", str(report)]
+        ) == 0
+        assert report.read_text() == (
+            f"INFO\t{out}\tfix\tutt2spk: missing or empty; rebuilt from spk2utt\n"
+        )
+        assert (tmp_path / "fixed2" / "utt2spk").read_text() == "u1 s1\nu2 s1\n"
 
 
 class TestLexiconCli:
@@ -682,7 +839,7 @@ class TestVotPostProcessing:
         from test_vot import measurement_fixture_grid
 
         base = measurement_fixture_grid()
-        split = split_windows_by_stop(base.get_tier("vot"))
+        split = split_windows_by_stop(base.find_tier("vot")[0])
         tiers = base.tiers[:2] + tuple(split[l] for l in "PTKBDG")
         grid = TextGrid(base.xmin, base.xmax, tiers)
         src = tmp_path / "in"
@@ -773,7 +930,7 @@ class TestVotPostProcessing:
         grid = parse_textgrid(
             (out / "s01_stacked2.TextGrid").read_bytes()
         )
-        (token,) = grid.get_tier("auto").non_empty()
+        (token,) = grid.find_tier("auto")[0].non_empty()
         assert token.xmin == 1.0 and token.xmax == 1.06
 
     def test_lists_and_decode_commands(self, tmp_path, capsys):

@@ -93,8 +93,9 @@ def _tok(base, pos, start, end):
 class TestParseCtm:
     def test_numeric_id(self):
         (entry,) = parse_ctm("u1 1 0.00 0.12 42\n")
-        assert entry == CtmEntry("u1", 1, 0.0, 0.12, 42, line=1)
-        assert isinstance(entry.phone, int)
+        assert entry == CtmEntry("u1", 1, 0.0, 0.12, "42", line=1)
+        table = PhoneSymbolTable.parse("AH1_B 42\n")
+        assert resolve_phone_ids([entry], table) == ["AH1_B"]
 
     def test_symbolic(self):
         (entry,) = parse_ctm("u1 1 0.00 0.12 AH1_B\n")
@@ -140,6 +141,16 @@ class TestResolve:
         table = PhoneSymbolTable.parse("AH1_B 42\n")
         with pytest.raises(UnknownPhoneId):
             resolve_phone_ids(parse_ctm("u1 1 0.0 0.1 999\n"), table)
+
+    @pytest.mark.parametrize("column, symbol", [("007", "SIL"), ("٤٢", "AH1_B")])
+    def test_table_keeps_the_raw_column(self, column, symbol):
+        # the id column of final_ali.txt is the CTM phone column as written
+        entries = parse_ctm(f"u 1 0.0 0.1 {column}\n")
+        symbols = resolve_phone_ids(entries, PhoneSymbolTable.parse("SIL 7\nAH1_B 42\n"))
+        assert symbols == [symbol]
+        tokens = alignment_rows(entries, kaldi.parse_segments("u f 0.0 1.0\n"), symbols)
+        row = render_alignment_table(tokens).splitlines()[1].split("\t")
+        assert row[2] == column and row[6] == symbol
 
 
 class TestFileTimes:

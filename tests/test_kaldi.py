@@ -79,7 +79,7 @@ class TestInvert:
         rng = random.Random(5)
         for _ in range(25):
             d = random_consistent_dir(rng)
-            u2s = d.utt2spk_map
+            u2s = dict(d.utt2spk)
             assert invert_spk2utt(invert_utt2spk(u2s)) == {
                 u: u2s[u] for u in sorted(u2s, key=lambda s: s.encode())
             }
@@ -186,6 +186,17 @@ class TestFix:
         assert fixed.render() == d.render()
         assert log == []
 
+    def test_missing_utt2spk_rebuilt_from_spk2utt(self):
+        rng = random.Random(31)
+        for _ in range(10):
+            d = random_consistent_dir(rng)
+            without = KaldiDataDir(d.text, d.segments, d.wav_scp, [], d.spk2utt)
+            fixed, log = fix_data_dir(without)
+            assert fixed.render() == d.render()
+            assert log == ["utt2spk: missing or empty; rebuilt from spk2utt"]
+            again, log2 = fix_data_dir(fixed)
+            assert again.render() == fixed.render() and log2 == []
+
 
 class TestBuild:
     def test_single_record_reference_row(self):
@@ -227,7 +238,9 @@ class TestBuild:
                 )
             ]
         )
-        assert d.wav_scp[0].is_pipe
+        assert d.render()["wav.scp"] == (
+            "f1 path/sph2pipe -f wav -p -c 1 path/f1.sph |\n"
+        )
 
 
 class TestMfccConf:

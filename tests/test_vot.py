@@ -300,7 +300,7 @@ class TestPreferManual:
             ),
         )
         out = prefer_manual(grid, "manual", "auto")
-        (token,) = out.get_tier("auto").non_empty()
+        (token,) = out.find_tier("auto")[0].non_empty()
         assert token == Interval(1.000, 1.060, "P")
 
     def test_no_manual_tokens_identity(self):
@@ -313,7 +313,7 @@ class TestPreferManual:
             ),
         )
         out = prefer_manual(grid, "manual", "auto")
-        assert out.get_tier("auto").non_empty() == grid.get_tier("auto").non_empty()
+        assert out.find_tier("auto")[0].non_empty() == grid.find_tier("auto")[0].non_empty()
 
     def test_manual_only_never_inserted(self):
         grid = TextGrid(
@@ -325,7 +325,7 @@ class TestPreferManual:
             ),
         )
         out = prefer_manual(grid, "manual", "auto")
-        assert out.get_tier("auto").non_empty() == ()
+        assert out.find_tier("auto")[0].non_empty() == ()
 
     def test_idempotent_on_random_corpus(self):
         rng = random.Random(20240404)
@@ -729,7 +729,7 @@ def long_grid(n_words):
 
 def test_vot_path_scales_linearly():
     grid = long_grid(8000)
-    tokens = grid.get_tier("vot")
+    tokens = grid.find_tier("vot")[0]
     start = time.perf_counter()
     occurrences = locate_words(grid, "words", "phones", {"PAT"})
     measurements = measure_cues(grid, "vot", "phones", "words")
