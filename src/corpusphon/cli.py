@@ -72,10 +72,6 @@ class Ctx:
                 ) from None
         return default
 
-    def add(self, file: str, report: Report) -> None:
-        for f in report.findings:
-            self.findings.append((file, f))
-
     def add_finding(self, file: str, severity: Severity, location: str, message: str) -> None:
         self.findings.append((file, Finding(severity, location, message)))
 
@@ -101,6 +97,23 @@ class Ctx:
         else:
             print(text, end="")
 
+    def check_outputs(self, out: str | Path | None, inputs: list[Path]) -> None:
+        """Refuse out (None for no output) or the --report file inside an input's directory."""
+        outs = [Path(p) for p in (out, self.report_path) if p is not None]
+        # each distinct directory is resolved once, as a batch may name thousands
+        # of files; a symlinked file guards its target's directory too
+        dirs = {p.parent if p.suffix or p.is_file() else p for p in inputs}
+        dirs = {d.resolve() for d in dirs}
+        dirs |= {p.resolve().parent for p in inputs if p.is_symlink() and p.is_file()}
+        for path in outs:
+            out_dir = (path if path.suffix == "" else path.parent).resolve()
+            for d in sorted(dirs):
+                if out_dir == d or d in out_dir.parents:
+                    raise UsageError(
+                        f"output {path} is inside (or equals) input directory {d}; "
+                        "use separate input and output folders"
+                    )
+
     def flush(self) -> None:
         for file, f in self.findings:
             print(f"{file}: {f.human_line()}" if file else f.human_line(), file=sys.stderr)
@@ -113,24 +126,6 @@ class Ctx:
             else:
                 Path(self.report_path).parent.mkdir(parents=True, exist_ok=True)
                 Path(self.report_path).write_text(lines, encoding="utf-8")
-
-
-def check_output_separation(out: str | Path | None, inputs: list[Path]) -> None:
-    """Refuse an output (none when out is None) in or under an input's directory."""
-    if out is None:
-        return
-    out = Path(out)
-    out_dir = out if out.suffix == "" else out.parent
-    out_dir = out_dir.resolve()
-    for p in inputs:
-        d = p.resolve()
-        if d.is_file() or d.suffix:
-            d = d.parent
-        if out_dir == d or d in out_dir.parents:
-            raise UsageError(
-                f"output {out} is inside (or equals) input directory {d}; "
-                "use separate input and output folders"
-            )
 
 
 def expand_paths(ctx: Ctx, patterns: list[str]) -> list[Path]:
@@ -152,7 +147,7 @@ def expand_paths(ctx: Ctx, patterns: list[str]) -> list[Path]:
 def file_findings(ctx: Ctx, file: str):
     """Yield one file's Report; it also takes every warning raised inside.
 
-    The report goes to ctx.add once, on exit, so a file's findings are
+    The report goes to ctx.findings once, on exit, so a file's findings are
     reported together and in the order they arose.
     """
     report = Report()
@@ -162,13 +157,13 @@ def file_findings(ctx: Ctx, file: str):
         try:
             yield report
         finally:
-            ctx.add(file, report)
+            ctx.findings.extend((file, f) for f in report.findings)
 
 
-def process_files(ctx: Ctx, paths: list[Path], fn) -> list[tuple[Path, object]]:
-    """Call fn(path, report) for each file in input order, one report per file.
+def process_files(ctx: Ctx, paths: list[Path] | list[str], fn) -> list[tuple]:
+    """Call fn(path, report) for each file (path or file ID) in input order.
 
-    The report collects the file's warnings, whatever fn adds, and a
+    Each file gets its own report: its warnings, whatever fn adds, and a
     ToolkitError, OSError or undecodable text as an ERROR, so a bad file
     costs only itself. Returns (path, result) for each file that did not
     fail.
@@ -181,6 +176,19 @@ def process_files(ctx: Ctx, paths: list[Path], fn) -> list[tuple[Path, object]]:
             except (ToolkitError, OSError, UnicodeDecodeError) as exc:
                 report.error("", str(exc))
     return done
+
+
+def read_input(path: str | Path) -> str:
+    """A text input read outside a batch; text that is not UTF-8 is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
+def read_words(path: str) -> set[str]:
+    """A word list file: one word per line, blank lines skipped."""
+    return {w.strip() for w in read_input(path).splitlines() if w.strip()}
 
 
 def read_grid(path: Path) -> textgrid.TextGrid:
@@ -237,10 +245,13 @@ def write_grid_step(ctx: Ctx, paths: list[Path], out_path, fn) -> None:
 def cmd_kaldi_build(args, ctx: Ctx) -> None:
     out = Path(args.out)
     records_path = Path(args.records)
-    check_output_separation(out, [records_path])
-    check_output_separation(args.mfcc_conf, [records_path])
+    ctx.check_outputs(out, [records_path])
+    ctx.check_outputs(args.mfcc_conf, [records_path])
+    rate = ctx.value(args, "sample_rate", 16000, int)
+    if rate <= 0:
+        raise UsageError(f"sample rate must be positive, got {rate}")
     records = []
-    for i, line in enumerate(records_path.read_text(encoding="utf-8").splitlines(), 1):
+    for i, line in enumerate(read_input(records_path).splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -262,7 +273,6 @@ def cmd_kaldi_build(args, ctx: Ctx) -> None:
     d = kaldi.build_from_records(records)
     for name, content in d.render().items():
         ctx.out_text(out / name, content)
-    rate = ctx.value(args, "sample_rate", 16000, int)
     if args.mfcc_conf:
         ctx.out_file(Path(args.mfcc_conf), kaldi.write_mfcc_conf(rate))
 
@@ -272,13 +282,14 @@ def cmd_kaldi_validate(args, ctx: Ctx) -> None:
         d = kaldi.read_data_dir(path)
         report.extend(kaldi.validate_data_dir(d, args.strict_speaker_prefix))
 
+    ctx.check_outputs(None, [Path(args.dir)])
     process_files(ctx, [Path(args.dir)], validate)
 
 
 def cmd_kaldi_fix(args, ctx: Ctx) -> None:
     src = Path(args.dir)
     out = Path(args.out)
-    check_output_separation(out, [src])
+    ctx.check_outputs(out, [src])
     d = kaldi.read_data_dir(src)
     fixed, log = kaldi.fix_data_dir(d)
     for entry in log:
@@ -309,7 +320,7 @@ def _load_lexicon(args, ctx: Ctx) -> lexicon.Lexicon:
         raise UsageError(
             f"separator {sep!r} is not one of: {', '.join(_SEPARATORS)}"
         )
-    text = Path(args.lexicon).read_text(encoding="utf-8")
+    text = read_input(args.lexicon)
     with file_findings(ctx, args.lexicon):
         return lexicon.parse_lexicon(text, _SEPARATORS[sep])
 
@@ -318,13 +329,9 @@ def _corpus_words(args, ctx: Ctx, out: str | None) -> set[str]:
     """The corpus vocabulary; out, if given, must lie outside every input."""
     transcripts = [] if args.words else expand_paths(ctx, args.transcripts)
     inputs = [Path(p) for p in (args.lexicon, args.words, args.kaldi_text) if p]
-    check_output_separation(out, inputs + transcripts)
+    ctx.check_outputs(out, inputs + transcripts)
     if args.words:
-        return {
-            w.strip()
-            for w in Path(args.words).read_text(encoding="utf-8").splitlines()
-            if w.strip()
-        }
+        return read_words(args.words)
     if not args.transcripts and not args.kaldi_text:
         raise UsageError("need --words, --transcripts, or --kaldi-text")
     policy = lexicon.NormalizationPolicy(
@@ -332,14 +339,12 @@ def _corpus_words(args, ctx: Ctx, out: str | None) -> set[str]:
         strip_chars=ctx.value(args, "strip_chars", lexicon.DEFAULT_STRIP_CHARS, str),
         keep_apostrophe=not args.strip_apostrophe,
     )
-    chunks = [p.read_text(encoding="utf-8") for p in transcripts]
+    chunks = [read_input(p) for p in transcripts]
     if args.kaldi_text:
         # the data-dir text file: drop the utterance-ID column
         chunks += [
             " ".join(line.words) + "\n"
-            for line in kaldi.parse_text(
-                Path(args.kaldi_text).read_text(encoding="utf-8")
-            )
+            for line in kaldi.parse_text(read_input(args.kaldi_text))
         ]
     return {wc.word for wc in lexicon.extract_word_list("".join(chunks), policy)}
 
@@ -373,7 +378,7 @@ def cmd_lexicon_missing(args, ctx: Ctx) -> None:
 def cmd_lexicon_phones(args, ctx: Ctx) -> None:
     lex = _load_lexicon(args, ctx)
     out = Path(args.out_dir)
-    check_output_separation(out, [Path(args.lexicon)])
+    ctx.check_outputs(out, [Path(args.lexicon)])
     exclude = {
         tok for tok in ctx.value(args, "exclude", "oov,SIL", str).split(",") if tok
     }
@@ -391,42 +396,35 @@ def cmd_lexicon_phones(args, ctx: Ctx) -> None:
 def cmd_ctm2tg(args, ctx: Ctx) -> None:
     out = Path(args.out)
     inputs = [args.ctm, args.segments, args.phones, args.lexicon, args.text, args.wav_dir]
-    check_output_separation(out, [Path(p) for p in inputs if p])
+    ctx.check_outputs(out, [Path(p) for p in inputs if p])
 
-    entries = ctm.parse_ctm(Path(args.ctm).read_text(encoding="utf-8"))
-    segments = kaldi.parse_segments(Path(args.segments).read_text(encoding="utf-8"))
-    table = ctm.PhoneSymbolTable.parse(Path(args.phones).read_text(encoding="utf-8"))
+    entries = ctm.parse_ctm(read_input(args.ctm))
+    segments = kaldi.parse_segments(read_input(args.segments))
+    table = ctm.PhoneSymbolTable.parse(read_input(args.phones))
     lex = _load_lexicon(args, ctx)
     text = None
     if args.text:
-        text = {
-            line.utt: list(line.words)
-            for line in kaldi.parse_text(Path(args.text).read_text(encoding="utf-8"))
-        }
+        text = {line.utt: list(line.words) for line in kaldi.parse_text(read_input(args.text))}
 
     symbols = ctm.resolve_phone_ids(entries, table)
     tokens = ctm.alignment_rows(entries, segments, symbols)
     ctx.out_text(out / "final_ali.txt", ctm.render_alignment_table(tokens))
 
     durations = ctm.corpus_durations(segments)
-    if args.wav_dir:
-        for fid in list(durations):
-            wav = _stem_wav(Path(args.wav_dir), fid)
-            if wav is not None:
-                durations[fid] = read_wav_info(wav).duration
+    per_file = ctm.align_corpus(tokens, segments)
 
-    per_file = ctm.align_corpus(tokens, segments, lex, text)
-    for fid, (file_tokens, words) in per_file.items():
+    def to_grid(fid: str, report: Report) -> None:
+        # written here, not after the loop: holding every grid raises peak RSS
         duration = durations[fid]
-        grid = textgrid.TextGrid(
-            0.0,
-            duration,
-            (
-                ctm.phones_to_tier(file_tokens, duration),
-                ctm.words_to_tier(words, duration),
-            ),
-        )
+        wav = _stem_wav(Path(args.wav_dir), fid) if args.wav_dir else None
+        if wav is not None:
+            duration = read_wav_info(wav).duration
+        file_tokens, words = ctm.align_file(per_file[fid], lex, text)
+        tiers = (ctm.phones_to_tier(file_tokens, duration), ctm.words_to_tier(words, duration))
+        grid = textgrid.TextGrid(0.0, duration, tiers)
         ctx.out_file(out / f"{fid}.TextGrid", textgrid.write_textgrid(grid))
+
+    process_files(ctx, list(per_file), to_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +451,7 @@ def cmd_validate_mfa(args, ctx: Ctx) -> None:
         wavs = [_stem_wav(Path(args.wav_dir), p.stem) if args.wav_dir else None for p in paths]
     else:
         raise UsageError("need --wav/--textgrid or TextGrid paths")
+    ctx.check_outputs(None, paths + [w for w in wavs if w is not None])
     wav_by_grid = dict(zip(paths, wavs))
 
     def check(path: Path, report: Report) -> None:
@@ -492,7 +491,9 @@ def cmd_fave_check(args, ctx: Ctx) -> None:
                 duration = read_wav_info(wav).duration
         report.extend(transcripts.validate_fave(records, duration, lex))
 
-    process_files(ctx, expand_paths(ctx, args.transcripts), check)
+    paths = expand_paths(ctx, args.transcripts)
+    ctx.check_outputs(None, paths + [Path(p) for p in (args.lexicon, args.wav_dir) if p])
+    process_files(ctx, paths, check)
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +510,15 @@ def cmd_audio_info(args, ctx: Ctx) -> None:
             f"{kaldi.format_seconds(info.duration)} s"
         )
 
-    process_files(ctx, expand_paths(ctx, args.wavs), show)
+    paths = expand_paths(ctx, args.wavs)
+    ctx.check_outputs(None, paths)
+    process_files(ctx, paths, show)
 
 
 def cmd_audio_mono(args, ctx: Ctx) -> None:
     out_dir = Path(args.out_dir)
     wavs = expand_paths(ctx, args.wavs)
-    check_output_separation(out_dir, wavs)
+    ctx.check_outputs(out_dir, wavs)
 
     def convert(path: Path, report: Report) -> bytes:
         return audio.extract_channel(path.read_bytes(), args.channel)
@@ -529,23 +532,19 @@ def cmd_audio_mono(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_words(args, ctx: Ctx) -> None:
-    check_output_separation(args.out, [Path(args.lexicon)])
+    ctx.check_outputs(args.out, [Path(args.lexicon)])
     lex = _load_lexicon(args, ctx)
     words = vot.find_cv_stop_words(lex)
     ctx.out_text(Path(args.out), vot.render_word_list(words))
 
 
 def cmd_vot_locate(args, ctx: Ctx) -> None:
-    words = {
-        w.strip()
-        for w in Path(args.words).read_text(encoding="utf-8").splitlines()
-        if w.strip()
-    }
+    words = read_words(args.words)
     word_tier = ctx.value(args, "word_tier", "words", str)
     phone_tier = ctx.value(args, "phone_tier", "phones", str)
     tol = ctx.value(args, "tolerance", vot.DEFAULT_COINCIDENCE_TOL, float)
     paths = sorted(expand_paths(ctx, args.textgrids), key=lambda p: p.stem)
-    check_output_separation(Path(args.out), paths + [Path(args.words)])
+    ctx.check_outputs(Path(args.out), paths + [Path(args.words)])
     occurrences: list[vot.WordOccurrence] = []
 
     def locate(path: Path, report: Report) -> None:
@@ -561,11 +560,9 @@ def cmd_vot_locate(args, ctx: Ctx) -> None:
 def cmd_vot_windows(args, ctx: Ctx) -> None:
     out_dir = Path(args.out_dir)
     grids = expand_paths(ctx, args.textgrids)
-    check_output_separation(out_dir, grids + [Path(args.locations)])
+    ctx.check_outputs(out_dir, grids + [Path(args.locations)])
     by_file: dict[str, list[vot.WordOccurrence]] = {}
-    for occ in vot.parse_word_locations(
-        Path(args.locations).read_text(encoding="utf-8")
-    ):
+    for occ in vot.parse_word_locations(read_input(args.locations)):
         by_file.setdefault(occ.file_id, []).append(occ)
 
     tier_name = ctx.value(args, "vot_tier", "vot", str)
@@ -582,7 +579,7 @@ def cmd_vot_lists(args, ctx: Ctx) -> None:
     out_dir = Path(args.out_dir)
     wavs = sorted(Path(args.wav_dir).glob("*.wav"))
     tgs = sorted(Path(args.textgrid_dir).glob("*.TextGrid"))
-    check_output_separation(out_dir, [Path(args.wav_dir), Path(args.textgrid_dir)])
+    ctx.check_outputs(out_dir, [Path(args.wav_dir), Path(args.textgrid_dir)])
     ctx.out_text(out_dir / vot.WAV_LIST_NAME, vot.render_path_list(wavs))
     ctx.out_text(out_dir / vot.TEXTGRID_LIST_NAME, vot.render_path_list(tgs))
     for letter in "PTKBDG":
@@ -599,7 +596,7 @@ def cmd_vot_lists(args, ctx: Ctx) -> None:
 def cmd_vot_merge(args, ctx: Ctx) -> None:
     out_dir = Path(args.out_dir)
     grids = expand_paths(ctx, args.textgrids)
-    check_output_separation(out_dir, grids)
+    ctx.check_outputs(out_dir, grids)
     indices = _parse_indices(args.tiers)
 
     def merge(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
@@ -611,7 +608,7 @@ def cmd_vot_merge(args, ctx: Ctx) -> None:
 def cmd_vot_prefer_manual(args, ctx: Ctx) -> None:
     out_dir = Path(args.out_dir)
     grids = expand_paths(ctx, args.textgrids)
-    check_output_separation(out_dir, grids)
+    ctx.check_outputs(out_dir, grids)
 
     def prefer(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
         return vot.prefer_manual(grid, args.manual_tier, args.auto_tier)
@@ -626,7 +623,7 @@ def cmd_vot_measure(args, ctx: Ctx) -> None:
     labels = ctx.value(args, "silence_labels", None, str)
     silent = vot.DEFAULT_SILENT_LABELS if labels is None else frozenset(labels.split(","))
     paths = sorted(expand_paths(ctx, args.textgrids), key=lambda p: p.stem)
-    check_output_separation(args.out, paths)
+    ctx.check_outputs(args.out, paths)
     chunks: list[str] = []
 
     def measure(path: Path, report: Report) -> None:
@@ -644,7 +641,7 @@ def cmd_vot_measure(args, ctx: Ctx) -> None:
 def cmd_vot_compare(args, ctx: Ctx) -> None:
     tol = ctx.value(args, "tolerance", 0.0, float)
     paths = expand_paths(ctx, args.textgrids)
-    check_output_separation(args.out, paths)
+    ctx.check_outputs(args.out, paths)
     lines = ["file_id\tlabel\tmanual_burst\tauto_burst\tburst_delta\tvowel_delta"]
 
     def compare(path: Path, report: Report) -> None:
@@ -677,7 +674,9 @@ def cmd_vot_compare(args, ctx: Ctx) -> None:
 def cmd_tg_stack(args, ctx: Ctx) -> None:
     out = Path(args.out)
     paths = expand_paths(ctx, args.textgrids)
-    check_output_separation(out, paths)
+    if not paths:
+        raise UsageError(f"no TextGrids to stack: {' '.join(args.textgrids)} matched no files")
+    ctx.check_outputs(out, paths)
     grids = process_files(ctx, paths, lambda path, report: read_grid(path))
     if len(grids) == len(paths):  # a stack missing a grid would be wrong
         ctx.out_file(out, textgrid.write_textgrid(textgrid.stack_tiers([g for _, g in grids])))
@@ -686,7 +685,7 @@ def cmd_tg_stack(args, ctx: Ctx) -> None:
 def cmd_tg_rename(args, ctx: Ctx) -> None:
     out = Path(args.out)
     src = Path(args.textgrid)
-    check_output_separation(out, [src])
+    ctx.check_outputs(out, [src])
     write_grid_step(
         ctx, [src], lambda _: out,
         lambda path, grid: textgrid.rename_tier(grid, args.index, args.name),
@@ -696,7 +695,7 @@ def cmd_tg_rename(args, ctx: Ctx) -> None:
 def cmd_tg_merge(args, ctx: Ctx) -> None:
     out = Path(args.out)
     src = Path(args.textgrid)
-    check_output_separation(out, [src])
+    ctx.check_outputs(out, [src])
     indices = _parse_indices(args.indices)
     write_grid_step(
         ctx, [src], lambda _: out,
@@ -717,7 +716,9 @@ def cmd_tg_diagnose(args, ctx: Ctx) -> None:
                     f"in [{ov.start}, {ov.end}]",
                 )
 
-    process_files(ctx, expand_paths(ctx, args.textgrids), diagnose)
+    paths = expand_paths(ctx, args.textgrids)
+    ctx.check_outputs(None, paths)
+    process_files(ctx, paths, diagnose)
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +930,7 @@ def load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     config: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_input(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -948,13 +949,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        config = load_config(getattr(args, "config", None))
-        ctx = Ctx(args, config)
-    except (UsageError, OSError) as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        ctx = Ctx(args, load_config(getattr(args, "config", None)))
         args.func(args, ctx)
     except (UsageError, OSError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)

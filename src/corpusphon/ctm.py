@@ -9,10 +9,12 @@ table is written for downstream scripts that expect it.
 Each CTM line is joined with its segments row once (`alignment_rows`),
 into one `PhoneToken`: the table's 11 columns, utterance and file times
 included, plus the split position suffix. The one token list feeds both
-the table (`render_alignment_table`) and the word alignment
-(`align_corpus`). Per-line work that depends only on a symbol or a time
-(the position split, the table's time formatting) is done once per
-distinct value. Everything here is pure.
+the table (`render_alignment_table`) and the word alignment. That runs in
+two steps: `align_corpus` splits the corpus into files, each file's tokens
+grouped by utterance, and `align_file` groups and matches one file's words,
+so an error in one utterance costs only its file. Per-line work that
+depends only on a symbol or a time (the position split, the table's time
+formatting) is done once per distinct value. Everything here is pure.
 """
 
 from __future__ import annotations
@@ -401,29 +403,25 @@ def phones_to_tier(
     tokens: list[PhoneToken], file_duration: float, name: str = "phones"
 ) -> IntervalTier:
     """One interval per token, labeled with the full suffixed symbol."""
-    for t in tokens:
-        if t.end > file_duration + TIME_TOL:
-            raise TokenBeyondDuration(
-                f"token {t.phone!r} ends at {t.end} but the file is "
-                f"{file_duration} s"
-            )
-    intervals = tuple(
-        Interval(t.start, min(t.end, file_duration), t.phone) for t in tokens
-    )
-    return IntervalTier(name, 0.0, file_duration, intervals).normalized()
+    return _tier(name, file_duration, "token", [(t.phone, t.start, t.end) for t in tokens])
 
 
 def words_to_tier(
     words: list[AlignedWord], file_duration: float, name: str = "words"
 ) -> IntervalTier:
-    for w in words:
-        if w.end > file_duration + TIME_TOL:
+    return _tier(name, file_duration, "word", [(w.word, w.start, w.end) for w in words])
+
+
+def _tier(
+    name: str, file_duration: float, kind: str, spans: list[tuple[str, float, float]]
+) -> IntervalTier:
+    for label, start, end in spans:
+        if end > file_duration + TIME_TOL:
             raise TokenBeyondDuration(
-                f"word {w.word!r} ends at {w.end} but the file is "
-                f"{file_duration} s"
+                f"{kind} {label!r} ends at {end} but the file is {file_duration} s"
             )
     intervals = tuple(
-        Interval(w.start, min(w.end, file_duration), w.word) for w in words
+        Interval(start, min(end, file_duration), label) for label, start, end in spans
     )
     return IntervalTier(name, 0.0, file_duration, intervals).normalized()
 
@@ -456,47 +454,49 @@ def render_alignment_table(tokens: list[PhoneToken]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end convenience
+# the corpus split and the per-file alignment
 
 
 def align_corpus(
-    tokens: list[PhoneToken],
-    segments: list[SegmentLine],
-    lex: Lexicon,
-    text: dict[str, list[str]] | None = None,
-    silence_symbols: frozenset[str] | set[str] = DEFAULT_SILENCE,
-) -> dict[str, tuple[list[PhoneToken], list[AlignedWord]]]:
-    """Per-file phone tokens and aligned words from the alignment_rows tokens.
+    tokens: list[PhoneToken], segments: list[SegmentLine]
+) -> dict[str, dict[str, list[PhoneToken]]]:
+    """Each file's alignment_rows tokens, grouped by utterance.
 
-    Word grouping and matching run per utterance, in segments order, so the
-    reference transcript (when given) can be applied positionally; results
-    are then collected per file in byte-sorted file order, each file's
-    tokens and words sorted by start time.
+    Utterances come in segments order, each once, with their tokens in CTM
+    order; files come in byte-sorted order.
     """
     by_utt: dict[str, list[PhoneToken]] = {}
-    by_file: dict[str, list[PhoneToken]] = {}
     for t in tokens:
         by_utt.setdefault(t.utt, []).append(t)
-        by_file.setdefault(t.file_id, []).append(t)
-
-    words_by_file: dict[str, list[AlignedWord]] = {}
+    by_file: dict[str, dict[str, list[PhoneToken]]] = {}
     for seg in segments:
         utt_tokens = by_utt.get(seg.utt)
-        if not utt_tokens:
-            continue
-        grouped = group_words(utt_tokens, silence_symbols)
-        reference = text.get(seg.utt) if text is not None else None
-        aligned = match_words(grouped.units, lex, reference)
-        words_by_file.setdefault(seg.file_id, []).extend(aligned)
+        if utt_tokens:
+            by_file.setdefault(utt_tokens[0].file_id, {})[seg.utt] = utt_tokens
+    return dict(sorted(by_file.items(), key=lambda item: item[0].encode("utf-8")))
 
+
+def align_file(
+    utterances: dict[str, list[PhoneToken]],
+    lex: Lexicon,
+    text: dict[str, list[str]] | None = None,
+) -> tuple[list[PhoneToken], list[AlignedWord]]:
+    """One file's phone tokens and aligned words, each sorted by start time.
+
+    Word grouping and matching run per utterance, so the reference
+    transcript (when given) applies positionally. A CtmError names the
+    utterance it arose in.
+    """
+    words: list[AlignedWord] = []
+    for utt, utt_tokens in utterances.items():
+        try:
+            units = group_words(utt_tokens).units
+            words += match_words(units, lex, text.get(utt) if text is not None else None)
+        except CtmError as exc:
+            raise type(exc)(f"utterance {utt}: {exc}") from None
     by_start = attrgetter("start")
-    return {
-        fid: (
-            sorted(by_file[fid], key=by_start),
-            sorted(words_by_file.get(fid, []), key=by_start),
-        )
-        for fid in sorted(by_file, key=lambda f: f.encode("utf-8"))
-    }
+    tokens = sorted((t for ts in utterances.values() for t in ts), key=by_start)
+    return tokens, sorted(words, key=by_start)
 
 
 def corpus_durations(segments: list[SegmentLine]) -> dict[str, float]:

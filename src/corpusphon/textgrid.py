@@ -65,6 +65,10 @@ class TierNotFound(ToolkitError, KeyError):
     """No tier with the requested name."""
 
 
+class TierSelectionError(ToolkitError, ValueError):
+    """Tiers or grids an operation cannot take: none, repeats, or a point tier."""
+
+
 def format_time(t: float) -> str:
     return _TIME_FORMAT.format(t)
 
@@ -558,7 +562,7 @@ def stack_tiers(grids: list[TextGrid]) -> TextGrid:
     explicit empty padding intervals.
     """
     if not grids:
-        raise ValueError("stack_tiers needs at least one grid")
+        raise TierSelectionError("stack_tiers needs at least one grid")
     xmin = min(g.xmin for g in grids)
     xmax = max(g.xmax for g in grids)
     tiers: list[Tier] = []
@@ -594,16 +598,16 @@ def merge_interval_tiers(
     Two non-empty intervals overlapping across tiers is a MergeConflict.
     """
     if len(set(indices)) != len(indices):
-        raise ValueError(f"duplicate tier indices: {indices}")
+        raise TierSelectionError(f"duplicate tier indices: {indices}")
     if not indices:
-        raise ValueError("no tier indices given")
+        raise TierSelectionError("no tier indices given")
     for idx in indices:
         if not 1 <= idx <= len(grid.tiers):
             raise IndexOutOfRange(
                 f"tier index {idx} out of range 1..{len(grid.tiers)}"
             )
         if not isinstance(grid.tiers[idx - 1], IntervalTier):
-            raise ValueError(f"tier {idx} is not an interval tier")
+            raise TierSelectionError(f"tier {idx} is not an interval tier")
 
     selected = set(indices)
     collected: list[tuple[Interval, int]] = []

@@ -22,6 +22,7 @@ from corpusphon.cli import main
 from corpusphon.ctm import (
     PhoneSymbolTable,
     align_corpus,
+    align_file,
     alignment_rows,
     corpus_durations,
     group_words,
@@ -153,7 +154,10 @@ def test_criterion_05_ctm_pipeline_end_to_end():
     assert sum(t.duration for t in tokens) == pytest.approx(ctm_total, abs=1e-6)
 
     durations = corpus_durations(segments)
-    per_file = align_corpus(tokens, segments, lex, text)
+    per_file = {
+        fid: align_file(utterances, lex, text)
+        for fid, utterances in align_corpus(tokens, segments).items()
+    }
     klatt_units = []
     for file_tokens, _ in per_file.values():
         result = group_words(file_tokens)

@@ -11,6 +11,8 @@ from corpusphon.cli import main
 from corpusphon.textgrid import (
     Interval,
     IntervalTier,
+    Point,
+    PointTier,
     TextGrid,
     parse_textgrid,
     write_textgrid,
@@ -141,6 +143,46 @@ class TestCtm2Tg:
         monkeypatch.setattr(ctm, "resolve_phone_ids", counted)
         assert self.run_mixed(tmp_path / "out") == 0
         assert calls == [16]
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("wrong-word", "utterance s1_001: word 'WRONGWORD': observed "
+                           "pronunciation 'S EY1' not in lexicon"),
+            ("short-wav", "token 'SIL' ends at 3.1 but the file is 3.0 s"),
+        ],
+        ids=["wrong-word", "short-wav"],
+    )
+    def test_bad_file_costs_only_itself(self, tmp_path, fault, message):
+        src, wavs = tmp_path / "in", tmp_path / "wav"
+        src.mkdir()
+        text = (FIXTURES / "text").read_text()
+        if fault == "wrong-word":
+            text = text.replace("s1_001 SAY", "s1_001 WRONGWORD")
+        (src / "text").write_text(text)
+        wav_dir = []
+        if fault == "short-wav":
+            wavs.mkdir()
+            write_wav(wavs / "f1.wav", seconds=3.0)
+            write_wav(wavs / "f2.wav", seconds=7.0)
+            wav_dir = ["--wav-dir", str(wavs)]
+        out, report = tmp_path / "out", tmp_path / "r.tsv"
+        rc = main(
+            [
+                "ctm2tg",
+                "--ctm", str(FIXTURES / "merged_alignment.ctm"),
+                "--segments", str(FIXTURES / "segments"),
+                "--phones", str(FIXTURES / "phones.txt"),
+                "--lexicon", str(FIXTURES / "lexicon.txt"),
+                "--text", str(src / "text"),
+                "--out", str(out), "--report", str(report), *wav_dir,
+            ]
+        )
+        assert rc == 1
+        assert sorted(p.name for p in out.iterdir()) == ["f2.TextGrid", "final_ali.txt"]
+        golden = (FIXTURES / "golden" / "f2.TextGrid").read_bytes()
+        assert (out / "f2.TextGrid").read_bytes() == golden
+        assert report.read_text() == f"ERROR\tf1\t\t{message}\n"
 
 
 class TestValidateMfa:
@@ -284,13 +326,15 @@ class TestConfigValues:
 
     def separator_grid(self, tmp_path):
         """Two touching text intervals: one warning when separators are required."""
+        src = tmp_path / "in"
+        src.mkdir()
         write_grid(
-            tmp_path / "f.TextGrid",
+            src / "f.TextGrid",
             [Interval(1.0, 5.0, "HI"), Interval(5.0, 9.9, "THERE")],
         )
-        write_wav(tmp_path / "f.wav")
-        return ["validate-mfa", "--wav", str(tmp_path / "f.wav"),
-                "--textgrid", str(tmp_path / "f.TextGrid"),
+        write_wav(src / "f.wav")
+        return ["validate-mfa", "--wav", str(src / "f.wav"),
+                "--textgrid", str(src / "f.TextGrid"),
                 "--report", str(tmp_path / "r.tsv")]
 
     @pytest.mark.parametrize(
@@ -393,6 +437,27 @@ class TestBatch:
             ["ERROR", str(src / "ok.txt"), "line 1"],
         ]
         assert "can't decode" in rows[0][3]
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["lexicon", "missing", "--lexicon", "{bad}", "--words", "{fx}/text"],
+             "lexicon.txt"),
+            (["ctm2tg", "--ctm", "{bad}", "--segments", "{fx}/segments",
+              "--phones", "{fx}/phones.txt", "--lexicon", "{fx}/lexicon.txt",
+              "--out", "{tmp}/out"], "merged_alignment.ctm"),
+        ],
+        ids=["lexicon", "ctm"],
+    )
+    def test_undecodable_input_is_a_usage_error(self, tmp_path, capsys, argv, bad):
+        src = tmp_path / "in"
+        src.mkdir()
+        latin1 = src / bad
+        latin1.write_bytes((FIXTURES / bad).read_bytes() + "\u00c9\n".encode("latin-1"))
+        rc = main([a.format(bad=latin1, fx=FIXTURES, tmp=tmp_path) for a in argv])
+        assert rc == 2
+        assert f"{latin1}: 'utf-8' codec can't decode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_glob_warns_exit_0(self, tmp_path):
         report = tmp_path / "r.tsv"
@@ -616,6 +681,33 @@ class TestFindingsScope:
         assert line.startswith(f"ERROR\t{bad}\t\t")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tg", "merge", "{grid}", "--indices", "1,1", "--name", "vot", "--out", "{out}"],
+            ["tg", "merge", "{grid}", "--indices", "2", "--name", "vot", "--out", "{out}"],
+            ["tg", "merge", "{grid}", "--indices", "", "--name", "vot", "--out", "{out}"],
+            ["vot", "merge", "{grid}", "--tiers", "1,1", "--out-dir", "{out}"],
+        ],
+        ids=["repeated", "point-tier", "empty", "vot-merge"],
+    )
+    def test_bad_tier_selection_is_a_finding(self, tmp_path, argv):
+        src = tmp_path / "in"
+        src.mkdir()
+        grid = src / "g.TextGrid"
+        tiers = (
+            IntervalTier("a", 0.0, 10.0, (Interval(1.0, 3.0, "P"),)).normalized(),
+            PointTier("p", 0.0, 10.0, (Point(2.0, "burst"),)),
+        )
+        grid.write_bytes(write_textgrid(TextGrid(0.0, 10.0, tiers)))
+        out, report = tmp_path / "out", tmp_path / "r.tsv"
+        rc = main(
+            [a.format(grid=grid, out=out) for a in argv] + ["--report", str(report)]
+        )
+        assert rc == 1
+        assert report.read_text().startswith(f"ERROR\t{grid}\t\t")
+        assert not out.exists()
+
     def test_compare_findings_in_input_order(self, tmp_path):
         src = tmp_path / "in"
         src.mkdir()
@@ -665,6 +757,15 @@ SEPARATION_CASES = {
     "ctm2tg-wav-dir": ["ctm2tg", "--ctm", "{fx}/merged_alignment.ctm", "--segments",
                        "{fx}/segments", "--phones", "{fx}/phones.txt", "--lexicon",
                        "{fx}/lexicon.txt", "--wav-dir", "{in}", "--out", "{in}/grids"],
+    "tg-diagnose-report": ["tg", "diagnose", "{in}/f1.TextGrid", "--report", "{in}/r.tsv"],
+    "validate-mfa-report": ["validate-mfa", "{aux}/f1.TextGrid", "--wav-dir", "{in}",
+                            "--report", "{in}/r.tsv"],
+    "kaldi-validate-report": ["kaldi-prep", "validate", "{in}", "--report", "{in}/r/r.tsv"],
+    "fave-check-report": ["fave", "check", "{in}/t.lab", "--report", "{in}/r.tsv"],
+    "audio-info-report": ["audio", "info", "{in}/f1.wav", "--report", "{in}/r.tsv"],
+    "vot-measure-report": ["vot", "measure", "{in}/f1.TextGrid", "--out", "{aux}/../m.tsv",
+                           "--report", "{in}/r.tsv"],
+    "symlink-target-report": ["tg", "diagnose", "{aux}/link.TextGrid", "--report", "{in}/r.tsv"],
 }
 
 
@@ -680,13 +781,39 @@ def test_no_output_inside_an_input_directory(tmp_path, argv):
     shutil.copy(FIXTURES / "text", src / "text")
     (src / "records.tsv").write_text("u1\tf1\t0.0\t1.5\ts1\tpath/f1.wav\tSAY PAT\n")
     write_wav(src / "f1.wav", seconds=7.0)
+    (aux / "link.TextGrid").symlink_to(src / "f1.TextGrid")
     before = sorted(tmp_path.rglob("*"))
     rc = main([a.format(**{"in": src, "aux": aux, "fx": FIXTURES}) for a in argv])
     assert rc == 2
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_stack_of_no_grids_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out" / "s.TextGrid"
+    rc = main(["tg", "stack", str(tmp_path / "in" / "nomatch*"), "--out", str(out)])
+    assert rc == 2
+    assert "no TextGrids to stack" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 class TestKaldiCli:
+    @pytest.mark.parametrize("rate", ["0", "-16000"])
+    def test_build_refuses_a_bad_rate_before_writing(self, tmp_path, capsys, rate):
+        records = tmp_path / "in" / "records.tsv"
+        records.parent.mkdir()
+        records.write_text("u1\tf1\t0.0\t1.5\ts1\tpath/f1.wav\tSAY PAT AGAIN\n")
+        rc = main(
+            [
+                "kaldi-prep", "build", "--records", str(records),
+                "--out", str(tmp_path / "data"),
+                "--mfcc-conf", str(tmp_path / "conf" / "mfcc.conf"),
+                "--sample-rate", rate,
+            ]
+        )
+        assert rc == 2
+        assert f"sample rate must be positive, got {rate}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
     def test_build_validate_fix(self, tmp_path):
         records = tmp_path / "in" / "records.tsv"
         records.parent.mkdir()

@@ -13,6 +13,7 @@ from corpusphon.ctm import (
     UnknownPhoneId,
     UnknownUtterance,
     align_corpus,
+    align_file,
     alignment_rows,
     corpus_durations,
     group_words,
@@ -79,6 +80,14 @@ def corpus(fixtures):
 def _joined(corpus):
     entries, segments, table, _, _ = corpus
     return alignment_rows(entries, segments, resolve_phone_ids(entries, table))
+
+
+def _per_file(tokens, segments, lex, text):
+    """The corpus split, then each file's alignment: what ctm2tg runs."""
+    return {
+        fid: align_file(utterances, lex, text)
+        for fid, utterances in align_corpus(tokens, segments).items()
+    }
 
 
 def _tok(base, pos, start, end):
@@ -181,12 +190,12 @@ class TestFileTimes:
 
 
 class TestSplitByFile:
-    """align_corpus collects the tokens per file."""
+    """align_corpus splits the tokens by file; align_file sorts them."""
 
     def test_two_files(self, corpus):
         _, segments, _, lex, text = corpus
         tokens = _joined(corpus)
-        per_file = align_corpus(tokens, segments, lex, text)
+        per_file = _per_file(tokens, segments, lex, text)
         assert list(per_file) == ["f1", "f2"]
         for file_tokens, _ in per_file.values():
             starts = [t.start for t in file_tokens]
@@ -195,7 +204,7 @@ class TestSplitByFile:
         assert total == len(tokens)
 
     def test_empty(self):
-        assert align_corpus([], [], parse_lexicon("")) == {}
+        assert align_corpus([], []) == {}
 
 
 class TestGroupWords:
@@ -236,7 +245,7 @@ class TestGroupWords:
 
     def test_partition_property(self, corpus):
         _, segments, _, lex, text = corpus
-        per_file = align_corpus(_joined(corpus), segments, lex, text)
+        per_file = _per_file(_joined(corpus), segments, lex, text)
         for file_tokens, _ in per_file.values():
             result = group_words(file_tokens)
             in_units = [t for u in result.units for t in u.phones]
@@ -383,7 +392,7 @@ class TestEndToEnd:
             ctm_total, abs=1e-6
         )
         grouped_total = 0.0
-        for file_tokens, _ in align_corpus(tokens, segments, lex, text).values():
+        for file_tokens, _ in _per_file(tokens, segments, lex, text).values():
             result = group_words(file_tokens)
             grouped_total += sum(
                 t.duration for u in result.units for t in u.phones
@@ -393,7 +402,7 @@ class TestEndToEnd:
 
     def test_word_alignment_matches_hand_trace(self, corpus):
         _, segments, _, lex, text = corpus
-        per_file = align_corpus(_joined(corpus), segments, lex, text)
+        per_file = _per_file(_joined(corpus), segments, lex, text)
         for fid, expected in (("f1", F1_WORDS), ("f2", F2_WORDS)):
             _, words = per_file[fid]
             got = [(w.word, w.start, w.end) for w in words]
@@ -413,7 +422,7 @@ class TestEndToEnd:
 
     def test_pron_reconstruction_exact(self, corpus):
         _, segments, _, lex, text = corpus
-        per_file = align_corpus(_joined(corpus), segments, lex, text)
+        per_file = _per_file(_joined(corpus), segments, lex, text)
         for _, words in per_file.values():
             for w in words:
                 assert w.pron in lex.prons(w.word)
@@ -421,7 +430,7 @@ class TestEndToEnd:
     def test_textgrids_match_goldens(self, corpus, fixtures):
         _, segments, _, lex, text = corpus
         durations = corpus_durations(segments)
-        per_file = align_corpus(_joined(corpus), segments, lex, text)
+        per_file = _per_file(_joined(corpus), segments, lex, text)
         for fid, (tokens, words) in per_file.items():
             grid = TextGrid(
                 0.0,
