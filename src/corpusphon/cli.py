@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import glob as globmod
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -40,6 +41,23 @@ _BOOL_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
 }
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Write data to a sibling temp file and move it over path.
+
+    A write that fails or is interrupted removes its temp file, so path is
+    either its old self or complete: never a partial file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 class Ctx:
@@ -83,8 +101,7 @@ class Ctx:
         if self.dry_run:
             print(f"dry-run: would write {path}")
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        replace_file(path, data)
         self.written.append(path)
 
     def out_text(self, path: Path, text: str) -> None:
@@ -124,8 +141,7 @@ class Ctx:
             if self.dry_run:
                 print(f"dry-run: would write {self.report_path}")
             else:
-                Path(self.report_path).parent.mkdir(parents=True, exist_ok=True)
-                Path(self.report_path).write_text(lines, encoding="utf-8")
+                replace_file(Path(self.report_path), lines.encode("utf-8"))
 
 
 def expand_paths(ctx: Ctx, patterns: list[str]) -> list[Path]:
@@ -950,14 +966,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         ctx = Ctx(args, load_config(getattr(args, "config", None)))
-        args.func(args, ctx)
+        try:
+            args.func(args, ctx)
+        except ToolkitError as exc:
+            ctx.add_finding("", Severity.ERROR, "", str(exc))
+        ctx.flush()
     except (UsageError, OSError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
-    except ToolkitError as exc:
-        ctx.add_finding("", Severity.ERROR, "", str(exc))
-
-    ctx.flush()
     return 1 if ctx.has_errors else 0
 
 

@@ -32,6 +32,10 @@ class EmptyResult(KaldiDataError):
     """No utterance survived repair; the inputs are grossly inconsistent."""
 
 
+class EncodingError(KaldiDataError):
+    """A data-directory file that is not valid UTF-8."""
+
+
 def _bytes_key(s: str) -> bytes:
     return s.encode("utf-8")
 
@@ -203,7 +207,10 @@ def read_data_dir(path: Path | str) -> KaldiDataDir:
     path = Path(path)
     def load(name: str) -> str:
         f = path / name
-        return f.read_text(encoding="utf-8") if f.exists() else ""
+        try:
+            return f.read_text(encoding="utf-8") if f.exists() else ""
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"{name}: not valid UTF-8: {exc}") from None
 
     return KaldiDataDir(
         text=parse_text(load("text")),

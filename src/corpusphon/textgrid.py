@@ -5,8 +5,14 @@ and binary formats are rejected with a clear error. Input may be UTF-8 (with
 or without BOM) or UTF-16 (BOM-sniffed, as written by older Praat versions);
 output is always UTF-8 without BOM, times with six decimal places.
 
+The reader matches each interval block laid out as Praat and the writer lay
+it out (single spaces around '=', a one-line label) with one compiled
+pattern. Everything else, and the first interval block that does not match
+or holds a bad time, goes to the general line tokenizer, which reads any
+spacing and line-break variant and is the only place errors are raised.
+
 All values are immutable after construction and every operation is a pure
-function, so grids can be processed from multiple threads without locking.
+function.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import codecs
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 
 from .errors import ToolkitError
@@ -281,17 +288,13 @@ def diagnose_overlaps(tier: IntervalTier) -> list[OverlapReport]:
 
 
 def _decode(content: bytes) -> str:
-    if content.startswith(codecs.BOM_UTF16_LE) or content.startswith(
-        codecs.BOM_UTF16_BE
-    ):
+    if content.startswith((codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)):
         try:
             return content.decode("utf-16")
         except UnicodeDecodeError as exc:
             raise EncodingError(f"invalid UTF-16 content: {exc}") from None
-    if content.startswith(codecs.BOM_UTF8):
-        content = content[len(codecs.BOM_UTF8):]
     try:
-        return content.decode("utf-8")
+        return content.removeprefix(codecs.BOM_UTF8).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"not valid UTF-8 (and no UTF-16 BOM): {exc}") from None
 
@@ -304,7 +307,35 @@ def _closing_quote(s: str, start: int) -> int:
     return i
 
 
-def _tokens(text: str):
+class _Lines:
+    """The (line number, line) pairs of a decoded file, split 8 K characters at a time.
+
+    Only '\n' breaks lines (CR, in a file without any '\n'), so a CR, form
+    feed or U+2028 inside a label survives a round trip. In a CRLF file
+    (judged by its first line) the CR before each '\n' belongs to the line
+    break. pos is where the next line starts; the block matcher may move it
+    on between two lines.
+    """
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+        self.sep = "\n" if "\n" in text else "\r"  # classic Mac OS line breaks
+        self.crlf = text.partition(self.sep)[0].endswith("\r")
+
+    def __iter__(self):
+        text, sep, n = self.text, self.sep, 0
+        while (pos := self.pos) <= len(text):
+            cut = text.find(sep, pos + 8192)
+            for line in (text[pos:] if cut < 0 else text[pos:cut]).split(sep):
+                self.pos = pos = pos + len(line) + 1
+                n += 1
+                yield n, line
+                if self.pos != pos:  # the block matcher read on
+                    n += text.count(sep, pos, self.pos)
+                    break
+
+
+def _tokens(lines: _Lines):
     """Yield (line number, label, value) for each non-blank logical line.
 
     The label is the text before the first '=' with all whitespace removed
@@ -312,17 +343,8 @@ def _tokens(text: str):
     '='. A bare value is stripped. A quoted value keeps its quotes (and its
     doubled quotes) and ends at the first undoubled quote, possibly on a
     later line; continuation lines are joined with '\n' verbatim.
-
-    Only '\n' breaks lines (CR, in a file without any '\n'), so a CR, form
-    feed or U+2028 inside a label survives a round trip. In a CRLF file
-    (judged by its first line) the CR before each '\n' belongs to the line
-    break.
     """
-    lines = text.split("\n")
-    if len(lines) == 1:  # classic Mac OS line breaks
-        lines = text.split("\r")
-    crlf = lines[0].endswith("\r")
-    numbered = enumerate(lines, 1)
+    numbered = iter(lines)
     for n, line in numbered:
         label, eq, raw = line.partition("=")
         if not eq:
@@ -335,7 +357,7 @@ def _tokens(text: str):
             if end < 0:  # the string goes on over the next lines
                 parts, rest = [], raw.lstrip()
                 while end < 0:
-                    parts.append(rest.removesuffix("\r") if crlf else rest)
+                    parts.append(rest.removesuffix("\r") if lines.crlf else rest)
                     last, rest = next(numbered, (n, None))
                     if rest is None:
                         raise TextGridParseError(f"line {n}: unterminated string value")
@@ -347,14 +369,13 @@ def _tokens(text: str):
         yield n, "".join(label.split()), value
 
 
-def _is_block(token, kinds: tuple[str, ...]) -> bool:
-    """True for a block header such as 'item [3]:' or 'intervals []:'."""
-    if token is None or token[2] is not None:
-        return False
-    kind, _, index = token[1].removesuffix(":").partition("[")
-    return kind in kinds and (
-        index == "]" or (index.endswith("]") and index[:-1].isdecimal())
-    )
+_BLOCK = re.compile(r"(item|intervals|points)\[\d*\]:?")
+
+
+def _block(token) -> str | None:
+    """The kind of a block header such as 'item [3]:' or 'intervals []:'."""
+    header = token and token[2] is None and _BLOCK.fullmatch(token[1])
+    return header[1] if header else None
 
 
 _KINDS = {str: "a quoted string", float: "a number", int: "a non-negative integer"}
@@ -386,6 +407,15 @@ def _expect(tokens, kind: type, *labels: str):
 
 _TIME_ERRORS = (NonFiniteTime, NonMonotonicInterval)
 
+# One interval block exactly as write_textgrid (or Praat) lays it out: single
+# spaces around '=', a one-line label, an ASCII number float() always takes.
+_NUMBER = r"([-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)[ \t\r]*\n"
+_INTERVAL = re.compile(
+    r"[ \t]*intervals \[[0-9]*\]:[ \t\r]*\n"
+    r"[ \t]*xmin = " + _NUMBER + r"[ \t]*xmax = " + _NUMBER
+    + r'[ \t]*text = "([^"\n]*(?:""[^"\n]*)*)"[ \t\r]*\n'
+)
+
 
 def _at_line(n: int, exc: TextGridParseError) -> TextGridParseError:
     """The same error, its message prefixed with the line it belongs to."""
@@ -396,7 +426,8 @@ def parse_textgrid(content: bytes) -> TextGrid:
     """Parse a complete long-format TextGrid file image."""
     if content.startswith(b"ooBinaryFile"):
         raise MalformedHeader("binary TextGrid format is not supported")
-    tokens = _tokens(_decode(content))
+    lines = _Lines(_decode(content))
+    tokens = _tokens(lines)
 
     try:
         file_type = _expect(tokens, str, "Filetype")
@@ -427,73 +458,77 @@ def parse_textgrid(content: bytes) -> TextGrid:
         raise TextGridParseError(
             f"line {token[0]}: expected 'tiers? <exists>' or 'tiers? <absent>'"
         )
-    if token[1] == "tiers?<absent>":
-        try:
-            return TextGrid(xmin, xmax, ())
-        except _TIME_ERRORS as exc:
-            raise _at_line(grid_line, exc) from None
-
-    declared = _expect(tokens, int, "size")
-    token = next(tokens, None)
-    if _is_block(token, ("item",)) and token[1] in ("item[]", "item[]:"):
-        token = next(tokens, None)
     tiers: list[Tier] = []
-    for k in range(declared):
-        if not _is_block(token, ("item",)):
-            raise TierCountMismatch(f"grid declares {declared} tiers but only {k} found")
-        tiers.append(_parse_tier(tokens, token[0]))
+    if token[1] == "tiers?<exists>":  # else 'tiers? <absent>': no tiers, nothing more
+        declared = _expect(tokens, int, "size")
         token = next(tokens, None)
-    if _is_block(token, ("item",)):
-        raise TierCountMismatch(
-            f"grid declares {declared} tiers but more item blocks follow"
-        )
-    if token is not None:
-        raise TextGridParseError(
-            f"line {token[0]}: unexpected trailing content: {token[1]!r}"
-        )
+        if _block(token) == "item" and token[1] in ("item[]", "item[]:"):
+            token = next(tokens, None)
+        for k in range(declared):
+            if _block(token) != "item":
+                raise TierCountMismatch(f"grid declares {declared} tiers but only {k} found")
+            tiers.append(_parse_tier(tokens, lines, token[0]))
+            token = next(tokens, None)
+        if _block(token) == "item":
+            raise TierCountMismatch(
+                f"grid declares {declared} tiers but more item blocks follow"
+            )
+        if token is not None:
+            raise TextGridParseError(
+                f"line {token[0]}: unexpected trailing content: {token[1]!r}"
+            )
     try:
         return TextGrid(xmin, xmax, tuple(tiers))
     except _TIME_ERRORS as exc:
         raise _at_line(grid_line, exc) from None
 
 
-def _parse_tier(tokens, line: int) -> Tier:
-    """Parse the tier whose 'item [k]:' header is on the given line."""
+# Per tier class: block name, tier and item types, and (kind, *labels) per value.
+_TIER_CLASSES = {
+    "IntervalTier": ("intervals", IntervalTier, Interval,
+                     ((float, "xmin"), (float, "xmax"), (str, "text"))),
+    "TextTier": ("points", PointTier, Point, ((float, "number", "time"), (str, "mark", "text"))),
+}
+
+
+def _parse_tier(tokens, lines: _Lines, line: int) -> Tier:
+    """Parse the tier whose 'item [k]:' header is on the given line.
+
+    Canonical interval blocks are matched whole; the tokens take over at the
+    first block that is not, or whose Interval raises, keeping its error.
+    """
     cls = _expect(tokens, str, "class")
     name = _expect(tokens, str, "name")
     xmin = _expect(tokens, float, "xmin")
     xmax = _expect(tokens, float, "xmax")
-    if cls not in ("IntervalTier", "TextTier"):
+    if cls not in _TIER_CLASSES:
         raise TextGridParseError(f"unsupported tier class {cls!r}")
-    what = "intervals" if cls == "IntervalTier" else "points"
+    what, tier, item, values = _TIER_CLASSES[cls]
     declared = _expect(tokens, int, f"{what}:size")
     items: list = []
-    for j in range(declared):
+    if item is Interval:
+        text, pos = lines.text, lines.pos
+        while len(items) < declared and (m := _INTERVAL.match(text, pos)):
+            try:
+                items.append(Interval(float(m[1]), float(m[2]), m[3].replace('""', '"')))
+            except _TIME_ERRORS:
+                break
+            pos = m.end()
+        lines.pos = pos
+    for j in range(len(items), declared):
         # either block name is accepted in either tier class
         block = next(tokens, None)
-        if not _is_block(block, ("intervals", "points")):
+        if _block(block) not in ("intervals", "points"):
             raise TierCountMismatch(
                 f"tier {name!r} declares {declared} {what} but only {j} found"
             )
-        if cls == "IntervalTier":
-            ixmin = _expect(tokens, float, "xmin")
-            ixmax = _expect(tokens, float, "xmax")
-            text = _expect(tokens, str, "text")
-            try:
-                items.append(Interval(ixmin, ixmax, text))
-            except _TIME_ERRORS as exc:
-                raise _at_line(block[0], exc) from None
-        else:
-            time = _expect(tokens, float, "number", "time")
-            mark = _expect(tokens, str, "mark", "text")
-            try:
-                items.append(Point(time, mark))
-            except _TIME_ERRORS as exc:
-                raise _at_line(block[0], exc) from None
+        args = [_expect(tokens, kind, *labels) for kind, *labels in values]
+        try:
+            items.append(item(*args))
+        except _TIME_ERRORS as exc:
+            raise _at_line(block[0], exc) from None
     try:
-        if cls == "IntervalTier":
-            return IntervalTier(name, xmin, xmax, tuple(items))
-        return PointTier(name, xmin, xmax, tuple(items))
+        return tier(name, xmin, xmax, tuple(items))
     except _TIME_ERRORS as exc:
         raise _at_line(line, exc) from None
 

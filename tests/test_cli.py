@@ -859,6 +859,22 @@ class TestKaldiCli:
         )
         assert (tmp_path / "fixed2" / "utt2spk").read_text() == "u1 s1\nu2 s1\n"
 
+    def test_undecodable_file_is_an_error_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "in"
+        data.mkdir()
+        (data / "text").write_text("u1 SAY PAT\n")
+        (data / "utt2spk").write_bytes("u1 s\xe9\n".encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["kaldi-prep", "fix", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "ERROR" in err and "utt2spk: not valid UTF-8" in err
+        assert "Traceback" not in err and not out.exists()
+        report = tmp_path / "r.tsv"
+        assert main(["kaldi-prep", "validate", str(data), "--report", str(report)]) == 1
+        severity, file, _, message = report.read_text().rstrip("\n").split("\t")
+        assert (severity, file) == ("ERROR", str(data))
+        assert message.startswith("utt2spk: not valid UTF-8")
+
 
 class TestLexiconCli:
     def test_filter_and_missing(self, tmp_path):
@@ -948,6 +964,32 @@ class TestAudioCli:
             (out / "stereo_mono.wav").read_bytes()
         )
         assert info.channels == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])  # 4: the --report file
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys, k):
+        src, out, report = tmp_path / "in", tmp_path / "out", tmp_path / "rep" / "r.tsv"
+        src.mkdir()
+        for i in range(3):
+            write_wav(src / f"w{i}.wav", seconds=0.5, channels=2)
+        argv = ["audio", "mono", *(str(src / f"w{i}.wav") for i in range(3)),
+                "--channel", "1", "--out-dir", str(out), "--report", str(report)]
+        real_write, calls = Path.write_bytes, []
+
+        def write_bytes(path, data):
+            calls.append(path)
+            if len(calls) == k:  # a disk that fills up halfway through
+                real_write(path, data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        mono = audio.extract_channel((src / "w0.wav").read_bytes(), 1)
+        written = [f"w{i}_mono.wav" for i in range(min(k - 1, 3))]
+        assert sorted(p.name for p in out.iterdir()) == written
+        assert all((out / name).read_bytes() == mono for name in written)
+        assert not report.parent.exists() or list(report.parent.iterdir()) == []
 
 
 class TestFaveCli:

@@ -1,11 +1,13 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grid, textgrid_equal
+from corpusphon.textgrid import _INTERVAL  # the canonical interval block
 from corpusphon.textgrid import _quote  # the writer's label quoting
 from corpusphon.textgrid import (
     EncodingError,
@@ -395,6 +397,104 @@ class TestProperties:
             parse_textgrid(bytes(blob))
         except TextGridParseError:
             pass
+
+
+_LABELLED = re.compile(
+    r"(?m)^( *)(File type|Object class|xmin|xmax|size|class|name"
+    r"|intervals: size|points: size|number|mark|text) = "
+)
+
+
+def respaced(blob: bytes) -> bytes:
+    """The same file with tab indents and '  =  ', which no block pattern takes."""
+    return _LABELLED.sub(
+        lambda m: "\t" * (len(m[1]) // 4) + m[2] + "  =  ", blob.decode()
+    ).encode()
+
+
+def three_blocks(k: int, edit) -> bytes:
+    """Tiers 'w' (a, b, c over [0, 3]) and 'p', with block k of 'w' edited."""
+    grid = TextGrid(0.0, 3.0, (
+        IntervalTier("w", 0.0, 3.0, tuple(
+            Interval(j, j + 1.0, "abc"[j]) for j in range(3)
+        )),
+        IntervalTier("p", 0.0, 3.0, (Interval(0.0, 3.0, "z"),)),
+    ))
+    block = (
+        f"        intervals [{k}]:\n"
+        f"            xmin = {k - 1}.000000\n"
+        f"            xmax = {k}.000000\n"
+        f'            text = "{"abc"[k - 1]}"\n'
+    )
+    text = write_textgrid(grid).decode()
+    assert block in text
+    return text.replace(block, edit(k, block)).encode()
+
+
+def with_label(k: int, label: str) -> TextGrid:
+    labels = ["a", "b", "c"]
+    labels[k - 1] = label
+    return TextGrid(0.0, 3.0, (
+        IntervalTier("w", 0.0, 3.0, tuple(
+            Interval(j, j + 1.0, labels[j]) for j in range(3)
+        )),
+        IntervalTier("p", 0.0, 3.0, (Interval(0.0, 3.0, "z"),)),
+    ))
+
+
+class TestBlockHandOver:
+    """Canonical interval blocks are matched whole; any other block goes to
+    the token path, which gives the same values and the same errors."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids())
+    def test_both_paths_read_the_same_values(self, grid):
+        canonical = write_textgrid(grid)
+        spaced = respaced(canonical)
+        assert _INTERVAL.search(spaced.decode()) is None
+        if any("\n" not in iv.text for t in grid.interval_tiers() for iv in t.intervals):
+            assert _INTERVAL.search(canonical.decode())  # the block path ran too
+        assert parse_textgrid(spaced) == parse_textgrid(canonical) == grid
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda k, b: b.replace(f"xmax = {k}.000000", "xmax = nan"),
+             NonFiniteTime, "interval: times must be finite, got ({x0}, nan)"),
+            (lambda k, b: b.replace(f"xmax = {k}.000000", "xmax = 1e400"),
+             NonFiniteTime, "interval: times must be finite, got ({x0}, inf)"),
+            (lambda k, b: b.replace(f"xmax = {k}.000000", f"xmax = {k - 1}.500000")
+             .replace(f"xmin = {k - 1}.000000", f"xmin = {k - 1}.600000"),
+             NonMonotonicInterval, "interval xmax {k0}.5 < xmin {k0}.6"),
+        ],
+        ids=["nan", "1e400", "backwards"],
+    )
+    def test_bad_block_keeps_its_error_and_line(self, k, edit, error, message):
+        line = 15 + 4 * (k - 1)  # the block's 'intervals [k]:' line
+        expected = f"line {line}: " + message.format(x0=float(k - 1), k0=k - 1)
+        with pytest.raises(error) as caught:
+            parse_textgrid(three_blocks(k, edit))
+        assert str(caught.value) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_odd_block_reads_the_same_values(self, k):
+        multiline = three_blocks(k, lambda k, b: b.replace('text = "', 'text = "x\n'))
+        assert parse_textgrid(multiline) == with_label(k, "x\n" + "abc"[k - 1])
+        spaced = three_blocks(k, lambda k, b: b.replace("xmin = ", "xmin  =  "))
+        assert parse_textgrid(spaced) == with_label(k, "abc"[k - 1])
+
+    def test_cr_in_labels_of_crlf_and_cr_files(self):
+        tier = IntervalTier("t\r", 0.0, 3.0, (
+            Interval(0.0, 1.0, "a\rb"), Interval(1.0, 2.0, "c\r"),
+            Interval(2.0, 3.0, "\rd\r\ne"),
+        ))
+        blob = write_textgrid(TextGrid(0.0, 3.0, (tier,)))
+        crlf = parse_textgrid(blob.replace(b"\n", b"\r\n")).tiers[0]
+        assert crlf == tier
+        cr = parse_textgrid(blob.replace(b"\n", b"\r")).tiers[0]
+        assert cr.name == "t\n"
+        assert [iv.text for iv in cr.intervals] == ["a\nb", "c\n", "\nd\n\ne"]
 
 
 class TestNonFinite:
