@@ -369,13 +369,14 @@ def _tokens(lines: _Lines):
         yield n, "".join(label.split()), value
 
 
-_BLOCK = re.compile(r"(item|intervals|points)\[\d*\]:?")
-
-
-def _block(token) -> str | None:
-    """The kind of a block header such as 'item [3]:' or 'intervals []:'."""
-    header = token and token[2] is None and _BLOCK.fullmatch(token[1])
-    return header[1] if header else None
+def _is_block(token, kinds: tuple[str, ...]) -> bool:
+    """True for a block header such as 'item [3]:' or 'intervals []:'."""
+    if token is None or token[2] is not None:
+        return False
+    kind, _, index = token[1].removesuffix(":").partition("[")
+    return kind in kinds and (
+        index == "]" or (index.endswith("]") and index[:-1].isdecimal())
+    )
 
 
 _KINDS = {str: "a quoted string", float: "a number", int: "a non-negative integer"}
@@ -409,8 +410,9 @@ _TIME_ERRORS = (NonFiniteTime, NonMonotonicInterval)
 
 # One interval block exactly as write_textgrid (or Praat) lays it out: single
 # spaces around '=', a one-line label, an ASCII number float() always takes.
+# re compiles it on first use and caches it, so an import does not pay.
 _NUMBER = r"([-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)[ \t\r]*\n"
-_INTERVAL = re.compile(
+_INTERVAL = (
     r"[ \t]*intervals \[[0-9]*\]:[ \t\r]*\n"
     r"[ \t]*xmin = " + _NUMBER + r"[ \t]*xmax = " + _NUMBER
     + r'[ \t]*text = "([^"\n]*(?:""[^"\n]*)*)"[ \t\r]*\n'
@@ -462,14 +464,14 @@ def parse_textgrid(content: bytes) -> TextGrid:
     if token[1] == "tiers?<exists>":  # else 'tiers? <absent>': no tiers, nothing more
         declared = _expect(tokens, int, "size")
         token = next(tokens, None)
-        if _block(token) == "item" and token[1] in ("item[]", "item[]:"):
+        if _is_block(token, ("item",)) and token[1] in ("item[]", "item[]:"):
             token = next(tokens, None)
         for k in range(declared):
-            if _block(token) != "item":
+            if not _is_block(token, ("item",)):
                 raise TierCountMismatch(f"grid declares {declared} tiers but only {k} found")
             tiers.append(_parse_tier(tokens, lines, token[0]))
             token = next(tokens, None)
-        if _block(token) == "item":
+        if _is_block(token, ("item",)):
             raise TierCountMismatch(
                 f"grid declares {declared} tiers but more item blocks follow"
             )
@@ -483,14 +485,6 @@ def parse_textgrid(content: bytes) -> TextGrid:
         raise _at_line(grid_line, exc) from None
 
 
-# Per tier class: block name, tier and item types, and (kind, *labels) per value.
-_TIER_CLASSES = {
-    "IntervalTier": ("intervals", IntervalTier, Interval,
-                     ((float, "xmin"), (float, "xmax"), (str, "text"))),
-    "TextTier": ("points", PointTier, Point, ((float, "number", "time"), (str, "mark", "text"))),
-}
-
-
 def _parse_tier(tokens, lines: _Lines, line: int) -> Tier:
     """Parse the tier whose 'item [k]:' header is on the given line.
 
@@ -501,14 +495,15 @@ def _parse_tier(tokens, lines: _Lines, line: int) -> Tier:
     name = _expect(tokens, str, "name")
     xmin = _expect(tokens, float, "xmin")
     xmax = _expect(tokens, float, "xmax")
-    if cls not in _TIER_CLASSES:
+    if cls not in ("IntervalTier", "TextTier"):
         raise TextGridParseError(f"unsupported tier class {cls!r}")
-    what, tier, item, values = _TIER_CLASSES[cls]
+    interval = cls == "IntervalTier"
+    what = "intervals" if interval else "points"
     declared = _expect(tokens, int, f"{what}:size")
     items: list = []
-    if item is Interval:
-        text, pos = lines.text, lines.pos
-        while len(items) < declared and (m := _INTERVAL.match(text, pos)):
+    if interval:
+        text, pos, match = lines.text, lines.pos, re.compile(_INTERVAL).match
+        while len(items) < declared and (m := match(text, pos)):
             try:
                 items.append(Interval(float(m[1]), float(m[2]), m[3].replace('""', '"')))
             except _TIME_ERRORS:
@@ -518,17 +513,28 @@ def _parse_tier(tokens, lines: _Lines, line: int) -> Tier:
     for j in range(len(items), declared):
         # either block name is accepted in either tier class
         block = next(tokens, None)
-        if _block(block) not in ("intervals", "points"):
+        if not _is_block(block, ("intervals", "points")):
             raise TierCountMismatch(
                 f"tier {name!r} declares {declared} {what} but only {j} found"
             )
-        args = [_expect(tokens, kind, *labels) for kind, *labels in values]
         try:
-            items.append(item(*args))
+            if interval:
+                items.append(Interval(
+                    _expect(tokens, float, "xmin"),
+                    _expect(tokens, float, "xmax"),
+                    _expect(tokens, str, "text"),
+                ))
+            else:
+                items.append(Point(
+                    _expect(tokens, float, "number", "time"),
+                    _expect(tokens, str, "mark", "text"),
+                ))
         except _TIME_ERRORS as exc:
             raise _at_line(block[0], exc) from None
     try:
-        return tier(name, xmin, xmax, tuple(items))
+        if interval:
+            return IntervalTier(name, xmin, xmax, tuple(items))
+        return PointTier(name, xmin, xmax, tuple(items))
     except _TIME_ERRORS as exc:
         raise _at_line(line, exc) from None
 
