@@ -412,26 +412,8 @@ def respaced(blob: bytes) -> bytes:
     ).encode()
 
 
-def three_blocks(k: int, edit) -> bytes:
-    """Tiers 'w' (a, b, c over [0, 3]) and 'p', with block k of 'w' edited."""
-    grid = TextGrid(0.0, 3.0, (
-        IntervalTier("w", 0.0, 3.0, tuple(
-            Interval(j, j + 1.0, "abc"[j]) for j in range(3)
-        )),
-        IntervalTier("p", 0.0, 3.0, (Interval(0.0, 3.0, "z"),)),
-    ))
-    block = (
-        f"        intervals [{k}]:\n"
-        f"            xmin = {k - 1}.000000\n"
-        f"            xmax = {k}.000000\n"
-        f'            text = "{"abc"[k - 1]}"\n'
-    )
-    text = write_textgrid(grid).decode()
-    assert block in text
-    return text.replace(block, edit(k, block)).encode()
-
-
 def with_label(k: int, label: str) -> TextGrid:
+    """Tiers 'w' (a, b, c over [0, 3]) and 'p', with label k of 'w' replaced."""
     labels = ["a", "b", "c"]
     labels[k - 1] = label
     return TextGrid(0.0, 3.0, (
@@ -440,6 +422,19 @@ def with_label(k: int, label: str) -> TextGrid:
         )),
         IntervalTier("p", 0.0, 3.0, (Interval(0.0, 3.0, "z"),)),
     ))
+
+
+def three_blocks(k: int, edit) -> bytes:
+    """The written with_label grid, block k of 'w' passed through edit."""
+    block = (
+        f"        intervals [{k}]:\n"
+        f"            xmin = {k - 1}.000000\n"
+        f"            xmax = {k}.000000\n"
+        f'            text = "{"abc"[k - 1]}"\n'
+    )
+    text = write_textgrid(with_label(k, "abc"[k - 1])).decode()
+    assert block in text
+    return text.replace(block, edit(k, block)).encode()
 
 
 class TestBlockHandOver:
