@@ -1,3 +1,4 @@
+import gc
 import os
 import shutil
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from corpusphon import audio, ctm
+from corpusphon import audio, cli, ctm
 from corpusphon.cli import main
 from corpusphon.textgrid import (
     Interval,
@@ -1143,6 +1144,121 @@ class TestKaldiTextWordSource:
         # every word in the fixture corpus is covered; the utterance IDs
         # must not leak in as words
         assert out.read_text() == ""
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector for a command and restores its state."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.fixture
+    def grid(self, tmp_path):
+        """A conforming grid+WAV pair g, beside a pair z with a boundary at zero."""
+        src = tmp_path / "in"
+        src.mkdir()
+        write_grid(src / "g.TextGrid", [Interval(1.0, 2.0, "X")])
+        write_grid(src / "z.TextGrid", [Interval(0.0, 9.5, "X")])
+        write_wav(src / "z.wav")
+        return src / "g.TextGrid"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["tg", "diagnose", "{grid}"], 0),
+            (["validate-mfa", "--textgrid", "{z}.TextGrid", "--wav", "{z}.wav"], 1),
+            (["tg", "stack", "{grid}", "--out", "{z}.out.TextGrid"], 2),
+            (["--help"], 0),
+            (["tg", "no-such-command"], 2),
+        ],
+        ids=["exit-0", "exit-1", "exit-2", "help", "bad-arguments"],
+    )
+    def test_state_restored(self, gc_state, grid, capsys, monkeypatch, argv, code):
+        seen = []
+        load_config = cli.load_config
+
+        def spy(path):
+            seen.append(gc.isenabled())
+            return load_config(path)
+
+        monkeypatch.setattr(cli, "load_config", spy)
+        z = grid.with_name("z")
+        assert main([a.format(grid=grid, z=z) for a in argv]) == code
+        assert gc.isenabled() is gc_state
+        assert seen in ([], [False])
+
+    def test_state_restored_after_an_escaping_exception(self, gc_state, grid, monkeypatch):
+        def boom(path):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "read_grid", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["tg", "diagnose", str(grid)])
+        assert gc.isenabled() is gc_state
+
+    @staticmethod
+    def garbage_after(argv):
+        """Unreachable objects the collector finds after main(argv), all with it off."""
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            main(argv)
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+
+    def test_diagnose_leaves_no_garbage_per_file(self, tmp_path, capsys):
+        # the premise of the pause: the garbage a command leaves does not
+        # grow with its files, failed ones included
+        src = tmp_path / "in"
+        src.mkdir()
+        grids = []
+        for i in range(20):
+            grids.append(src / f"g{i:02}.TextGrid")
+            write_grid(grids[-1], [Interval(1.0, 2.0, "X"), Interval(3.0, 4.0, "Y")])
+        grids[7].write_bytes(b"not a textgrid")
+        one = ["tg", "diagnose", str(grids[0])]
+        self.garbage_after(one)
+        assert self.garbage_after(["tg", "diagnose", *map(str, grids)]) == self.garbage_after(one)
+
+    def test_ctm2tg_leaves_no_garbage_per_file(self, tmp_path, capsys):
+        def corpus(name, copies):
+            """The fixture corpus, copy k with file IDs f1_k and f2_k; copy 1 breaks f1_1."""
+            src = tmp_path / name
+            src.mkdir()
+            for fixture in ("merged_alignment.ctm", "segments", "text"):
+                lines = []
+                for k in range(copies):
+                    for line in (FIXTURES / fixture).read_text().splitlines():
+                        head, rest = line.split(" ", 1)
+                        if fixture == "segments":
+                            rest = rest.replace(" ", f"_{k} ", 1)
+                        if fixture == "text" and k == 1 and head == "s1_001":
+                            rest = rest.replace("SAY", "WRONGWORD")
+                        if copies > 1 or head.startswith("s1_"):
+                            lines.append(f"k{k}_{head} {rest}")
+                (src / fixture).write_text("\n".join(lines) + "\n")
+            return [
+                "ctm2tg",
+                "--ctm", str(src / "merged_alignment.ctm"),
+                "--segments", str(src / "segments"),
+                "--phones", str(FIXTURES / "phones.txt"),
+                "--lexicon", str(FIXTURES / "lexicon.txt"),
+                "--text", str(src / "text"),
+                "--out", str(tmp_path / f"{name}_out"),
+            ]
+
+        one, many = corpus("one", 1), corpus("many", 10)
+        self.garbage_after(one)
+        assert self.garbage_after(many) == self.garbage_after(one)
+        assert len(list((tmp_path / "many_out").glob("*.TextGrid"))) == 19
+        assert len(list((tmp_path / "one_out").glob("*.TextGrid"))) == 1
 
 
 class TestModuleEntry:

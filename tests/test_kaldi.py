@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corrupt_dir, random_consistent_dir
 from corpusphon import kaldi
@@ -168,6 +170,15 @@ class TestFix:
             again, log2 = fix_data_dir(fixed)
             assert again.render() == fixed.render()
             assert log2 == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_idempotent(self, rng, corrupt):
+        d = random_consistent_dir(rng)
+        fixed, _ = fix_data_dir(corrupt_dir(rng, d) if corrupt else d)
+        again, log = fix_data_dir(fixed)
+        assert again.render() == fixed.render()
+        assert log == []
 
     def test_empty_result(self):
         d = KaldiDataDir(

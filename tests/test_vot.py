@@ -10,6 +10,7 @@ from corpusphon.lexicon import parse_lexicon
 from corpusphon.textgrid import (
     Interval,
     IntervalTier,
+    OverlapError,
     TextGrid,
     merge_interval_tiers,
     stack_tiers,
@@ -288,6 +289,17 @@ def random_manual_auto_grid(rng):
     return TextGrid(0.0, duration, (mtier, atier))
 
 
+@st.composite
+def token_tier(draw, name):
+    """A normalized 10-s tier of tokens cut at centisecond times, gaps between."""
+    cuts = sorted(set(draw(st.lists(st.integers(1, 999), max_size=20))))
+    tokens = tuple(
+        Interval(a / 100, b / 100, draw(st.sampled_from("PTK")))
+        for a, b in zip(cuts[::2], cuts[1::2])
+    )
+    return IntervalTier(name, 0.0, 10.0, tokens).normalized()
+
+
 class TestPreferManual:
     def test_replacement(self):
         grid = TextGrid(
@@ -334,6 +346,28 @@ class TestPreferManual:
             once = prefer_manual(grid, "manual", "auto")
             twice = prefer_manual(once, "manual", "auto")
             assert textgrid_equal(once, twice, time_tol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.randoms(use_true_random=False).map(random_manual_auto_grid),
+            st.builds(
+                lambda m, a: TextGrid(0.0, 10.0, (m, a)),
+                token_tier("manual"),
+                token_tier("auto"),
+            ),
+        )
+    )
+    def test_idempotent(self, grid):
+        try:
+            once = prefer_manual(grid, "manual", "auto")
+        except OverlapError:
+            # a token moved onto a manual span that also overlaps its auto
+            # neighbour collides with it; idempotence concerns the grids
+            # prefer_manual accepts
+            return
+        twice = prefer_manual(once, "manual", "auto")
+        assert textgrid_equal(once, twice, time_tol=0.0)
 
 
 def measurement_fixture_grid():
