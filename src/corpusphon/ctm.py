@@ -96,12 +96,8 @@ class PhoneToken(NamedTuple):
     phone_base: str  # symbol without the position suffix (stress retained)
     position: str | None  # B, I, E, S, or None for suffixless symbols
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
-
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WordUnit:
     pron: Pron
     start: float
@@ -109,7 +105,7 @@ class WordUnit:
     phones: tuple[PhoneToken, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GroupDefect:
     token_index: int
     message: str
@@ -122,7 +118,7 @@ class GroupResult:
     defects: list[GroupDefect] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AlignedWord:
     word: str
     pron: Pron

@@ -96,7 +96,7 @@ def label_is_vowel(label: str) -> bool:
     return phone_letter(label) in VOWELS
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StopClass:
     phone: str
 
@@ -117,7 +117,7 @@ class StopClass:
         return MIN_VOT_MS_VOICELESS if self.voiceless else MIN_VOT_MS_VOICED
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WordOccurrence:
     word: str
     file_id: str
@@ -127,7 +127,7 @@ class WordOccurrence:
     stop_end: float  # end of the stop interval on the phone tier
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VotWindow:
     label: str
     start: float
@@ -135,7 +135,7 @@ class VotWindow:
     occurrence: WordOccurrence
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VotMeasurement:
     word: str
     stop: str
@@ -307,7 +307,7 @@ def split_windows_by_stop(tier: IntervalTier) -> dict[str, IntervalTier]:
 # comparing and preferring manual boundaries
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TokenDelta:
     label: str
     manual: Interval

@@ -151,7 +151,7 @@ def test_criterion_05_ctm_pipeline_end_to_end():
     ctm_total = sum(e.dur for e in entries)
     tokens = alignment_rows(entries, segments, resolve_phone_ids(entries, table))
     assert sum(t.dur for t in tokens) == pytest.approx(ctm_total, abs=1e-6)
-    assert sum(t.duration for t in tokens) == pytest.approx(ctm_total, abs=1e-6)
+    assert sum(t.end - t.start for t in tokens) == pytest.approx(ctm_total, abs=1e-6)
 
     durations = corpus_durations(segments)
     per_file = {

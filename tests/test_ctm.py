@@ -388,16 +388,16 @@ class TestEndToEnd:
         ctm_total = sum(e.dur for e in entries)
         tokens = _joined(corpus)
         assert sum(t.dur for t in tokens) == pytest.approx(ctm_total, abs=1e-9)
-        assert sum(t.duration for t in tokens) == pytest.approx(
+        assert sum(t.end - t.start for t in tokens) == pytest.approx(
             ctm_total, abs=1e-6
         )
         grouped_total = 0.0
         for file_tokens, _ in _per_file(tokens, segments, lex, text).values():
             result = group_words(file_tokens)
             grouped_total += sum(
-                t.duration for u in result.units for t in u.phones
+                t.end - t.start for u in result.units for t in u.phones
             )
-            grouped_total += sum(t.duration for t in result.non_words)
+            grouped_total += sum(t.end - t.start for t in result.non_words)
         assert grouped_total == pytest.approx(ctm_total, abs=1e-6)
 
     def test_word_alignment_matches_hand_trace(self, corpus):

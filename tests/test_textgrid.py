@@ -519,6 +519,85 @@ class TestZeroLength:
             Interval(2.0, 1.0, "x")
 
 
+class TestValueRecords:
+    @pytest.mark.parametrize(
+        "make, other, text",
+        [
+            (lambda: Interval(0.5, 1.25, "a"), Interval(0.5, 1.25, "b"),
+             "Interval(xmin=0.5, xmax=1.25, text='a')"),
+            (lambda: Point(0.5, "a"), Point(0.75, "a"), "Point(time=0.5, mark='a')"),
+        ],
+    )
+    def test_equal_and_hashed_by_value(self, make, other, text):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other and a != (0.5, 1.25, "a")
+        assert repr(a) == text
+        # measure_cues keys a dict by Interval; a rebuilt record finds the entry
+        rates = {a: 1.0, other: 2.0}
+        assert rates[b] == 1.0 and len({a, b, other}) == 2
+
+    @pytest.mark.parametrize("record", [Interval(0.0, 1.0), Point(0.0)])
+    def test_slotted(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.lable = "x"
+
+
+@st.composite
+def tied_intervals(draw) -> list[Interval]:
+    """Intervals on a 0-10 s tier in any order, many sharing xmin or both ends."""
+    ends = st.integers(0, 6).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 10)))
+    spans = draw(st.lists(ends, max_size=12))
+    return [Interval(a / 1.0, b / 1.0, str(k)) for k, (a, b) in enumerate(spans)]
+
+
+class TestTierOrder:
+    def test_in_order_input_keeps_its_intervals(self):
+        ivs = tuple(Interval(k / 10, (k + 1) / 10, str(k)) for k in range(20))
+        tier = IntervalTier("t", 0.0, 2.0, ivs)
+        assert all(a is b for a, b in zip(tier.intervals, ivs, strict=True))
+        points = tuple(Point(k / 10, str(k)) for k in range(20))
+        point_tier = PointTier("p", 0.0, 2.0, points)
+        assert all(a is b for a, b in zip(point_tier.points, points, strict=True))
+
+    @given(tied_intervals(), st.randoms(use_true_random=False))
+    def test_interval_order_is_the_stable_sort(self, ivs, rnd):
+        rnd.shuffle(ivs)
+        got = IntervalTier("t", 0.0, 10.0, ivs).intervals
+        want = sorted(ivs, key=lambda iv: (iv.xmin, iv.xmax))  # stable
+        assert all(a is b for a, b in zip(got, want, strict=True))
+
+    @given(st.lists(st.integers(0, 5), max_size=12), st.randoms(use_true_random=False))
+    def test_point_order_is_the_stable_sort(self, times, rnd):
+        points = [Point(t / 1.0, str(k)) for k, t in enumerate(times)]
+        rnd.shuffle(points)
+        got = PointTier("p", 0.0, 10.0, points).points
+        want = sorted(points, key=lambda p: p.time)  # stable
+        assert all(a is b for a, b in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize(
+        "ivs, message",
+        [
+            ((Interval(0.5, 1.0), Interval(1.0, 6.0, "b")),
+             "interval [1.0, 6.0] outside tier 't' bounds [0.5, 5.0]"),
+            # the first out of bounds in sorted order is named, not in input order
+            ((Interval(4.0, 6.0, "a"), Interval(0.25, 2.0, "b")),
+             "interval [0.25, 2.0] outside tier 't' bounds [0.5, 5.0]"),
+            ((Interval(2.0, 3.0), Interval(1.0, 2.0), Interval(0.0, 0.75)),
+             "interval [0.0, 0.75] outside tier 't' bounds [0.5, 5.0]"),
+        ],
+    )
+    def test_out_of_bounds_keeps_its_error(self, ivs, message):
+        with pytest.raises(NonMonotonicInterval) as err:
+            IntervalTier("t", 0.5, 5.0, ivs)
+        assert str(err.value) == message
+
+    def test_points_outside_the_tier_are_kept(self):
+        tier = PointTier("p", 1.0, 2.0, (Point(3.0, "b"), Point(0.0, "a")))
+        assert [p.mark for p in tier.points] == ["a", "b"]
+
+
 class TestStack:
     def test_two_grids(self):
         a = TextGrid(0.0, 2.0, (IntervalTier("phones", 0.0, 2.0, ()),))
@@ -654,7 +733,7 @@ class TestDiagnose:
             1
             for i in range(3)
             for j in range(i + 1, 3)
-            if ivs[i].overlaps(ivs[j])
+            if ivs[j].xmin < ivs[i].xmax and ivs[i].xmin < ivs[j].xmax
         )
         assert brute == 3
         tier = IntervalTier("t", 0.0, 5.0, ivs)
