@@ -26,6 +26,7 @@ import glob as globmod
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import audio, ctm, kaldi, lexicon, textgrid, transcripts, vot
@@ -49,16 +50,21 @@ _BOOL_WORDS = {
 }
 
 
-def replace_file(path: Path, data: bytes) -> None:
-    """Write data to a sibling temp file and move it over path.
+def replace_file(path: Path, data: bytes | Iterable[bytes]) -> None:
+    """Write data, bytes or byte chunks, to a sibling temp file and move it over path.
 
-    A write that fails or is interrupted removes its temp file, so path is
-    either its old self or complete: never a partial file.
+    A write that fails or is interrupted, also in the middle of the chunks,
+    removes its temp file, so path is either its old self or complete: never
+    a partial file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            with tmp.open("wb") as f:
+                f.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -102,7 +108,7 @@ class Ctx:
     def has_errors(self) -> bool:
         return any(f.severity is Severity.ERROR for _, f in self.findings)
 
-    def out_file(self, path: Path, data: bytes) -> None:
+    def out_file(self, path: Path, data: bytes | Iterable[bytes]) -> None:
         if self.dry_run:
             print(f"dry-run: would write {path}")
             return
@@ -428,18 +434,20 @@ def cmd_ctm2tg(args, ctx: Ctx) -> None:
 
     symbols = ctm.resolve_phone_ids(entries, table)
     tokens = ctm.alignment_rows(entries, segments, symbols)
-    ctx.out_text(out / "final_ali.txt", ctm.render_alignment_table(tokens))
+    del entries, symbols  # corpus-sized, and the tokens carry all they held
+    ctx.out_file(out / "final_ali.txt", ctm.render_alignment_table(tokens))
 
     durations = ctm.corpus_durations(segments)
     per_file = ctm.align_corpus(tokens, segments)
+    del tokens  # from here a file's tokens live in per_file until its grid is written
 
     def to_grid(fid: str, report: Report) -> None:
         # written here, not after the loop: holding every grid raises peak RSS
-        duration = durations[fid]
+        utterances, duration = per_file.pop(fid), durations[fid]
         wav = _stem_wav(Path(args.wav_dir), fid) if args.wav_dir else None
         if wav is not None:
             duration = read_wav_info(wav).duration
-        file_tokens, words = ctm.align_file(per_file[fid], lex, text)
+        file_tokens, words = ctm.align_file(utterances, lex, text)
         tiers = (ctm.phones_to_tier(file_tokens, duration), ctm.words_to_tier(words, duration))
         grid = textgrid.TextGrid(0.0, duration, tiers)
         ctx.out_file(out / f"{fid}.TextGrid", textgrid.write_textgrid(grid))

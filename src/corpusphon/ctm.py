@@ -9,12 +9,16 @@ table is written for downstream scripts that expect it.
 Each CTM line is joined with its segments row once (`alignment_rows`),
 into one `PhoneToken`: the table's 11 columns, utterance and file times
 included, plus the split position suffix. The one token list feeds both
-the table (`render_alignment_table`) and the word alignment. That runs in
-two steps: `align_corpus` splits the corpus into files, each file's tokens
-grouped by utterance, and `align_file` groups and matches one file's words,
-so an error in one utterance costs only its file. Per-line work that
-depends only on a symbol or a time (the position split, the table's time
-formatting) is done once per distinct value. Everything here is pure.
+the table (`render_alignment_table`, which yields encoded chunks, so the
+table is never one string) and the word alignment. That runs in two steps:
+`align_corpus` splits the corpus into files, each file's tokens grouped by
+utterance, and `align_file` groups and matches one file's words, so an
+error in one utterance costs only its file. Per-line work that depends only
+on a symbol or a time (the position split, the table's time formatting) is
+done once per distinct value. Entries and tokens share one string per
+distinct utterance ID and phone column. A caller that drops the entries
+once the tokens are built, and each file's tokens once its grid is written,
+holds both lists only inside `alignment_rows`. Everything here is pure.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ToolkitError
 from .kaldi import SegmentLine, format_seconds
@@ -38,6 +42,8 @@ ALIGNMENT_HEADER = (
     "file_utt\tfile\tid\tali\tstartinutt\tdur\tphone\t"
     "start_utt\tend_utt\tstart\tend"
 )
+
+TABLE_CHUNK_ROWS = 4096  # lines of final_ali.txt encoded per chunk
 
 _POSITION_RE = re.compile(r"^(.*)_([BIES])$")
 
@@ -172,6 +178,7 @@ def split_position(symbol: str) -> tuple[str, str | None]:
 def parse_ctm(content: str) -> list[CtmEntry]:
     """Parse `utt channel start dur phone` lines; the phone column is kept as text."""
     entries = []
+    share = {}.setdefault  # the first string read for each distinct value
     for i, line in enumerate(content.splitlines(), 1):
         fields = line.split()
         if not fields:
@@ -199,6 +206,7 @@ def parse_ctm(content: str) -> list[CtmEntry]:
             raise MalformedCtmLine(
                 f"line {i}: phone ID {raw_phone!r} is not a decimal integer"
             )
+        utt, raw_phone = share(utt, utt), share(raw_phone, raw_phone)
         entries.append(CtmEntry(utt, channel, start, dur, raw_phone, i))
     return entries
 
@@ -285,14 +293,8 @@ def group_words(
 
     def close() -> None:
         phones = tuple(t for _, t in open_run)
-        result.units.append(
-            WordUnit(
-                pron=tuple(t.phone_base for t in phones),
-                start=phones[0].start,
-                end=phones[-1].end,
-                phones=phones,
-            )
-        )
+        pron = tuple(t.phone_base for t in phones)
+        result.units.append(WordUnit(pron, phones[0].start, phones[-1].end, phones))
         open_run.clear()
 
     for i, token in enumerate(tokens):
@@ -381,14 +383,8 @@ def match_words(
 
 
 def _aligned(word: str, unit: WordUnit) -> AlignedWord:
-    return AlignedWord(
-        word=word,
-        pron=unit.pron,
-        file_id=unit.phones[0].file_id,
-        start=unit.start,
-        end=unit.end,
-        phones=unit.phones,
-    )
+    file_id = unit.phones[0].file_id
+    return AlignedWord(word, unit.pron, file_id, unit.start, unit.end, unit.phones)
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +432,21 @@ class _Seconds(dict):
         return s
 
 
-def render_alignment_table(tokens: list[PhoneToken]) -> str:
+def render_alignment_table(tokens: list[PhoneToken]) -> Iterator[bytes]:
+    """final_ali.txt as UTF-8 chunks of TABLE_CHUNK_ROWS lines, the header first."""
     sec = _Seconds()
-    lines = [ALIGNMENT_HEADER]
+    rows = [ALIGNMENT_HEADER + "\n"]
     for (utt, file_id, phone_field, channel, start_in_utt, dur, phone,
          utt_start, utt_end, start, end, _, _) in tokens:
-        lines.append(
+        if len(rows) == TABLE_CHUNK_ROWS:
+            yield "".join(rows).encode("utf-8")
+            rows.clear()
+        rows.append(
             f"{utt}\t{file_id}\t{phone_field}\t{channel}\t{sec[start_in_utt]}\t"
             f"{sec[dur]}\t{phone}\t{sec[utt_start]}\t{sec[utt_end]}\t"
-            f"{sec[start]}\t{sec[end]}"
+            f"{sec[start]}\t{sec[end]}\n"
         )
-    return "\n".join(lines) + "\n"
+    yield "".join(rows).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

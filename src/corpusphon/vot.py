@@ -393,22 +393,32 @@ def prefer_manual(
 ) -> TextGrid:
     """Give each decoded token the manual boundaries where available.
 
-    Auto tokens with no overlapping manual token keep their own boundaries;
-    manual tokens with no auto counterpart are ignored (replacement only,
-    never insertion). Labels always come from the auto tier. Idempotent.
+    Tokens pair by maximal overlap, as in compare_boundaries. A manual token
+    replaces every auto token it overlaps by more than float drift (1e-9 s)
+    and takes the label of the one it pairs with: the auto token it overlaps
+    most that no larger overlap claimed first. Auto tokens no manual token
+    overlaps keep their own boundaries; manual tokens with no auto
+    counterpart are ignored (replacement only, never insertion). Labels
+    always come from the auto tier. Idempotent.
     """
     mtier, _ = grid.find_tier(manual_tier)
     atier, _ = grid.find_tier(auto_tier)
-    auto = atier.non_empty()
-    pairs, _ = _pair_tokens(mtier.non_empty(), auto, 0.0)
+    manual, auto = mtier.non_empty(), atier.non_empty()
+    pairs, _ = _pair_tokens(manual, auto, 0.0)
     replacement = {id(a): m for m, a in pairs}
+    # an unpaired auto token that overlaps a manual token gives way to it: that
+    # manual token is paired, or greedy pairing would have paired the two
+    index = _TierIndex(manual)
 
     new_intervals = []
     for iv in auto:
         m = replacement.get(id(iv))
         if m is not None:
             new_intervals.append(Interval(m.xmin, m.xmax, iv.text))
-        else:
+        elif not any(
+            _overlap_length(manual[i], iv, 0.0) > _SNAP
+            for i in index.overlapping(iv.xmin, iv.xmax)
+        ):
             new_intervals.append(iv)
 
     rebuilt = IntervalTier(

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,108 @@ class TestCtm2Tg:
         golden = (FIXTURES / "golden" / "f2.TextGrid").read_bytes()
         assert (out / "f2.TextGrid").read_bytes() == golden
         assert report.read_text() == f"ERROR\tf1\t\t{message}\n"
+
+
+def write_ctm_corpus(root, files, utts, words):
+    """A ctm2tg input of files x utts utterances: SIL, words 3-phone words, SIL.
+
+    Phone columns are numeric IDs, as Kaldi writes them; returns the argv
+    and the number of CTM lines.
+    """
+    cons, vowels = ["P", "T", "K", "S"], ["AA1", "IY1", "UW1"]
+    prons = [(c, v, d) for c in cons for v in vowels for d in cons[:2]]
+    vocab = [f"W{i}" for i in range(len(prons))]
+    symbols = ["SIL"] + [f"{b}_{pos}" for b in cons + vowels for pos in "BIE"]
+    ids = {sym: str(i + 1) for i, sym in enumerate(symbols)}
+    root.mkdir()
+    (root / "phones.txt").write_text("".join(f"{sym} {ids[sym]}\n" for sym in symbols))
+    (root / "lexicon.txt").write_text(
+        "".join(f"{w} {' '.join(pron)}\n" for w, pron in zip(vocab, prons)))
+    ctm_lines, segments, text = [], [], []
+    length = 0.03 * (3 * words + 2)
+    for f in range(files):
+        for u in range(utts):
+            utt = f"f{f:03}-u{u:03}"
+            chosen = [(f * 7 + u * 3 + k) % len(vocab) for k in range(words)]
+            phones = ["SIL"]
+            for k in chosen:
+                phones += [f"{prons[k][0]}_B", f"{prons[k][1]}_I", f"{prons[k][2]}_E"]
+            phones.append("SIL")
+            ctm_lines += [f"{utt} 1 {0.03 * i:.2f} 0.03 {ids[ph]}\n"
+                          for i, ph in enumerate(phones)]
+            start = u * (length + 0.5)
+            segments.append(f"{utt} f{f:03} {start:.2f} {start + length:.2f}\n")
+            text.append(f"{utt} {' '.join(vocab[k] for k in chosen)}\n")
+    for name, lines in (("ali.ctm", ctm_lines), ("segments", segments), ("text", text)):
+        (root / name).write_text("".join(lines))
+    argv = ["ctm2tg", "--ctm", str(root / "ali.ctm"), "--segments", str(root / "segments"),
+            "--phones", str(root / "phones.txt"), "--lexicon", str(root / "lexicon.txt"),
+            "--text", str(root / "text")]
+    return argv, len(ctm_lines)
+
+
+class TestCtm2TgStreaming:
+    """final_ali.txt is written in chunks, and the corpus is not held twice."""
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_failure_after_k_chunks_leaves_no_table(self, tmp_path, monkeypatch, capsys, k):
+        render, written = ctm.render_alignment_table, []
+
+        def failing(tokens):
+            for chunk in render(tokens):
+                if len(written) == k:  # a disk that fills up mid-table
+                    raise OSError(28, "No space left on device")
+                written.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(ctm, "TABLE_CHUNK_ROWS", 2)
+        monkeypatch.setattr(ctm, "render_alignment_table", failing)
+        argv, _ = write_ctm_corpus(tmp_path / "in", files=2, utts=2, words=2)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(written) == k
+        assert list(out.iterdir()) == []  # no final_ali.txt, no temp file, no grid
+
+    def test_dry_run_consumes_no_chunk(self, tmp_path, monkeypatch, capsys):
+        render, consumed = ctm.render_alignment_table, []
+
+        def counted(tokens):
+            for chunk in render(tokens):
+                consumed.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(ctm, "render_alignment_table", counted)
+        argv, _ = write_ctm_corpus(tmp_path / "in", files=2, utts=2, words=2)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), "--dry-run"]) == 0
+        assert consumed == []
+        assert f"dry-run: would write {out / 'final_ali.txt'}" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_written_table_equals_the_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ctm, "TABLE_CHUNK_ROWS", 7)
+        argv, lines = write_ctm_corpus(tmp_path / "in", files=3, utts=2, words=3)
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(ctm, "TABLE_CHUNK_ROWS", 100_000)
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        table = (tmp_path / "a" / "final_ali.txt").read_bytes()
+        assert table == (tmp_path / "b" / "final_ali.txt").read_bytes()
+        assert table.count(b"\n") == lines + 1
+
+    def test_peak_memory_per_ctm_line(self, tmp_path):
+        # the bound lies between 707-751 B a line (Python 3.10-3.13) with the
+        # entries, the tokens and the whole table string alive together, and
+        # 444-468 B with the table streamed and the entries dropped early
+        argv, lines = write_ctm_corpus(tmp_path / "in", files=20, utts=20, words=16)
+        assert lines == 20_000
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / lines < 600, f"{peak / lines:.0f} B per CTM line"
 
 
 class TestValidateMfa:

@@ -1,6 +1,10 @@
-import pytest
+from unittest import mock
 
-from corpusphon import kaldi
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from corpusphon import ctm, kaldi
 from corpusphon.ctm import (
     ALIGNMENT_HEADER,
     AmbiguousPron,
@@ -82,6 +86,44 @@ def _joined(corpus):
     return alignment_rows(entries, segments, resolve_phone_ids(entries, table))
 
 
+def _table(tokens):
+    """The streamed final_ali.txt, joined and decoded."""
+    return b"".join(render_alignment_table(tokens)).decode("utf-8")
+
+
+def _reference_table(tokens):
+    """final_ali.txt as one string, row by row, with no chunks and no time cache."""
+    sec = kaldi.format_seconds
+    rows = [
+        "\t".join([t.utt, t.file_id, t.phone_field, str(t.channel), sec(t.start_in_utt),
+                   sec(t.dur), t.phone, sec(t.utt_start), sec(t.utt_end), sec(t.start),
+                   sec(t.end)])
+        for t in tokens
+    ]
+    return "\n".join([ALIGNMENT_HEADER, *rows]) + "\n"
+
+
+_NAMES = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+                 min_size=1, max_size=4)
+_TIMES = st.sampled_from([0.0, -0.0, 1e-7, 0.01, 2.5, 1234.5678905]) | st.floats(0.0, 1e5)
+# any row the table can hold: names with non-ASCII text, and zeros of both signs
+_TABLE_TOKENS = st.builds(
+    PhoneToken, _NAMES, _NAMES, _NAMES, st.integers(0, 2), _TIMES, _TIMES,
+    st.sampled_from(["SIL", "AH1_B", "T_E"]), _TIMES, _TIMES, _TIMES, _TIMES,
+    st.just("X"), st.none(),
+)
+
+
+def _signed_zero_tokens(n):
+    """n rows whose utterance-relative start and utterance start alternate 0.0 and -0.0."""
+    zeros = (0.0, -0.0)
+    return [
+        PhoneToken("u", "f", "7", 1, zeros[i % 2], 0.01, "AH1_B", zeros[1 - i % 2],
+                   2.5, i / 100, i / 100 + 0.01, "AH1", "B")
+        for i in range(n)
+    ]
+
+
 def _per_file(tokens, segments, lex, text):
     """The corpus split, then each file's alignment: what ctm2tg runs."""
     return {
@@ -158,7 +200,7 @@ class TestResolve:
         symbols = resolve_phone_ids(entries, PhoneSymbolTable.parse("SIL 7\nAH1_B 42\n"))
         assert symbols == [symbol]
         tokens = alignment_rows(entries, kaldi.parse_segments("u f 0.0 1.0\n"), symbols)
-        row = render_alignment_table(tokens).splitlines()[1].split("\t")
+        row = _table(tokens).splitlines()[1].split("\t")
         assert row[2] == column and row[6] == symbol
 
 
@@ -348,7 +390,7 @@ class TestTiers:
 class TestAlignmentTable:
     def test_header_and_round_trip(self, corpus):
         tokens = _joined(corpus)
-        rendered = render_alignment_table(tokens)
+        rendered = _table(tokens)
         lines = rendered.splitlines()
         assert lines[0] == ALIGNMENT_HEADER
         assert len(lines) == len(tokens) + 1
@@ -368,7 +410,24 @@ class TestAlignmentTable:
                            *times[2:], *split_position(f[6]))
             )
         # re-rendering the columns read back is byte-stable
-        assert render_alignment_table(back) == rendered
+        assert _table(back) == rendered
+
+    @settings(max_examples=150, deadline=None)
+    @given(tokens=st.lists(_TABLE_TOKENS, max_size=12), chunk_rows=st.integers(1, 5))
+    @example(tokens=_signed_zero_tokens(0), chunk_rows=3)  # the header alone
+    @example(tokens=_signed_zero_tokens(2), chunk_rows=3)  # exactly one chunk
+    @example(tokens=_signed_zero_tokens(3), chunk_rows=3)  # one chunk and one row
+    @example(tokens=_signed_zero_tokens(7), chunk_rows=3)  # zeros of both signs in each chunk
+    def test_chunks_join_to_the_one_string_table(self, tokens, chunk_rows):
+        with mock.patch.object(ctm, "TABLE_CHUNK_ROWS", chunk_rows):
+            chunks = list(render_alignment_table(tokens))
+        assert all(type(chunk) is bytes for chunk in chunks)
+        assert b"".join(chunks).decode("utf-8") == _reference_table(tokens)
+        # every chunk holds chunk_rows lines, the header counting as one, but
+        # the last, which holds at least one
+        lines = [chunk.count(b"\n") for chunk in chunks]
+        assert lines[:-1] == [chunk_rows] * (len(chunks) - 1)
+        assert 1 <= lines[-1] <= chunk_rows
 
     def test_raw_phone_field_preserved(self, corpus):
         rows = _joined(corpus)

@@ -10,7 +10,6 @@ from corpusphon.lexicon import parse_lexicon
 from corpusphon.textgrid import (
     Interval,
     IntervalTier,
-    OverlapError,
     TextGrid,
     merge_interval_tiers,
     stack_tiers,
@@ -359,15 +358,59 @@ class TestPreferManual:
         )
     )
     def test_idempotent(self, grid):
-        try:
-            once = prefer_manual(grid, "manual", "auto")
-        except OverlapError:
-            # a token moved onto a manual span that also overlaps its auto
-            # neighbour collides with it; idempotence concerns the grids
-            # prefer_manual accepts
-            return
+        once = prefer_manual(grid, "manual", "auto")
         twice = prefer_manual(once, "manual", "auto")
         assert textgrid_equal(once, twice, time_tol=0.0)
+
+    @staticmethod
+    def _preferred(manual, auto):
+        grid = TextGrid(0.0, 10.0, (
+            IntervalTier("manual", 0.0, 10.0, manual).normalized(),
+            IntervalTier("auto", 0.0, 10.0, auto).normalized(),
+        ))
+        return prefer_manual(grid, "manual", "auto").find_tier("auto")[0].non_empty()
+
+    def test_manual_token_over_two_auto_tokens_replaces_both(self):
+        # the auto token the manual one overlaps most (0.15 s against 0.11 s)
+        # lends its label; the other is replaced too, not left to collide
+        out = self._preferred(
+            (Interval(5.22, 5.71, "M"),),
+            (Interval(4.2, 5.33, "P"), Interval(5.34, 5.49, "T")),
+        )
+        assert out == (Interval(5.22, 5.71, "T"),)
+
+    def test_label_from_the_larger_overlap(self):
+        out = self._preferred(
+            (Interval(5.22, 5.71, "M"),),
+            (Interval(4.2, 5.43, "P"), Interval(5.44, 5.49, "T")),
+        )
+        assert out == (Interval(5.22, 5.71, "P"),)
+
+    def test_label_already_claimed_by_a_larger_overlap(self):
+        # N overlaps K most (0.3 s), but M overlaps K more (1.0 s) and
+        # claims it first, so N takes the label of T
+        out = self._preferred(
+            (Interval(1.0, 2.0, "M"), Interval(2.0, 2.5, "N")),
+            (Interval(0.9, 2.3, "K"), Interval(2.4, 2.6, "T")),
+        )
+        assert out == (Interval(1.0, 2.0, "K"), Interval(2.0, 2.5, "T"))
+
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_touching_auto_token_is_kept(self, side):
+        neighbour = Interval(4.0, 5.0, "P") if side == "before" else Interval(6.0, 7.0, "P")
+        out = self._preferred(
+            (Interval(5.0, 6.0, "M"),), (neighbour, Interval(5.2, 5.8, "T"))
+        )
+        assert out == tuple(sorted((neighbour, Interval(5.0, 6.0, "T")),
+                                   key=lambda iv: iv.xmin))
+
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_auto_token_overlapping_by_a_millisecond_is_replaced(self, side):
+        neighbour = Interval(4.0, 5.001, "P") if side == "before" else Interval(5.999, 7.0, "P")
+        out = self._preferred(
+            (Interval(5.0, 6.0, "M"),), (neighbour, Interval(5.2, 5.8, "T"))
+        )
+        assert out == (Interval(5.0, 6.0, "T"),)
 
 
 def measurement_fixture_grid():
