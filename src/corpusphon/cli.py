@@ -37,7 +37,7 @@ PROG = "corpusphon"
 
 
 class UsageError(Exception):
-    """Bad invocation or refused output location; maps to exit 2."""
+    """Bad invocation, refused output location or failed output write; maps to exit 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -55,20 +55,24 @@ def replace_file(path: Path, data: bytes | Iterable[bytes]) -> None:
 
     A write that fails or is interrupted, also in the middle of the chunks,
     removes its temp file, so path is either its old self or complete: never
-    a partial file.
+    a partial file. A failed write raises UsageError, which ends the command
+    even inside a batch; chunks that read an input report a failed read as a
+    ToolkitError, which costs only that file.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         if isinstance(data, bytes):
             tmp.write_bytes(data)
         else:
             with tmp.open("wb") as f:
                 f.writelines(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             tmp.unlink()
+        if isinstance(exc, OSError):
+            raise UsageError(str(exc)) from exc
         raise
 
 
@@ -191,8 +195,8 @@ def process_files(ctx: Ctx, paths: list[Path] | list[str], fn) -> list[tuple]:
 
     Each file gets its own report: its warnings, whatever fn adds, and a
     ToolkitError, OSError or undecodable text as an ERROR, so a bad file
-    costs only itself. Returns (path, result) for each file that did not
-    fail.
+    costs only itself. A failed output write (UsageError) is not caught: it
+    ends the command. Returns (path, result) for each file that did not fail.
     """
     done = []
     for path in paths:
@@ -255,13 +259,12 @@ def step_path(out_dir: Path, suffix: str):
 
 
 def write_grid_step(ctx: Ctx, paths: list[Path], out_path, fn) -> None:
-    """Write fn(path, grid) to out_path(path) for each grid file that succeeds."""
+    """Write fn(path, grid) to out_path(path) for each grid file, as it succeeds."""
 
-    def step(path: Path, report: Report) -> bytes:
-        return textgrid.write_textgrid(fn(path, read_grid(path)))
+    def step(path: Path, report: Report) -> None:
+        ctx.out_file(out_path(path), textgrid.write_textgrid(fn(path, read_grid(path))))
 
-    for path, data in process_files(ctx, paths, step):
-        ctx.out_file(out_path(path), data)
+    process_files(ctx, paths, step)
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +551,11 @@ def cmd_audio_mono(args, ctx: Ctx) -> None:
     wavs = expand_paths(ctx, args.wavs)
     ctx.check_outputs(out_dir, wavs)
 
-    def convert(path: Path, report: Report) -> bytes:
-        return audio.extract_channel(path.read_bytes(), args.channel)
+    def convert(path: Path, report: Report) -> None:
+        with path.open("rb") as f:
+            ctx.out_file(out_dir / f"{path.stem}_mono.wav", audio.read_channel(f, args.channel))
 
-    for path, mono in process_files(ctx, wavs, convert):
-        ctx.out_file(out_dir / f"{path.stem}_mono.wav", mono)
+    process_files(ctx, wavs, convert)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,25 @@
 from __future__ import annotations
 
 import random
+import warnings
 from pathlib import Path
 
 import pytest
 
 from corpusphon import kaldi
 from corpusphon.textgrid import Interval, IntervalTier, TextGrid
+
+# Hypothesis's pytest plugin imports this module (and libcst through it) to
+# suggest a patch for a failing property. That import can warn of a
+# deprecation inside libcst, which filterwarnings = error would raise inside
+# the report hook, ending the session in INTERNALERROR without the falsifying
+# example. Importing it here first, with that warning ignored, keeps the report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -1,12 +1,17 @@
+import io
+import os
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpusphon import audio
 from corpusphon.audio import (
     AudioError,
     ChannelOutOfRange,
+    DataShrank,
     MissingDataChunk,
     MissingFmtChunk,
     NotRiff,
@@ -14,6 +19,7 @@ from corpusphon.audio import (
     build_wav,
     extract_channel,
     parse_wav_header,
+    read_channel,
     read_wav_header,
     validate_for_mfa,
 )
@@ -257,3 +263,67 @@ class TestExtractChannel:
         info = parse_wav_header(mono)
         assert info.bits_per_sample == 24
         assert mono[info.data_offset:] == bytes([2, 2, 2, 4, 4, 4, 6, 6, 6])
+
+
+def _reference_mono(blob, channel):
+    """The whole-buffer deinterleave: the channel's sample of every whole frame."""
+    info = parse_wav_header(blob)
+    if info.format_code != 1:
+        raise UnsupportedFormatCode("not integer PCM")
+    if not 1 <= channel <= info.channels:
+        raise ChannelOutOfRange("no such channel")
+    bps, frame = info.bits_per_sample // 8, info.bytes_per_frame
+    end = info.data_offset + info.data_bytes - info.data_bytes % frame
+    data = blob[info.data_offset : end]
+    at = (channel - 1) * bps
+    samples = b"".join(data[i + at : i + at + bps] for i in range(0, len(data), frame))
+    return build_wav(samples, info.sample_rate, 1, info.bits_per_sample)
+
+
+class TestReadChannel:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_wavs(), st.integers(1, 3), st.integers(1, 5), st.integers(0, 3))
+    @example(build_wav(pcm16(range(10)), 16000, 2, 16), 2, 2, 0)  # blocks of exactly 2 frames
+    @example(build_wav(pcm16(range(10)), 16000, 2, 16), 1, 1, 3)  # a block of a frame and a bit
+    @example(build_wav(b"", 16000, 1, 16), 1, 1, 0)  # no sample data
+    def test_blocks_join_to_the_whole_buffer_deinterleave(self, blob, channel, frames, extra):
+        try:
+            frame = parse_wav_header(blob).bytes_per_frame
+        except AudioError:
+            frame = 4
+        block_bytes = frames * frame + extra  # rounded down to whole frames
+        with mock.patch.object(audio, "BLOCK_BYTES", block_bytes):
+            try:
+                chunks = list(read_channel(io.BytesIO(blob), channel))
+            except AudioError as exc:
+                got = type(exc)
+            else:
+                got = b"".join(chunks)
+        try:
+            want = _reference_mono(blob, channel)
+        except AudioError as exc:
+            want = type(exc)
+        assert got == want
+        if isinstance(got, bytes):
+            # the header, then blocks of whole frames of one size but the last
+            block = max(1, block_bytes // frame) * 2  # 16-bit mono samples
+            sizes = [len(c) for c in chunks]
+            assert sizes[0] == 44 and all(n == block for n in sizes[1:-1])
+            assert all(0 < n <= block for n in sizes[1:])
+            assert extract_channel(blob, channel) == got
+
+    def test_checks_the_header_before_returning(self):
+        wav = build_wav(pcm16([0, 0]), 16000, 2, 16)
+        with pytest.raises(ChannelOutOfRange):
+            read_channel(io.BytesIO(wav), 3)
+        with pytest.raises(NotRiff):
+            read_channel(io.BytesIO(b"RIFX" + wav[4:]), 1)
+
+    def test_file_that_shrinks_after_its_header_raises(self, tmp_path):
+        path = tmp_path / "shrinks.wav"
+        path.write_bytes(build_wav(pcm16(range(-20000, 20000)), 16000, 2, 16))
+        with path.open("rb") as f, mock.patch.object(audio, "BLOCK_BYTES", 4096):
+            chunks = read_channel(f, 2)
+            os.truncate(path, 44 + 30000)
+            with pytest.raises(DataShrank, match="ended 50000 bytes short"):
+                list(chunks)

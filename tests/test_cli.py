@@ -113,6 +113,23 @@ class TestCtm2Tg:
         for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes()
 
+    def test_failed_grid_write_ends_the_command(self, tmp_path, monkeypatch, capsys):
+        # a full disk is an I/O failure of the run, not one finding per grid
+        real_write, attempts = Path.write_bytes, []
+
+        def write_bytes(path, data):
+            if ".TextGrid." in path.name:
+                attempts.append(path.name)
+                raise OSError(28, "No space left on device")
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        out = tmp_path / "out"
+        assert self.run_mixed(out) == 2
+        assert capsys.readouterr().err == "corpusphon: [Errno 28] No space left on device\n"
+        assert attempts == [f".g1.TextGrid.{os.getpid()}.tmp"]  # g2 is never tried
+        assert sorted(p.name for p in out.iterdir()) == ["final_ali.txt"]
+
     @pytest.mark.parametrize("phone, start", [("²", "0.00"), ("1", "nan")])
     def test_malformed_ctm_line_is_named(self, tmp_path, capsys, phone, start):
         src = tmp_path / "in"
@@ -739,6 +756,31 @@ class TestTgCli:
         rc = main(["tg", "diagnose", str(out)])
         assert rc == 0
 
+    def test_grid_step_writes_each_grid_as_it_is_done(self, tmp_path, monkeypatch, capsys):
+        src, out = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        for i in range(3):
+            write_grid(src / f"g{i}.TextGrid", [Interval(1.0, 2.0, "X")], name="phones")
+        real_read, real_write, read = cli.read_grid, Path.write_bytes, []
+
+        def read_grid(path):
+            read.append(path.name)
+            return real_read(path)
+
+        def write_bytes(path, data):
+            if path.name.startswith(".g1_"):
+                raise OSError(28, "No space left on device")
+            return real_write(path, data)
+
+        monkeypatch.setattr(cli, "read_grid", read_grid)
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        argv = ["vot", "merge", *(str(src / f"g{i}.TextGrid") for i in range(3)),
+                "--tiers", "1", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert read == ["g0.TextGrid", "g1.TextGrid"]  # g2 is never read
+        assert [p.name for p in out.iterdir()] == ["g0_stops.TextGrid"]
+
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         a = tmp_path / "in" / "a.TextGrid"
         a.parent.mkdir()
@@ -1077,16 +1119,34 @@ class TestAudioCli:
             write_wav(src / f"w{i}.wav", seconds=0.5, channels=2)
         argv = ["audio", "mono", *(str(src / f"w{i}.wav") for i in range(3)),
                 "--channel", "1", "--out-dir", str(out), "--report", str(report)]
-        real_write, calls = Path.write_bytes, []
+        real_open, calls = Path.open, []
 
-        def write_bytes(path, data):
-            calls.append(path)
-            if len(calls) == k:  # a disk that fills up halfway through
-                real_write(path, data[: len(data) // 2])
-                raise OSError(28, "No space left on device")
-            return real_write(path, data)
+        class FailingWrite:  # a temp file, written whole or in chunks
+            def __init__(self, path):
+                self.f = real_open(path, "wb")
 
-        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                calls.append(data)
+                if len(calls) == k:  # a disk that fills up halfway through
+                    self.f.write(data[: len(data) // 2])
+                    raise OSError(28, "No space left on device")
+                return self.f.write(data)
+
+            def writelines(self, chunks):
+                self.write(b"".join(chunks))
+
+        def open_(path, mode="r", *args, **kwargs):
+            if mode == "wb":
+                return FailingWrite(path)
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_)
         assert main(argv) == 2
         assert "No space left on device" in capsys.readouterr().err
         mono = audio.extract_channel((src / "w0.wav").read_bytes(), 1)
@@ -1094,6 +1154,101 @@ class TestAudioCli:
         assert sorted(p.name for p in out.iterdir()) == written
         assert all((out / name).read_bytes() == mono for name in written)
         assert not report.parent.exists() or list(report.parent.iterdir()) == []
+
+    @staticmethod
+    def probe_sample_reads(monkeypatch, stem, after_header):
+        """Wrap the open file of stem once read_channel has checked its header.
+
+        Each later read of that file appends its size to the returned list and
+        then calls after_header(path, that list), which may fail the read.
+        """
+        real, sample_reads = audio.read_channel, []
+
+        class Probed:
+            def __init__(self, f):
+                self.f, self.checked = f, False
+
+            def seek(self, *args):
+                return self.f.seek(*args)
+
+            def read(self, n=-1):
+                if self.checked:
+                    sample_reads.append(n)
+                    after_header(Path(self.f.name), sample_reads)
+                return self.f.read(n)
+
+        def read_channel(f, channel):
+            if Path(getattr(f, "name", "")).stem != stem:
+                return real(f, channel)
+            probed = Probed(f)
+            chunks = real(probed, channel)
+            probed.checked = True
+            return chunks
+
+        monkeypatch.setattr(audio, "read_channel", read_channel)
+        return sample_reads
+
+    @pytest.mark.parametrize("failure", ["read error", "file shrinks"])
+    def test_failed_read_mid_stream_costs_only_its_file(self, tmp_path, monkeypatch, capsys, failure):
+        src, out = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        for i in range(3):
+            write_wav(src / f"w{i}.wav", seconds=0.5, channels=2)
+
+        def fail_third_block(path, reads):
+            if len(reads) == 3:
+                if failure == "read error":
+                    raise OSError(5, "Input/output error")
+                os.truncate(path, 44 + 8000)
+
+        monkeypatch.setattr(audio, "BLOCK_BYTES", 4000)
+        self.probe_sample_reads(monkeypatch, "w1", fail_third_block)
+        argv = ["audio", "mono", *(str(src / f"w{i}.wav") for i in range(3)),
+                "--channel", "2", "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        message = "Input/output error" if failure == "read error" else "bytes short of its header"
+        assert len(err) == 1 and err[0].startswith(f"{src / 'w1.wav'}: ERROR: ")
+        assert message in err[0]
+        assert sorted(p.name for p in out.iterdir()) == ["w0_mono.wav", "w2_mono.wav"]
+        mono = audio.extract_channel((src / "w0.wav").read_bytes(), 2)
+        assert (out / "w2_mono.wav").read_bytes() == mono
+
+    def test_dry_run_reads_no_sample_block(self, tmp_path, monkeypatch, capsys):
+        src, out = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        write_wav(src / "w.wav", seconds=2.0, channels=2)
+        sample_reads = self.probe_sample_reads(monkeypatch, "w", lambda path, reads: None)
+        argv = ["audio", "mono", str(src / "w.wav"), "--channel", "1",
+                "--out-dir", str(out), "--dry-run"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"dry-run: would write {out / 'w_mono.wav'}\n"
+        assert sample_reads == [] and not out.exists()
+        assert main(argv[:-1]) == 0
+        assert len(sample_reads) == 1  # the probe sees the reads of a real run
+
+    def test_peak_memory_is_one_block_not_the_file(self, tmp_path):
+        # a 48 kHz stereo WAV of 24 s (4.6 MB) and of 48 s: whole-file
+        # extraction peaks at about 3.5 times the input, 16 and 32 MB; a
+        # block of 1 MiB would peak near 2.5 MB
+        peaks = []
+        for seconds in (0, 24, 48):  # the first call warms up the CLI
+            src = tmp_path / f"in{seconds}"
+            src.mkdir()
+            frames = (b"\x01\x02\x03\x04" * 48000) * seconds
+            (src / "long.wav").write_bytes(audio.build_wav(frames, 48000, 2, 16))
+            argv = ["audio", "mono", str(src / "long.wav"), "--channel", "2",
+                    "--out-dir", str(tmp_path / f"out{seconds}")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            mono = (tmp_path / f"out{seconds}" / "long_mono.wav").read_bytes()
+            assert mono[44:] == b"\x03\x04" * 48000 * seconds
+        assert peaks[1] < 4_000_000, f"{peaks[1] / 1e6:.2f} MB"
+        assert peaks[2] < peaks[1] + 200_000, f"{peaks[1] / 1e6:.2f} -> {peaks[2] / 1e6:.2f} MB"
 
 
 class TestFaveCli:
