@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import BinaryIO, Iterator
 
 from .errors import ToolkitError
@@ -71,8 +71,13 @@ class WavInfo:
     data_offset: int  # where the sample frames start in the file image
 
     @property
+    def bytes_per_sample(self) -> int:
+        # the WAVE container rule: a sample takes whole bytes, 12 bits take 2
+        return (self.bits_per_sample + 7) // 8
+
+    @property
     def bytes_per_frame(self) -> int:
-        return self.channels * self.bits_per_sample // 8
+        return self.channels * self.bytes_per_sample
 
     @property
     def duration(self) -> float:
@@ -196,11 +201,11 @@ def read_channel(f: BinaryIO, channel_index: int) -> Iterator[bytes]:
 
 
 def _mono_chunks(f: BinaryIO, info: WavInfo, channel_index: int) -> Iterator[bytes]:
-    bps, frame = info.bits_per_sample // 8, info.bytes_per_frame
+    bps, frame = info.bytes_per_sample, info.bytes_per_frame
     left = info.data_bytes - (info.data_bytes % frame)
     offset = (channel_index - 1) * bps
     step = max(1, BLOCK_BYTES // frame) * frame
-    yield _header(left // info.channels, info.sample_rate, 1, info.bits_per_sample)
+    yield _header(replace(info, channels=1, data_bytes=left // info.channels))
     while left:
         want = min(step, left)
         try:
@@ -223,13 +228,15 @@ def extract_channel(content: bytes, channel_index: int) -> bytes:
 
 def build_wav(frames: bytes, sample_rate: int, channels: int, bits_per_sample: int) -> bytes:
     """Assemble a canonical 44-byte-header PCM WAV around raw frames."""
-    return _header(len(frames), sample_rate, channels, bits_per_sample) + frames
+    info = WavInfo(sample_rate, channels, bits_per_sample, WAVE_FORMAT_PCM, len(frames), 44)
+    return _header(info) + frames
 
 
-def _header(data_bytes: int, sample_rate: int, channels: int, bits_per_sample: int) -> bytes:
-    block_align = channels * (bits_per_sample // 8)
+def _header(info: WavInfo) -> bytes:
+    """The canonical 44-byte PCM header of info's format and data size."""
+    align = info.bytes_per_frame
     return struct.pack(
-        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data_bytes, b"WAVE", b"fmt ", 16,
-        WAVE_FORMAT_PCM, channels, sample_rate, sample_rate * block_align,
-        block_align, bits_per_sample, b"data", data_bytes,
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + info.data_bytes, b"WAVE", b"fmt ", 16,
+        WAVE_FORMAT_PCM, info.channels, info.sample_rate, info.sample_rate * align,
+        align, info.bits_per_sample, b"data", info.data_bytes,
     )

@@ -475,14 +475,16 @@ def cmd_validate_mfa(args, ctx: Ctx) -> None:
         ) from None
     target = ctx.value(args, "target_rate", audio.MFA_SAMPLE_RATE, int)
 
-    if args.wav and args.textgrid:
+    # every input given is used, so a selection that would ignore one is refused
+    if args.wav and args.textgrid and not (args.textgrids or args.wav_dir):
         paths, wavs = [Path(args.textgrid)], [Path(args.wav)]
-    elif args.textgrids:
+    elif args.textgrids and not (args.wav or args.textgrid):
         paths = expand_paths(ctx, args.textgrids)
         wavs = [_stem_wav(Path(args.wav_dir), p.stem) if args.wav_dir else None for p in paths]
     else:
-        raise UsageError("need --wav/--textgrid or TextGrid paths")
-    ctx.check_outputs(None, paths + [w for w in wavs if w is not None])
+        raise UsageError("need --wav with --textgrid, or TextGrid paths and an optional --wav-dir")
+    wav_dir = [Path(args.wav_dir)] if args.wav_dir else []
+    ctx.check_outputs(None, paths + [w for w in wavs if w is not None] + wav_dir)
     wav_by_grid = dict(zip(paths, wavs))
 
     def check(path: Path, report: Report) -> None:

@@ -8,14 +8,22 @@ Sorting is byte-wise (C locale) throughout, which is what Kaldi's own tools
 require. Parsed time fields keep their original spelling so a well-formed
 file re-renders byte-identically; times built from floats are rendered
 trailing-zero-free (0.0, 3.44).
+
+Tokens are checked in build_from_records only, the one entry point whose
+fields do not come from str.split(). A field that str.split() gives is never
+empty and never holds whitespace, so a check in the parsers could not fail.
+A records TSV is split on tabs alone, so build_from_records refuses an empty
+utterance, file or speaker ID or one that holds whitespace, and an empty
+words or source column.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ToolkitError
 from .report import Report
@@ -40,35 +48,22 @@ def _bytes_key(s: str) -> bytes:
     return s.encode("utf-8")
 
 
-def _check_token(token: str, what: str) -> str:
-    if not token or any(c in token for c in " \t\n\r"):
-        raise KaldiDataError(f"{what} {token!r} is empty or contains whitespace")
-    return token
-
-
 def format_seconds(t: float) -> str:
     """Trailing-zero-free decimal with at least one fractional digit."""
     s = f"{t:.6f}".rstrip("0")
     return s + "0" if s.endswith(".") else s
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TranscriptLine:
     utt: str
     words: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        _check_token(self.utt, "utterance ID")
-        if not self.words:
-            raise KaldiDataError(f"utterance {self.utt}: transcript has no words")
-        for w in self.words:
-            _check_token(w, "word")
 
     def render(self) -> str:
         return self.utt + " " + " ".join(self.words)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SegmentLine:
     utt: str
     file_id: str
@@ -77,10 +72,6 @@ class SegmentLine:
     # original spellings, kept so parsed files re-render byte-identically
     start_raw: str | None = None
     end_raw: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_token(self.utt, "utterance ID")
-        _check_token(self.file_id, "file ID")
 
     @property
     def ok(self) -> bool:
@@ -92,15 +83,10 @@ class SegmentLine:
         return f"{self.utt} {self.file_id} {start} {end}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WavScpEntry:
     file_id: str
     source: str
-
-    def __post_init__(self) -> None:
-        _check_token(self.file_id, "file ID")
-        if not self.source.strip():
-            raise KaldiDataError(f"wav.scp entry {self.file_id}: empty source")
 
     def render(self) -> str:
         return f"{self.file_id} {self.source}"
@@ -132,75 +118,53 @@ class KaldiDataDir:
 # parsing / rendering
 
 
-def _split_fields(line: str) -> list[str]:
-    # tabs accepted on read, normalized to single spaces on write
-    return line.split()
+def _rows(
+    content: str, name: str, n: int, expected: str, exact: bool = False, maxsplit: int = -1
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line, split at most maxsplit times.
+
+    Tabs are accepted on read and written as single spaces. A line with fewer
+    than n fields, or more when exact, raises "<name> line <number>: <expected>".
+    """
+    for i, line in enumerate(content.splitlines(), 1):
+        fields = line.split(None, maxsplit)
+        if not fields:
+            continue
+        if len(fields) < n or exact and len(fields) > n:
+            raise KaldiDataError(f"{name} line {i}: {expected}")
+        yield i, fields
 
 
 def parse_text(content: str) -> list[TranscriptLine]:
-    out = []
-    for i, line in enumerate(content.splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = _split_fields(line)
-        if len(fields) < 2:
-            raise KaldiDataError(f"text line {i}: need utterance ID and words")
-        out.append(TranscriptLine(fields[0], tuple(fields[1:])))
-    return out
+    rows = _rows(content, "text", 2, "need utterance ID and words")
+    return [TranscriptLine(f[0], tuple(f[1:])) for _, f in rows]
 
 
 def parse_segments(content: str) -> list[SegmentLine]:
     out = []
-    for i, line in enumerate(content.splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = _split_fields(line)
-        if len(fields) != 4:
-            raise KaldiDataError(f"segments line {i}: expected 4 fields")
+    rows = _rows(content, "segments", 4, "expected 4 fields", exact=True)
+    for i, (utt, file_id, start, end) in rows:
         try:
-            start, end = float(fields[2]), float(fields[3])
+            out.append(SegmentLine(utt, file_id, float(start), float(end), start, end))
         except ValueError:
             raise KaldiDataError(f"segments line {i}: non-numeric time") from None
-        out.append(
-            SegmentLine(fields[0], fields[1], start, end, fields[2], fields[3])
-        )
     return out
 
 
 def parse_wav_scp(content: str) -> list[WavScpEntry]:
-    out = []
-    for i, line in enumerate(content.splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise KaldiDataError(f"wav.scp line {i}: expected file ID and source")
-        out.append(WavScpEntry(parts[0], parts[1].strip()))
-    return out
+    # one split only: a source (a path or a command) keeps its inner spacing
+    rows = _rows(content, "wav.scp", 2, "expected file ID and source", maxsplit=1)
+    return [WavScpEntry(file_id, source.strip()) for _, (file_id, source) in rows]
 
 
 def parse_utt2spk(content: str) -> list[tuple[str, str]]:
-    out = []
-    for i, line in enumerate(content.splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = _split_fields(line)
-        if len(fields) != 2:
-            raise KaldiDataError(f"utt2spk line {i}: expected 2 fields")
-        out.append((_check_token(fields[0], "utterance ID"), fields[1]))
-    return out
+    rows = _rows(content, "utt2spk", 2, "expected 2 fields", exact=True)
+    return [(utt, spk) for _, (utt, spk) in rows]
 
 
 def parse_spk2utt(content: str) -> list[tuple[str, tuple[str, ...]]]:
-    out = []
-    for i, line in enumerate(content.splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = _split_fields(line)
-        if len(fields) < 2:
-            raise KaldiDataError(f"spk2utt line {i}: expected speaker and utterances")
-        out.append((fields[0], tuple(fields[1:])))
-    return out
+    rows = _rows(content, "spk2utt", 2, "expected speaker and utterances")
+    return [(f[0], tuple(f[1:])) for _, f in rows]
 
 
 def read_data_dir(path: Path | str) -> KaldiDataDir:
@@ -260,7 +224,7 @@ def _check_sorted(report: Report, name: str, keys: list[str]) -> None:
             return
 
 
-def _check_duplicates(report: Report, name: str, keys: list[str]) -> set[str]:
+def _check_duplicates(report: Report, name: str, keys: list[str]) -> None:
     seen: set[str] = set()
     dups: set[str] = set()
     for k in keys:
@@ -269,7 +233,6 @@ def _check_duplicates(report: Report, name: str, keys: list[str]) -> set[str]:
         seen.add(k)
     for k in sorted(dups, key=_bytes_key):
         report.error(name, f"duplicate entry for {k!r}")
-    return dups
 
 
 def validate_data_dir(
@@ -377,6 +340,27 @@ def validate_data_dir(
 # repair
 
 
+def _keep(log: list[str], name: str, rows: list, reasons: Iterable) -> list:
+    """One drop stage, a reason per row: None keeps the row, a reason drops and logs it."""
+    reasons = list(reasons)
+    log.extend(f"{name}: dropped {why}" for why in reasons if why is not None)
+    return [row for row, why in zip(rows, reasons) if why is None]
+
+
+def _repeats(
+    rows: list, key: Callable, how: Callable = lambda first, row: "duplicate line"
+) -> Iterator[str | None]:
+    """The drop stage of rows whose key an earlier row has; how(first, row) names it."""
+    firsts: dict = {}
+    for row in rows:
+        k = key(row)
+        if k in firsts:
+            yield f"{how(firsts[k], row)} for {k!r}"
+        else:
+            firsts[k] = row
+            yield None
+
+
 def fix_data_dir(d: KaldiDataDir) -> tuple[KaldiDataDir, list[str]]:
     """Sort, deduplicate, and intersect the files so validation is clean.
 
@@ -393,91 +377,34 @@ def fix_data_dir(d: KaldiDataDir) -> tuple[KaldiDataDir, list[str]]:
         utt2spk = list(invert_spk2utt(dict(d.spk2utt)).items())
         log.append("utt2spk: missing or empty; rebuilt from spk2utt")
 
-    def dedup(pairs, name, key):
-        seen = set()
-        out = []
-        for p in pairs:
-            k = key(p)
-            if k in seen:
-                log.append(f"{name}: dropped duplicate line for {k!r}")
-                continue
-            seen.add(k)
-            out.append(p)
-        return out
+    utt, pair_utt, file_id = attrgetter("utt"), itemgetter(0), attrgetter("file_id")
+    text = _keep(log, "text", d.text, _repeats(d.text, utt))
+    segments = _keep(log, "segments", d.segments, _repeats(d.segments, utt))
+    utt2spk = _keep(log, "utt2spk", utt2spk, _repeats(utt2spk, pair_utt))
+    segments = _keep(log, "segments", segments, (
+        None if l.ok else f"{l.utt!r} (start {l.start} not before end {l.end})"
+        for l in segments))
+    wav_scp = _keep(log, "wav.scp", d.wav_scp, _repeats(d.wav_scp, file_id, lambda a, b: (
+        "repeated identical entry" if a.source == b.source else "conflicting duplicate")))
+    wav_ids = {e.file_id for e in wav_scp}
+    segments = _keep(log, "segments", segments, (
+        None if l.file_id in wav_ids else
+        f"{l.utt!r} (file ID {l.file_id!r} not in wav.scp)" for l in segments))
 
-    text = dedup(d.text, "text", lambda l: l.utt)
-    segments = dedup(d.segments, "segments", lambda l: l.utt)
-    utt2spk = dedup(utt2spk, "utt2spk", lambda p: p[0])
-
-    good_segments = []
-    for line in segments:
-        if not line.ok:
-            log.append(
-                f"segments: dropped {line.utt!r} (start {line.start} not "
-                f"before end {line.end})"
-            )
-            continue
-        good_segments.append(line)
-    segments = good_segments
-
-    wav_scp: list[WavScpEntry] = []
-    wav_seen: dict[str, str] = {}
-    for e in d.wav_scp:
-        if e.file_id in wav_seen:
-            if wav_seen[e.file_id] != e.source:
-                log.append(
-                    f"wav.scp: dropped conflicting duplicate for {e.file_id!r}"
-                )
-            else:
-                log.append(
-                    f"wav.scp: dropped repeated identical entry for {e.file_id!r}"
-                )
-            continue
-        wav_seen[e.file_id] = e.source
-        wav_scp.append(e)
-
-    wav_ids = set(wav_seen)
-    backed_segments = []
-    for line in segments:
-        if line.file_id not in wav_ids:
-            log.append(
-                f"segments: dropped {line.utt!r} (file ID {line.file_id!r} "
-                "not in wav.scp)"
-            )
-            continue
-        backed_segments.append(line)
-    segments = backed_segments
-
-    survivors = (
-        {l.utt for l in text}
-        & {l.utt for l in segments}
-        & {u for u, _ in utt2spk}
-    )
-
-    def keep(pairs, name, key):
-        out = []
-        for p in pairs:
-            if key(p) in survivors:
-                out.append(p)
-            else:
-                log.append(f"{name}: dropped {key(p)!r} (not present everywhere)")
-        return out
-
-    text = keep(text, "text", lambda l: l.utt)
-    segments = keep(segments, "segments", lambda l: l.utt)
-    utt2spk = keep(utt2spk, "utt2spk", lambda p: p[0])
-
+    survivors = {l.utt for l in text} & {l.utt for l in segments} & {u for u, _ in utt2spk}
     if not survivors:
         raise EmptyResult("no utterance present in all of text/segments/utt2spk")
 
+    def absent(keys: Iterable[str]) -> Iterator[str | None]:
+        return (None if k in survivors else f"{k!r} (not present everywhere)" for k in keys)
+
+    text = _keep(log, "text", text, absent(l.utt for l in text))
+    segments = _keep(log, "segments", segments, absent(l.utt for l in segments))
+    utt2spk = _keep(log, "utt2spk", utt2spk, absent(u for u, _ in utt2spk))
     referenced = {l.file_id for l in segments}
-    kept_wav = []
-    for e in wav_scp:
-        if e.file_id in referenced:
-            kept_wav.append(e)
-        else:
-            log.append(f"wav.scp: dropped {e.file_id!r} (no surviving segment)")
-    wav_scp = kept_wav
+    wav_scp = _keep(log, "wav.scp", wav_scp, (
+        None if e.file_id in referenced else f"{e.file_id!r} (no surviving segment)"
+        for e in wav_scp))
 
     text.sort(key=lambda l: _bytes_key(l.utt))
     segments.sort(key=lambda l: _bytes_key(l.utt))
@@ -512,6 +439,11 @@ class UtteranceRecord:
     source: str
 
 
+def _check_token(token: str, what: str) -> None:
+    if not token or any(c in token for c in " \t\n\r"):
+        raise KaldiDataError(f"{what} {token!r} is empty or contains whitespace")
+
+
 def build_from_records(records: list[UtteranceRecord]) -> KaldiDataDir:
     """Produce a consistent, sorted data directory in one pass."""
     if not records:
@@ -529,15 +461,21 @@ def build_from_records(records: list[UtteranceRecord]) -> KaldiDataDir:
         sources[r.file_id] = r.source
 
     ordered = sorted(records, key=lambda r: _bytes_key(r.utt))
+    for r in ordered:
+        _check_token(r.utt, "utterance ID")
+        _check_token(r.file_id, "file ID")
+        _check_token(r.speaker, "speaker")
+        if not r.words:
+            raise KaldiDataError(f"utterance {r.utt}: transcript has no words")
+        if not r.source.strip():
+            raise KaldiDataError(f"wav.scp entry {r.file_id}: empty source")
+        if not 0 <= r.start < r.end:
+            raise KaldiDataError(
+                f"utterance {r.utt!r}: start {r.start} not before end {r.end}"
+            )
     text = [TranscriptLine(r.utt, tuple(r.words)) for r in ordered]
     segments = [SegmentLine(r.utt, r.file_id, r.start, r.end) for r in ordered]
-    for line in segments:
-        if not line.ok:
-            raise KaldiDataError(
-                f"utterance {line.utt!r}: start {line.start} not before end "
-                f"{line.end}"
-            )
-    utt2spk = [(r.utt, _check_token(r.speaker, "speaker")) for r in ordered]
+    utt2spk = [(r.utt, r.speaker) for r in ordered]
     wav_scp = [
         WavScpEntry(fid, sources[fid])
         for fid in sorted(sources, key=_bytes_key)

@@ -30,40 +30,11 @@ class MalformedLine(LexiconError):
     """A lexicon line with a word but no phones."""
 
 
-class InvalidStress(LexiconError):
-    """Stress digit on a non-vowel base, or a digit outside 0..2."""
-
-
 class DuplicateEntryWarning(ToolkitWarning):
     """Identical (word, pronunciation) pair seen twice; collapsed to one."""
 
 
 Pron = tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ArpabetPhone:
-    base: str
-    stress: int | None = None
-
-    def render(self) -> str:
-        return self.base if self.stress is None else f"{self.base}{self.stress}"
-
-
-def parse_arpabet(symbol: str) -> ArpabetPhone:
-    """Split a trailing stress digit off a vowel; consonants carry none."""
-    if not symbol:
-        raise InvalidStress("empty phone symbol")
-    if symbol[-1].isdigit():
-        base, digit = symbol[:-1], symbol[-1]
-        if base not in VOWELS:
-            raise InvalidStress(
-                f"{symbol!r}: stress digit on non-vowel base {base!r}"
-            )
-        if digit not in "012":
-            raise InvalidStress(f"{symbol!r}: stress digit must be 0, 1, or 2")
-        return ArpabetPhone(base, int(digit))
-    return ArpabetPhone(symbol)
 
 
 def stress_base(symbol: str) -> str:
@@ -278,9 +249,8 @@ def unstressed_only_prons(lex: Lexicon) -> list[tuple[str, Pron]]:
     """
     suspicious = []
     for word, pron in lex.entries:
-        stresses = [
-            parse_arpabet(p).stress for p in pron if is_vowel(p)
-        ]
-        if stresses and all(s == 0 for s in stresses):
+        # a vowel is its base or its base and one stress digit, so "0" ends it
+        vowels = [p for p in pron if is_vowel(p)]
+        if vowels and all(p[-1] == "0" for p in vowels):
             suspicious.append((word, pron))
     return suspicious

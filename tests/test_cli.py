@@ -1,6 +1,7 @@
 import gc
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -395,6 +396,28 @@ class TestValidateMfa:
         ]
         assert "sample rate is 44100 Hz" in rows[0][3]
         assert "contains punctuation ','" in rows[1][3]
+
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            ["{d}/g.TextGrid", "--wav", "{d}/f.wav", "--textgrid", "{d}/f.TextGrid"],
+            ["{d}/g.TextGrid", "--wav", "{d}/f.wav"],
+            ["{d}/g.TextGrid", "--textgrid", "{d}/f.TextGrid"],
+            ["--wav", "{d}/f.wav", "--textgrid", "{d}/f.TextGrid", "--wav-dir", "{d}"],
+        ],
+        ids=["grids-and-pair", "grids-and-wav", "grids-and-textgrid", "pair-and-wav-dir"],
+    )
+    def test_an_input_it_would_ignore_is_a_usage_error(self, tmp_path, capsys, selection):
+        src = tmp_path / "in"
+        src.mkdir()
+        for stem in ("f", "g"):
+            write_grid(src / f"{stem}.TextGrid", [Interval(1.0, 9.9, "HI")])
+            write_wav(src / f"{stem}.wav")
+        report = tmp_path / "out" / "r.tsv"
+        argv = [a.format(d=src) for a in selection]
+        assert main(["validate-mfa", *argv, "--report", str(report)]) == 2
+        assert "--wav with --textgrid" in capsys.readouterr().err
+        assert not report.parent.exists()
 
 
 class TestConfigValues:
@@ -906,6 +929,8 @@ SEPARATION_CASES = {
     "tg-diagnose-report": ["tg", "diagnose", "{in}/f1.TextGrid", "--report", "{in}/r.tsv"],
     "validate-mfa-report": ["validate-mfa", "{aux}/f1.TextGrid", "--wav-dir", "{in}",
                             "--report", "{in}/r.tsv"],
+    "validate-mfa-report-no-wav": ["validate-mfa", "{aux}/f2.TextGrid", "--wav-dir", "{in}",
+                                   "--report", "{in}/r.tsv"],
     "kaldi-validate-report": ["kaldi-prep", "validate", "{in}", "--report", "{in}/r/r.tsv"],
     "fave-check-report": ["fave", "check", "{in}/t.lab", "--report", "{in}/r.tsv"],
     "audio-info-report": ["audio", "info", "{in}/f1.wav", "--report", "{in}/r.tsv"],
@@ -923,6 +948,7 @@ def test_no_output_inside_an_input_directory(tmp_path, argv):
         shutil.copy(FIXTURES / "lexicon.txt", d / "lexicon.txt")
         shutil.copy(FIXTURES / "golden" / "f1.TextGrid", d / "f1.TextGrid")
         (d / "words.txt").write_text("PAT\nSAY\n")
+    shutil.copy(FIXTURES / "golden" / "f2.TextGrid", aux / "f2.TextGrid")  # no in/f2.wav
     (src / "t.lab").write_text("SAY PAT AGAIN\n")
     shutil.copy(FIXTURES / "text", src / "text")
     (src / "records.tsv").write_text("u1\tf1\t0.0\t1.5\ts1\tpath/f1.wav\tSAY PAT\n")
@@ -959,6 +985,34 @@ class TestKaldiCli:
         assert rc == 2
         assert f"sample rate must be positive, got {rate}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("utt", "", "utterance ID '' is empty or contains whitespace"),
+            ("utt", "u 1", "utterance ID 'u 1' is empty or contains whitespace"),
+            ("file_id", "", "file ID '' is empty or contains whitespace"),
+            ("file_id", "f 1", "file ID 'f 1' is empty or contains whitespace"),
+            ("speaker", "", "speaker '' is empty or contains whitespace"),
+            ("speaker", "s 1", "speaker 's 1' is empty or contains whitespace"),
+            ("words", " ", "utterance u1: transcript has no words"),
+            ("source", "", "wav.scp entry f1: empty source"),
+            ("source", " ", "wav.scp entry f1: empty source"),
+        ],
+    )
+    def test_build_refuses_a_bad_record_field(self, tmp_path, column, value, message):
+        row = {"utt": "u1", "file_id": "f1", "start": "0.0", "end": "1.5",
+               "speaker": "s1", "source": "p/f1.wav", "words": "SAY"}
+        row[column] = value
+        records = tmp_path / "in" / "records.tsv"
+        records.parent.mkdir()
+        records.write_text("u0\tf0\t0.0\t0.5\ts1\tp/f0.wav\tHI\n" + "\t".join(row.values()) + "\n")
+        report = tmp_path / "r.tsv"
+        out = tmp_path / "data"
+        argv = ["kaldi-prep", "build", "--records", str(records), "--out", str(out)]
+        assert main(argv + ["--report", str(report)]) == 1
+        assert report.read_text() == f"ERROR\t\t\t{message}\n"
+        assert not out.exists()
 
     def test_build_validate_fix(self, tmp_path):
         records = tmp_path / "in" / "records.tsv"
@@ -1110,6 +1164,44 @@ class TestAudioCli:
             (out / "stereo_mono.wav").read_bytes()
         )
         assert info.channels == 1
+
+    @staticmethod
+    def odd_width_wav(path, channels, bits, data):
+        """A PCM WAV whose samples are not a whole number of bytes wide."""
+        align = channels * ((bits + 7) // 8)
+        path.write_bytes(struct.pack(
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16, 1,
+            channels, 16000, 16000 * align, align, bits, b"data", len(data),
+        ) + data)
+
+    @pytest.mark.parametrize(
+        "channels, bits, data_bytes, seconds",
+        [(1, 4, 800, "0.05"), (2, 12, 1000, "0.015625")],
+    )
+    def test_info_rounds_a_sample_up_to_whole_bytes(
+        self, tmp_path, capsys, channels, bits, data_bytes, seconds
+    ):
+        wav = tmp_path / "in" / "odd.wav"
+        wav.parent.mkdir()
+        self.odd_width_wav(wav, channels, bits, bytes(data_bytes))
+        assert main(["audio", "info", str(wav)]) == 0
+        assert capsys.readouterr().out == (
+            f"{wav}: 16000 Hz, {channels} ch, {bits}-bit PCM, {seconds} s\n"
+        )
+
+    def test_mono_of_12_bit_stereo_takes_2_byte_samples(self, tmp_path):
+        wav, out = tmp_path / "in" / "s12.wav", tmp_path / "out"
+        wav.parent.mkdir()
+        data = bytes(range(250)) * 4
+        self.odd_width_wav(wav, 2, 12, data)
+        argv = ["audio", "mono", str(wav), "--channel", "2", "--out-dir", str(out)]
+        assert main(argv) == 0
+        mono = (out / "s12_mono.wav").read_bytes()
+        right = b"".join(data[i + 2 : i + 4] for i in range(0, len(data), 4))
+        assert mono[44:] == right
+        rate, byte_rate, align, bits = struct.unpack_from("<IIHH", mono, 24)
+        assert (rate, byte_rate, align, bits) == (16000, 32000, 2, 12)
+        assert audio.parse_wav_header(mono).duration == 250 / 16000
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])  # 4: the --report file
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys, k):

@@ -17,8 +17,10 @@ from corpusphon.kaldi import (
     invert_spk2utt,
     invert_utt2spk,
     parse_segments,
+    parse_spk2utt,
     parse_text,
     parse_utt2spk,
+    parse_wav_scp,
     validate_data_dir,
     write_mfcc_conf,
 )
@@ -68,6 +70,52 @@ class TestReferenceRows:
         inv = invert_utt2spk(dict(pairs))
         assert set(inv) == {"110236", "120958"}
         assert all(len(utts) == 3 for utts in inv.values())
+
+
+class TestParse:
+    @pytest.mark.parametrize(
+        "parse, bad, message",
+        [
+            (parse_text, "u1", "text line 2: need utterance ID and words"),
+            (parse_segments, "u1 f1 0.0", "segments line 2: expected 4 fields"),
+            (parse_segments, "u1 f1 0.0 x", "segments line 2: non-numeric time"),
+            (parse_wav_scp, "f1 ", "wav.scp line 2: expected file ID and source"),
+            (parse_utt2spk, "u1 s1 x", "utt2spk line 2: expected 2 fields"),
+            (parse_spk2utt, "s1", "spk2utt line 2: expected speaker and utterances"),
+        ],
+    )
+    def test_bad_line_after_a_blank_line(self, parse, bad, message):
+        with pytest.raises(kaldi.KaldiDataError) as info:
+            parse(" \t\n" + bad + "\n")
+        assert str(info.value) == message
+
+    def test_tab_separated_fields(self):
+        assert [l.render() for l in parse_text("u1\tSAY\t PAT\n")] == ["u1 SAY PAT"]
+        assert [l.render() for l in parse_segments("u1\tf1\t0.50\t1.0\n")] == [
+            "u1 f1 0.50 1.0"
+        ]
+        assert parse_utt2spk("u1\ts1\n") == [("u1", "s1")]
+        assert parse_spk2utt("s1\tu1 \tu2\n") == [("s1", ("u1", "u2"))]
+
+    def test_wav_scp_source_keeps_its_inner_spacing(self):
+        (entry,) = parse_wav_scp("f1\t sox  a.wav -t wav -  |  \n")
+        assert (entry.file_id, entry.source) == ("f1", "sox  a.wav -t wav -  |")
+        assert entry.render() == "f1 sox  a.wav -t wav -  |"
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: kaldi.TranscriptLine("u1", ("HI",)),
+            lambda: kaldi.SegmentLine("u1", "f1", 0.0, 1.0, "0", "1.0"),
+            lambda: kaldi.WavScpEntry("f1", "p/f1.wav"),
+        ],
+    )
+    def test_records_are_slotted_and_hashed_by_value(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert not hasattr(a, "__dict__")
 
 
 class TestInvert:
@@ -196,6 +244,44 @@ class TestFix:
         fixed, log = fix_data_dir(d)
         assert fixed.render() == d.render()
         assert log == []
+
+    def test_log_of_every_drop_stage_in_order(self):
+        d = KaldiDataDir(
+            text=parse_text("e W\na W\na W\nb W\nc W\nd W\n"),
+            segments=parse_segments(
+                "e f1 1.0 2.0\na f1 0.0 1.0\na f1 0.0 1.0\nb f1 2.0 1.0\n"
+                "c f9 0.0 1.0\nd f2 0.0 1.0\n"
+            ),
+            wav_scp=parse_wav_scp(
+                "f1 p/f1.wav\nf1 p/f1.wav\nf1 p/other.wav\nf2 p/f2.wav\n"
+            ),
+            utt2spk=parse_utt2spk("e s\na s\na s\nb s\nc s\n"),
+            spk2utt=parse_spk2utt("s a b c e\n"),
+        )
+        fixed, log = fix_data_dir(d)
+        assert log == [
+            "text: dropped duplicate line for 'a'",
+            "segments: dropped duplicate line for 'a'",
+            "utt2spk: dropped duplicate line for 'a'",
+            "segments: dropped 'b' (start 2.0 not before end 1.0)",
+            "wav.scp: dropped repeated identical entry for 'f1'",
+            "wav.scp: dropped conflicting duplicate for 'f1'",
+            "segments: dropped 'c' (file ID 'f9' not in wav.scp)",
+            "text: dropped 'b' (not present everywhere)",
+            "text: dropped 'c' (not present everywhere)",
+            "text: dropped 'd' (not present everywhere)",
+            "segments: dropped 'd' (not present everywhere)",
+            "utt2spk: dropped 'b' (not present everywhere)",
+            "utt2spk: dropped 'c' (not present everywhere)",
+            "wav.scp: dropped 'f2' (no surviving segment)",
+        ]
+        assert fixed.render() == {
+            "text": "a W\ne W\n",
+            "segments": "a f1 0.0 1.0\ne f1 1.0 2.0\n",
+            "wav.scp": "f1 p/f1.wav\n",
+            "utt2spk": "a s\ne s\n",
+            "spk2utt": "s a e\n",
+        }
 
     def test_missing_utt2spk_rebuilt_from_spk2utt(self):
         rng = random.Random(31)

@@ -3,9 +3,7 @@ import random
 import pytest
 
 from corpusphon.lexicon import (
-    ArpabetPhone,
     DuplicateEntryWarning,
-    InvalidStress,
     Lexicon,
     MalformedLine,
     NormalizationPolicy,
@@ -17,7 +15,6 @@ from corpusphon.lexicon import (
     filter_lexicon,
     is_vowel,
     missing_words,
-    parse_arpabet,
     parse_lexicon,
     render_lexicon,
     render_phone_groups,
@@ -190,26 +187,6 @@ class TestSilenceFiles:
 
 
 class TestArpabet:
-    def test_vowel_with_stress(self):
-        assert parse_arpabet("AE1") == ArpabetPhone("AE", 1)
-
-    def test_consonant(self):
-        assert parse_arpabet("K") == ArpabetPhone("K")
-
-    def test_stress_on_consonant(self):
-        with pytest.raises(InvalidStress):
-            parse_arpabet("K1")
-
-    def test_bad_digit(self):
-        with pytest.raises(InvalidStress):
-            parse_arpabet("AA3")
-
-    def test_round_trip(self):
-        for base in ["AA", "AE", "UW", "ER"]:
-            for stress in [None, 0, 1, 2]:
-                p = ArpabetPhone(base, stress)
-                assert parse_arpabet(p.render()) == p
-
     def test_is_vowel(self):
         assert is_vowel("AH0") and is_vowel("ER") and not is_vowel("K")
 
