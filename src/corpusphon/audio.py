@@ -235,6 +235,9 @@ def build_wav(frames: bytes, sample_rate: int, channels: int, bits_per_sample: i
 def _header(info: WavInfo) -> bytes:
     """The canonical 44-byte PCM header of info's format and data size."""
     align = info.bytes_per_frame
+    if info.sample_rate * align > 0xFFFFFFFF:
+        raise AudioError(f"{info.sample_rate} Hz with {align}-byte frames overflows "
+                         "the 32-bit byte rate of a WAV header")
     return struct.pack(
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + info.data_bytes, b"WAVE", b"fmt ", 16,
         WAVE_FORMAT_PCM, info.channels, info.sample_rate, info.sample_rate * align,

@@ -331,27 +331,23 @@ def cmd_kaldi_fix(args, ctx: Ctx) -> None:
 # lexicon
 
 
-_SEPARATORS = {
-    "whitespace": lexicon.Separator.ANY_WHITESPACE,
-    "two-spaces": lexicon.Separator.TWO_SPACES,
-    "tab": lexicon.Separator.TAB,
-}
+_SEPARATOR_NAMES = [s.value for s in lexicon.Separator]
 
 
 def add_lexicon_options(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--lexicon", required=required)
-    p.add_argument("--separator", choices=list(_SEPARATORS), default=None)
+    p.add_argument("--separator", choices=_SEPARATOR_NAMES, default=None)
 
 
 def _load_lexicon(args, ctx: Ctx) -> lexicon.Lexicon:
-    sep = ctx.value(args, "separator", "whitespace", str)
-    if sep not in _SEPARATORS:
+    sep = ctx.value(args, "separator", lexicon.Separator.ANY_WHITESPACE.value, str)
+    if sep not in _SEPARATOR_NAMES:
         raise UsageError(
-            f"separator {sep!r} is not one of: {', '.join(_SEPARATORS)}"
+            f"separator {sep!r} is not one of: {', '.join(_SEPARATOR_NAMES)}"
         )
     text = read_input(args.lexicon)
     with file_findings(ctx, args.lexicon):
-        return lexicon.parse_lexicon(text, _SEPARATORS[sep])
+        return lexicon.parse_lexicon(text, lexicon.Separator(sep))
 
 
 def _corpus_words(args, ctx: Ctx, out: str | None) -> set[str]:
@@ -375,7 +371,7 @@ def _corpus_words(args, ctx: Ctx, out: str | None) -> set[str]:
             " ".join(line.words) + "\n"
             for line in kaldi.parse_text(read_input(args.kaldi_text))
         ]
-    return {wc.word for wc in lexicon.extract_word_list("".join(chunks), policy)}
+    return lexicon.extract_word_list("".join(chunks), policy)
 
 
 def cmd_lexicon_filter(args, ctx: Ctx) -> None:
@@ -657,18 +653,16 @@ def cmd_vot_measure(args, ctx: Ctx) -> None:
     silent = vot.DEFAULT_SILENT_LABELS if labels is None else frozenset(labels.split(","))
     paths = sorted(expand_paths(ctx, args.textgrids), key=lambda p: p.stem)
     ctx.check_outputs(args.out, paths)
-    chunks: list[str] = []
 
-    def measure(path: Path, report: Report) -> None:
-        measurements = vot.measure_cues(
+    def measure(path: Path, report: Report) -> list[vot.VotMeasurement]:
+        return vot.measure_cues(
             read_grid(path), vot_tier, phone_tier, word_tier,
             include_speaking_rate=not args.no_rate, silent_labels=silent,
         )
-        table = vot.render_measurements(measurements, file_id=path.stem)
-        chunks.append(table if not chunks else table.split("\n", 1)[1])
 
-    process_files(ctx, paths, measure)
-    ctx.out_or_print(args.out, "".join(chunks))
+    measured = [(path.stem, ms) for path, ms in process_files(ctx, paths, measure)]
+    # no grid measured, no header: the table is empty
+    ctx.out_or_print(args.out, vot.render_measurements(measured) if measured else "")
 
 
 def cmd_vot_compare(args, ctx: Ctx) -> None:
@@ -679,8 +673,8 @@ def cmd_vot_compare(args, ctx: Ctx) -> None:
 
     def compare(path: Path, report: Report) -> None:
         grid = read_grid(path)
-        manual, _ = grid.find_tier(args.manual_tier)
-        auto, _ = grid.find_tier(args.auto_tier)
+        manual = grid.find_interval_tier(args.manual_tier)
+        auto = grid.find_interval_tier(args.auto_tier)
         cmp_result = vot.compare_boundaries(manual, auto, tol)
         for d in cmp_result.pairs:
             times = (d.manual.xmin, d.auto.xmin, d.burst_delta, d.vowel_delta)

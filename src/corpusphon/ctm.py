@@ -34,7 +34,7 @@ from .kaldi import SegmentLine, format_seconds
 from .lexicon import Lexicon, Pron
 from .textgrid import Interval, IntervalTier
 
-DEFAULT_SILENCE = frozenset({"SIL", "sp", "SP", "oov", "<eps>"})
+SILENCE_SYMBOLS = frozenset({"SIL", "sp", "SP", "oov", "<eps>"})
 
 TIME_TOL = 1e-6
 
@@ -267,14 +267,11 @@ def alignment_rows(
 # word grouping and matching
 
 
-def group_words(
-    tokens: list[PhoneToken],
-    silence_symbols: frozenset[str] | set[str] = DEFAULT_SILENCE,
-) -> GroupResult:
+def group_words(tokens: list[PhoneToken]) -> GroupResult:
     """Regroup phones into word units via their B/I/E/S suffixes.
 
     A unit opens at B and closes at E; S is a singleton unit. Suffixless
-    tokens go to the non-word list; one outside the silence class is also
+    tokens go to the non-word list; one outside SILENCE_SYMBOLS is also
     reported as a defect, since word phones should carry a position.
     Orphaned positions are reported, the offending tokens land in the
     non-word list, and grouping resumes at the next B or S, so one aligner
@@ -301,7 +298,7 @@ def group_words(
         pos = token.position
         if pos is None:
             abandon(f"token {i}: word interrupted by {token.phone!r}")
-            if token.phone_base not in silence_symbols:
+            if token.phone_base not in SILENCE_SYMBOLS:
                 result.defects.append(
                     GroupDefect(
                         i,
@@ -391,17 +388,14 @@ def _aligned(word: str, unit: WordUnit) -> AlignedWord:
 # tier construction
 
 
-def phones_to_tier(
-    tokens: list[PhoneToken], file_duration: float, name: str = "phones"
-) -> IntervalTier:
-    """One interval per token, labeled with the full suffixed symbol."""
-    return _tier(name, file_duration, "token", [(t.phone, t.start, t.end) for t in tokens])
+def phones_to_tier(tokens: list[PhoneToken], file_duration: float) -> IntervalTier:
+    """The "phones" tier: one interval per token, labeled with the full suffixed symbol."""
+    return _tier("phones", file_duration, "token", [(t.phone, t.start, t.end) for t in tokens])
 
 
-def words_to_tier(
-    words: list[AlignedWord], file_duration: float, name: str = "words"
-) -> IntervalTier:
-    return _tier(name, file_duration, "word", [(w.word, w.start, w.end) for w in words])
+def words_to_tier(words: list[AlignedWord], file_duration: float) -> IntervalTier:
+    """The "words" tier: one interval per aligned word."""
+    return _tier("words", file_duration, "word", [(w.word, w.start, w.end) for w in words])
 
 
 def _tier(

@@ -289,15 +289,15 @@ def validate_data_dir(
         "segments": set(seg_utts),
         "utt2spk": set(u2s_utts),
     }
-    canon = {
-        name: {_strip_padding(u) for u in utts} for name, utts in sets.items()
-    }
+    canon: dict[str, set[str]] = {}  # stripped IDs, only of a set an ID is missing from
     for a in sets:
         for b in sets:
             if a == b:
                 continue
             for utt in sorted(sets[a] - sets[b], key=_bytes_key):
                 report.error(a, f"utterance {utt!r} missing from {b}")
+                if b not in canon:
+                    canon[b] = {_strip_padding(u) for u in sets[b]}
                 if _strip_padding(utt) in canon[b]:
                     report.warning(
                         a,
@@ -440,7 +440,8 @@ class UtteranceRecord:
 
 
 def _check_token(token: str, what: str) -> None:
-    if not token or any(c in token for c in " \t\n\r"):
+    # the whitespace the parsers split on, so a built directory reads back
+    if token.split() != [token]:
         raise KaldiDataError(f"{what} {token!r} is empty or contains whitespace")
 
 

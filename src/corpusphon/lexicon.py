@@ -64,6 +64,7 @@ class Lexicon:
         self._index: dict[str, list[Pron]] = {}
         for word, pron in self.entries:
             self._index.setdefault(word, []).append(pron)
+        self._reverse: dict[Pron, list[str]] | None = None
 
     def prons(self, word: str) -> list[Pron]:
         return list(self._index.get(word, []))
@@ -71,20 +72,21 @@ class Lexicon:
     def __contains__(self, word: str) -> bool:
         return word in self._index
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def phones(self) -> set[str]:
         return {p for _, pron in self.entries for p in pron}
 
     def reverse(self) -> dict[Pron, list[str]]:
-        """Pronunciation -> candidate words, in entry order, deduplicated."""
-        rev: dict[Pron, list[str]] = {}
-        for word, pron in self.entries:
-            bucket = rev.setdefault(pron, [])
-            if word not in bucket:
-                bucket.append(word)
-        return rev
+        """Pronunciation -> candidate words, in entry order, deduplicated.
+
+        Built on the first call and shared by every later one: callers only read it.
+        """
+        if self._reverse is None:
+            self._reverse = {}
+            for word, pron in self.entries:
+                bucket = self._reverse.setdefault(pron, [])
+                if word not in bucket:
+                    bucket.append(word)
+        return self._reverse
 
 
 def parse_lexicon(
@@ -126,17 +128,9 @@ def parse_lexicon(
     return Lexicon(entries)
 
 
-def render_lexicon(
-    lex: Lexicon, separator: Separator = Separator.ANY_WHITESPACE
-) -> str:
-    sep = {
-        Separator.ANY_WHITESPACE: " ",
-        Separator.TWO_SPACES: "  ",
-        Separator.TAB: "\t",
-    }[separator]
-    return "".join(
-        f"{word}{sep}{' '.join(pron)}\n" for word, pron in lex.entries
-    )
+def render_lexicon(lex: Lexicon) -> str:
+    """`WORD PH PH ...` lines with single spaces, whatever separator was read."""
+    return "".join(f"{word} {' '.join(pron)}\n" for word, pron in lex.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +142,6 @@ class NormalizationPolicy:
     uppercase: bool = True
     strip_chars: str = DEFAULT_STRIP_CHARS
     keep_apostrophe: bool = True
-
-
-@dataclass(frozen=True)
-class WordCount:
-    word: str
-    count: int
 
 
 # noise/silence markup passes through transcript normalization untouched
@@ -171,22 +159,15 @@ def _normalize_token(token: str, policy: NormalizationPolicy) -> str:
 
 def extract_word_list(
     transcripts: str, policy: NormalizationPolicy = NormalizationPolicy()
-) -> list[WordCount]:
-    """Unique normalized words with counts.
+) -> set[str]:
+    """The set of normalized words.
 
-    Sorted by descending count, then ascending byte order. Punctuation is
-    stripped from the word rather than deleting the word, so the vocabulary
-    never silently shrinks.
+    Punctuation is stripped from the word rather than deleting the word, so
+    the vocabulary never silently shrinks.
     """
-    counts: dict[str, int] = {}
-    for token in transcripts.split():
-        word = _normalize_token(token, policy)
-        if word:
-            counts[word] = counts.get(word, 0) + 1
-    ordered = sorted(
-        counts.items(), key=lambda kv: (-kv[1], kv[0].encode("utf-8"))
-    )
-    return [WordCount(w, c) for w, c in ordered]
+    words = {_normalize_token(token, policy) for token in transcripts.split()}
+    words.discard("")
+    return words
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Validators never raise on bad data; they collect findings with a severity so
 callers can decide what is fatal. The machine-readable rendering is one line
-per finding: SEVERITY<TAB>location<TAB>message (the CLI prepends a file
-column for batch output).
+per finding: SEVERITY<TAB>file<TAB>location<TAB>message.
 """
 
 from __future__ import annotations
@@ -27,12 +26,8 @@ class Finding:
     location: str
     message: str
 
-    def machine_line(self, file: str | None = None) -> str:
-        fields = [self.severity.value]
-        if file is not None:
-            fields.append(file)
-        fields += [self.location, self.message]
-        return "\t".join(fields)
+    def machine_line(self, file: str) -> str:
+        return "\t".join([self.severity.value, file, self.location, self.message])
 
     def human_line(self) -> str:
         loc = f" [{self.location}]" if self.location else ""
@@ -69,9 +64,3 @@ class Report:
     @property
     def has_errors(self) -> bool:
         return any(f.severity is Severity.ERROR for f in self.findings)
-
-    def __len__(self) -> int:
-        return len(self.findings)
-
-    def __bool__(self) -> bool:
-        return bool(self.findings)

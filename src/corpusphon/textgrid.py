@@ -263,6 +263,13 @@ class TextGrid:
             raise TierNotFound(f"no tier named {name!r}")
         return matches[0], len(matches)
 
+    def find_interval_tier(self, name: str) -> IntervalTier:
+        """The first tier with this name; a point tier there is a TierSelectionError."""
+        tier, _ = self.find_tier(name)
+        if not isinstance(tier, IntervalTier):
+            raise TierSelectionError(f"tier {name!r} is not an interval tier")
+        return tier
+
     def interval_tiers(self) -> tuple[IntervalTier, ...]:
         return tuple(t for t in self.tiers if isinstance(t, IntervalTier))
 

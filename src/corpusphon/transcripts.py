@@ -205,10 +205,8 @@ def validate_mfa_textgrid(
     return report
 
 
-def validate_single_line_transcript(
-    content: str, strip_chars: str = DEFAULT_STRIP_CHARS
-) -> Report:
-    """Check a plain word transcript: no punctuation, markup tolerated.
+def validate_single_line_transcript(content: str) -> Report:
+    """Check a plain word transcript: no DEFAULT_STRIP_CHARS punctuation, markup tolerated.
 
     Apostrophes are fine as long as the spelling is in the dictionary; {NS}
     and {SP} noise/silence markup passes. A literal "sp" token gets an Info:
@@ -219,7 +217,7 @@ def validate_single_line_transcript(
         for token in line.split():
             if token in MARKUP_TOKENS:
                 continue
-            bad = sorted(set(token) & set(strip_chars))
+            bad = sorted(set(token) & set(DEFAULT_STRIP_CHARS))
             if bad:
                 report.error(
                     f"line {i}",

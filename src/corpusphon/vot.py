@@ -47,6 +47,7 @@ WAV_LIST_NAME = "ListWavFiles.txt"
 TEXTGRID_LIST_NAME = "ListTextGrids.txt"
 
 MEASUREMENT_FIELDS = (
+    "file_id",
     "word",
     "stop",
     "burst_onset",
@@ -205,9 +206,8 @@ def locate_words(
     coincides with the word start (aligner boundaries sit on a 10 ms grid,
     hence the just-over-one-frame tolerance).
     """
-    wtier, _ = grid.find_tier(word_tier)
-    ptier, _ = grid.find_tier(phone_tier)
-    phones = _TierIndex(ptier.non_empty())
+    wtier = grid.find_interval_tier(word_tier)
+    phones = _TierIndex(grid.find_interval_tier(phone_tier).non_empty())
     occurrences = []
     for word_iv in wtier.non_empty():
         if word_iv.text not in words:
@@ -401,9 +401,9 @@ def prefer_manual(
     counterpart are ignored (replacement only, never insertion). Labels
     always come from the auto tier. Idempotent.
     """
-    mtier, _ = grid.find_tier(manual_tier)
-    atier, _ = grid.find_tier(auto_tier)
-    manual, auto = mtier.non_empty(), atier.non_empty()
+    manual = grid.find_interval_tier(manual_tier).non_empty()
+    atier = grid.find_interval_tier(auto_tier)
+    auto = atier.non_empty()
     pairs, _ = _pair_tokens(manual, auto, 0.0)
     replacement = {id(a): m for m, a in pairs}
     # an unpaired auto token that overlaps a manual token gives way to it: that
@@ -480,9 +480,9 @@ def measure_cues(
     separated by two consecutive silent word intervals; pass
     include_speaking_rate=False when a corpus has no such structure.
     """
-    vtier, _ = grid.find_tier(vot_tier)
-    ptier, _ = grid.find_tier(phone_tier)
-    wtier, _ = grid.find_tier(word_tier)
+    vtier = grid.find_interval_tier(vot_tier)
+    ptier = grid.find_interval_tier(phone_tier)
+    wtier = grid.find_interval_tier(word_tier)
 
     # a word interval's speaking rate, from the first sentence holding it
     rates: dict[Interval, float] = {}
@@ -618,35 +618,31 @@ def decode_command(
     wav_list: str = WAV_LIST_NAME,
     textgrid_list: str = TEXTGRID_LIST_NAME,
     classifier: str = "<path/to/classifier.model>",
-    window_tier: str = "vot",
 ) -> str:
-    """The recommended external decoder invocation for one stop class."""
+    """The recommended external decoder invocation for one stop class, on the "vot" tier."""
     stop = StopClass(stop_letter)
     return (
-        f"auto_vot_decode.py --window_tier {window_tier} "
+        "auto_vot_decode.py --window_tier vot "
         f"--window_mark {stop.phone} --min_vot_length {stop.min_vot_ms} "
         f"{wav_list} {textgrid_list} {classifier}"
     )
 
 
-def render_measurements(
-    measurements: list[VotMeasurement], file_id: str | None = None
-) -> str:
-    """Tab-separated measurement table with a header row."""
-    header = MEASUREMENT_FIELDS if file_id is None else ("file_id",) + MEASUREMENT_FIELDS
-    lines = ["\t".join(header)]
-    for m in measurements:
-        row = [
-            m.word,
-            m.stop,
-            format_seconds(m.burst_onset),
-            format_seconds(m.vocalic_onset),
-            format_seconds(m.vot),
-            format_seconds(m.vowel_duration),
-            format_seconds(m.word_duration),
-            format_seconds(m.speaking_rate) if m.speaking_rate is not None else "NA",
-        ]
-        if file_id is not None:
-            row.insert(0, file_id)
-        lines.append("\t".join(row))
+def render_measurements(per_file: list[tuple[str, list[VotMeasurement]]]) -> str:
+    """Tab-separated table: a header row, then one row per (file ID, measurement)."""
+    lines = ["\t".join(MEASUREMENT_FIELDS)]
+    for file_id, measurements in per_file:
+        for m in measurements:
+            row = [
+                file_id,
+                m.word,
+                m.stop,
+                format_seconds(m.burst_onset),
+                format_seconds(m.vocalic_onset),
+                format_seconds(m.vot),
+                format_seconds(m.vowel_duration),
+                format_seconds(m.word_duration),
+                format_seconds(m.speaking_rate) if m.speaking_rate is not None else "NA",
+            ]
+            lines.append("\t".join(row))
     return "\n".join(lines) + "\n"

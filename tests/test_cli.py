@@ -877,6 +877,55 @@ class TestFindingsScope:
         assert report.read_text().startswith(f"ERROR\t{grid}\t\t")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, point",
+        [
+            (["vot", "locate", "--words", "{words}", "--out", "{out}/loc.txt"], "words"),
+            (["vot", "locate", "--words", "{words}", "--out", "{out}/loc.txt"], "phones"),
+            (["vot", "compare", "--manual-tier", "manual", "--auto-tier", "auto",
+              "--out", "{out}/d.tsv"], "manual"),
+            (["vot", "compare", "--manual-tier", "manual", "--auto-tier", "auto",
+              "--out", "{out}/d.tsv"], "auto"),
+            (["vot", "prefer-manual", "--manual-tier", "manual", "--auto-tier", "auto",
+              "--out-dir", "{out}"], "manual"),
+            (["vot", "prefer-manual", "--manual-tier", "manual", "--auto-tier", "auto",
+              "--out-dir", "{out}"], "auto"),
+            (["vot", "measure", "--out", "{out}/m.tsv"], "vot"),
+            (["vot", "measure", "--out", "{out}/m.tsv"], "phones"),
+            (["vot", "measure", "--out", "{out}/m.tsv"], "words"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[1],
+    )
+    def test_point_tier_named_for_intervals_costs_only_its_grid(self, tmp_path, argv, point):
+        from test_vot import measurement_fixture_grid
+
+        base = measurement_fixture_grid()
+        vot_tier = base.find_tier("vot")[0]
+        tiers = base.tiers + tuple(
+            IntervalTier(name, 0.0, 8.0, vot_tier.intervals) for name in ("manual", "auto")
+        )
+        src = tmp_path / "in"
+        src.mkdir()
+        bad, good = src / "a.TextGrid", src / "b.TextGrid"
+        bad.write_bytes(write_textgrid(TextGrid(0.0, 8.0, tuple(
+            PointTier(t.name, 0.0, 8.0, (Point(1.0, "P"),)) if t.name == point else t
+            for t in tiers
+        ))))
+        good.write_bytes(write_textgrid(TextGrid(0.0, 8.0, tiers)))
+        words = src / "w.txt"
+        words.write_text("PAT\n")
+        out, report = tmp_path / "out", tmp_path / "r.tsv"
+        argv = [a.format(words=words, out=out) for a in argv]
+        rc = main(argv + [str(bad), str(good), "--report", str(report)])
+        assert rc == 1
+        assert report.read_text() == f"ERROR\t{bad}\t\ttier {point!r} is not an interval tier\n"
+        if argv[1] == "prefer-manual":
+            assert [p.name for p in out.iterdir()] == ["b_stacked2.TextGrid"]
+        else:
+            (table,) = out.iterdir()
+            rows = table.read_text().splitlines()
+            assert {r.split("\t")[0] for r in rows} - {"file_id"} == {"b"}
+
     def test_compare_findings_in_input_order(self, tmp_path):
         src = tmp_path / "in"
         src.mkdir()
@@ -998,6 +1047,9 @@ class TestKaldiCli:
             ("words", " ", "utterance u1: transcript has no words"),
             ("source", "", "wav.scp entry f1: empty source"),
             ("source", " ", "wav.scp entry f1: empty source"),
+            # any whitespace the parsers split on, not only ASCII
+            ("utt", "u\u00a01", "utterance ID 'u\\xa01' is empty or contains whitespace"),
+            ("speaker", "s\u20031", "speaker 's\\u20031' is empty or contains whitespace"),
         ],
     )
     def test_build_refuses_a_bad_record_field(self, tmp_path, column, value, message):
@@ -1006,7 +1058,10 @@ class TestKaldiCli:
         row[column] = value
         records = tmp_path / "in" / "records.tsv"
         records.parent.mkdir()
-        records.write_text("u0\tf0\t0.0\t0.5\ts1\tp/f0.wav\tHI\n" + "\t".join(row.values()) + "\n")
+        records.write_text(
+            "u0\tf0\t0.0\t0.5\ts1\tp/f0.wav\tHI\n" + "\t".join(row.values()) + "\n",
+            encoding="utf-8",
+        )
         report = tmp_path / "r.tsv"
         out = tmp_path / "data"
         argv = ["kaldi-prep", "build", "--records", str(records), "--out", str(out)]
@@ -1202,6 +1257,24 @@ class TestAudioCli:
         rate, byte_rate, align, bits = struct.unpack_from("<IIHH", mono, 24)
         assert (rate, byte_rate, align, bits) == (16000, 32000, 2, 12)
         assert audio.parse_wav_header(mono).duration == 250 / 16000
+
+    def test_mono_whose_byte_rate_overflows_costs_only_its_file(self, tmp_path):
+        src, out, report = tmp_path / "in", tmp_path / "out", tmp_path / "r.tsv"
+        src.mkdir()
+        wav = src / "fast.wav"
+        wav.write_bytes(struct.pack(  # 2^32 - 1 Hz: 2-byte mono frames need 2^33 B/s
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 40, b"WAVE", b"fmt ", 16, 1,
+            2, 0xFFFFFFFF, 0, 4, 16, b"data", 4,
+        ) + bytes(4))
+        write_wav(src / "ok.wav", seconds=0.01, channels=2)
+        argv = ["audio", "mono", str(wav), str(src / "ok.wav"), "--channel", "1",
+                "--out-dir", str(out), "--report", str(report)]
+        assert main(argv) == 1
+        assert report.read_text() == (
+            f"ERROR\t{wav}\t\t4294967295 Hz with 2-byte frames overflows "
+            "the 32-bit byte rate of a WAV header\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == ["ok_mono.wav"]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])  # 4: the --report file
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys, k):
@@ -1407,6 +1480,24 @@ class TestVotPostProcessing:
         assert lines[0].startswith("file_id\tword\tstop")
         assert len(lines) == 4
         assert lines[1].split("\t")[1] == "PAT"
+
+    def test_measure_table_has_one_header_and_none_when_nothing_measured(self, tmp_path, capsys):
+        from test_vot import measurement_fixture_grid
+
+        src = tmp_path / "in"
+        src.mkdir()
+        for stem in ("a", "b"):
+            (src / f"{stem}.TextGrid").write_bytes(write_textgrid(measurement_fixture_grid()))
+        assert main(["vot", "measure", str(src / "a.TextGrid"), str(src / "b.TextGrid")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["file_id"] + ["a"] * 3 + ["b"] * 3
+
+        table = tmp_path / "out" / "m.tsv"
+        argv = ["vot", "measure", str(src / "a.TextGrid"), "--vot-tier", "none"]
+        assert main(argv + ["--out", str(table)]) == 1
+        assert table.read_bytes() == b""
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
 
     def test_prefer_manual_and_compare(self, tmp_path):
         from corpusphon.textgrid import IntervalTier as Tier

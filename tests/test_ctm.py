@@ -350,6 +350,21 @@ class TestMatchWords:
         with pytest.raises(PronunciationMismatch):
             match_words([self.unit()], parse_lexicon("PAT P AE1 T\n"))
 
+    def test_reverse_index_built_once_per_lexicon(self):
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        lex = self.lex()
+        lex.entries = CountingList(lex.entries)
+        utterances = {utt: list(self.unit().phones) for utt in ("u1", "u2", "u3")}
+        tokens, words = align_file(utterances, lex)
+        assert [w.word for w in words] == ["KLATT"] * 3
+        assert lex.entries.iterations == 1
+
 
 class TestTiers:
     def test_phone_tier_gap_fill(self):
@@ -518,9 +533,3 @@ class TestSilenceClassConfig:
         result = group_words([_tok("NOISE", None, 0.0, 0.5)])
         assert len(result.defects) == 1
         assert result.non_words[0].phone_base == "NOISE"
-
-    def test_configured_silence_accepted(self):
-        result = group_words(
-            [_tok("NOISE", None, 0.0, 0.5)], silence_symbols={"NOISE"}
-        )
-        assert result.defects == []

@@ -539,7 +539,7 @@ class TestMeasure:
         ms = measure_cues(
             measurement_fixture_grid(), "vot", "phones", "words"
         )
-        table = render_measurements(ms, file_id="f1")
+        table = render_measurements([("f1", ms)])
         header = table.splitlines()[0].split("\t")
         assert header == [
             "file_id", "word", "stop", "burst_onset", "vocalic_onset",
