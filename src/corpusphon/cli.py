@@ -128,9 +128,9 @@ class Ctx:
         else:
             print(text, end="")
 
-    def check_outputs(self, out: str | Path | None, inputs: list[Path]) -> None:
-        """Refuse out (None for no output) or the --report file inside an input's directory."""
-        outs = [Path(p) for p in (out, self.report_path) if p is not None]
+    def check_outputs(self, outs: list[str | Path | None], inputs: list[Path]) -> None:
+        """Refuse any of outs (None: not given) or --report inside an input's directory."""
+        outs = [Path(p) for p in (*outs, self.report_path) if p is not None]
         # each distinct directory is resolved once, as a batch may name thousands
         # of files; a symlinked file guards its target's directory too
         dirs = {p.parent if p.suffix or p.is_file() else p for p in inputs}
@@ -274,8 +274,6 @@ def write_grid_step(ctx: Ctx, paths: list[Path], out_path, fn) -> None:
 def cmd_kaldi_build(args, ctx: Ctx) -> None:
     out = Path(args.out)
     records_path = Path(args.records)
-    ctx.check_outputs(out, [records_path])
-    ctx.check_outputs(args.mfcc_conf, [records_path])
     rate = ctx.value(args, "sample_rate", 16000, int)
     if rate <= 0:
         raise UsageError(f"sample rate must be positive, got {rate}")
@@ -311,15 +309,12 @@ def cmd_kaldi_validate(args, ctx: Ctx) -> None:
         d = kaldi.read_data_dir(path)
         report.extend(kaldi.validate_data_dir(d, args.strict_speaker_prefix))
 
-    ctx.check_outputs(None, [Path(args.dir)])
     process_files(ctx, [Path(args.dir)], validate)
 
 
 def cmd_kaldi_fix(args, ctx: Ctx) -> None:
-    src = Path(args.dir)
     out = Path(args.out)
-    ctx.check_outputs(out, [src])
-    d = kaldi.read_data_dir(src)
+    d = kaldi.read_data_dir(args.dir)
     fixed, log = kaldi.fix_data_dir(d)
     for entry in log:
         ctx.add_finding(args.dir, Severity.INFO, "fix", entry)
@@ -350,12 +345,12 @@ def _load_lexicon(args, ctx: Ctx) -> lexicon.Lexicon:
         return lexicon.parse_lexicon(text, lexicon.Separator(sep))
 
 
-def _corpus_words(args, ctx: Ctx, out: str | None) -> set[str]:
-    """The corpus vocabulary; out, if given, must lie outside every input."""
-    transcripts = [] if args.words else expand_paths(ctx, args.transcripts)
-    inputs = [Path(p) for p in (args.lexicon, args.words, args.kaldi_text) if p]
-    ctx.check_outputs(out, inputs + transcripts)
+def _corpus_words(args, ctx: Ctx) -> set[str]:
+    """The corpus vocabulary, from --words or from the transcripts and --kaldi-text."""
     if args.words:
+        # every vocabulary source given is read, so one that would be ignored is refused
+        if args.transcripts or args.kaldi_text:
+            raise UsageError("--words cannot be combined with --transcripts or --kaldi-text")
         return read_words(args.words)
     if not args.transcripts and not args.kaldi_text:
         raise UsageError("need --words, --transcripts, or --kaldi-text")
@@ -364,7 +359,7 @@ def _corpus_words(args, ctx: Ctx, out: str | None) -> set[str]:
         strip_chars=ctx.value(args, "strip_chars", lexicon.DEFAULT_STRIP_CHARS, str),
         keep_apostrophe=not args.strip_apostrophe,
     )
-    chunks = [read_input(p) for p in transcripts]
+    chunks = [read_input(p) for p in args.paths]
     if args.kaldi_text:
         # the data-dir text file: drop the utterance-ID column
         chunks += [
@@ -375,7 +370,7 @@ def _corpus_words(args, ctx: Ctx, out: str | None) -> set[str]:
 
 
 def cmd_lexicon_filter(args, ctx: Ctx) -> None:
-    words = _corpus_words(args, ctx, args.out)
+    words = _corpus_words(args, ctx)
     lex = _load_lexicon(args, ctx)
     oov = (
         ctx.value(args, "oov_word", lexicon.DEFAULT_OOV[0], str),
@@ -392,7 +387,7 @@ def cmd_lexicon_filter(args, ctx: Ctx) -> None:
 
 
 def cmd_lexicon_missing(args, ctx: Ctx) -> None:
-    words = _corpus_words(args, ctx, args.out)
+    words = _corpus_words(args, ctx)
     lex = _load_lexicon(args, ctx)
     missing = lexicon.missing_words(words, lex)
     for w in missing:
@@ -403,7 +398,6 @@ def cmd_lexicon_missing(args, ctx: Ctx) -> None:
 def cmd_lexicon_phones(args, ctx: Ctx) -> None:
     lex = _load_lexicon(args, ctx)
     out = Path(args.out_dir)
-    ctx.check_outputs(out, [Path(args.lexicon)])
     exclude = {
         tok for tok in ctx.value(args, "exclude", "oov,SIL", str).split(",") if tok
     }
@@ -420,9 +414,6 @@ def cmd_lexicon_phones(args, ctx: Ctx) -> None:
 
 def cmd_ctm2tg(args, ctx: Ctx) -> None:
     out = Path(args.out)
-    inputs = [args.ctm, args.segments, args.phones, args.lexicon, args.text, args.wav_dir]
-    ctx.check_outputs(out, [Path(p) for p in inputs if p])
-
     entries = ctm.parse_ctm(read_input(args.ctm))
     segments = kaldi.parse_segments(read_input(args.segments))
     table = ctm.PhoneSymbolTable.parse(read_input(args.phones))
@@ -475,12 +466,12 @@ def cmd_validate_mfa(args, ctx: Ctx) -> None:
     if args.wav and args.textgrid and not (args.textgrids or args.wav_dir):
         paths, wavs = [Path(args.textgrid)], [Path(args.wav)]
     elif args.textgrids and not (args.wav or args.textgrid):
-        paths = expand_paths(ctx, args.textgrids)
+        paths = args.paths
         wavs = [_stem_wav(Path(args.wav_dir), p.stem) if args.wav_dir else None for p in paths]
     else:
         raise UsageError("need --wav with --textgrid, or TextGrid paths and an optional --wav-dir")
-    wav_dir = [Path(args.wav_dir)] if args.wav_dir else []
-    ctx.check_outputs(None, paths + [w for w in wavs if w is not None] + wav_dir)
+    # main guards --wav-dir; a matched WAV that is a symlink guards its target's directory
+    ctx.check_outputs([], [w for w in wavs if w is not None])
     wav_by_grid = dict(zip(paths, wavs))
 
     def check(path: Path, report: Report) -> None:
@@ -520,9 +511,7 @@ def cmd_fave_check(args, ctx: Ctx) -> None:
                 duration = read_wav_info(wav).duration
         report.extend(transcripts.validate_fave(records, duration, lex))
 
-    paths = expand_paths(ctx, args.transcripts)
-    ctx.check_outputs(None, paths + [Path(p) for p in (args.lexicon, args.wav_dir) if p])
-    process_files(ctx, paths, check)
+    process_files(ctx, args.paths, check)
 
 
 # ---------------------------------------------------------------------------
@@ -539,21 +528,17 @@ def cmd_audio_info(args, ctx: Ctx) -> None:
             f"{kaldi.format_seconds(info.duration)} s"
         )
 
-    paths = expand_paths(ctx, args.wavs)
-    ctx.check_outputs(None, paths)
-    process_files(ctx, paths, show)
+    process_files(ctx, args.paths, show)
 
 
 def cmd_audio_mono(args, ctx: Ctx) -> None:
     out_dir = Path(args.out_dir)
-    wavs = expand_paths(ctx, args.wavs)
-    ctx.check_outputs(out_dir, wavs)
 
     def convert(path: Path, report: Report) -> None:
         with path.open("rb") as f:
             ctx.out_file(out_dir / f"{path.stem}_mono.wav", audio.read_channel(f, args.channel))
 
-    process_files(ctx, wavs, convert)
+    process_files(ctx, args.paths, convert)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +546,6 @@ def cmd_audio_mono(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_words(args, ctx: Ctx) -> None:
-    ctx.check_outputs(args.out, [Path(args.lexicon)])
     lex = _load_lexicon(args, ctx)
     words = vot.find_cv_stop_words(lex)
     ctx.out_text(Path(args.out), vot.render_word_list(words))
@@ -572,8 +556,7 @@ def cmd_vot_locate(args, ctx: Ctx) -> None:
     word_tier = ctx.value(args, "word_tier", "words", str)
     phone_tier = ctx.value(args, "phone_tier", "phones", str)
     tol = ctx.value(args, "tolerance", vot.DEFAULT_COINCIDENCE_TOL, float)
-    paths = sorted(expand_paths(ctx, args.textgrids), key=lambda p: p.stem)
-    ctx.check_outputs(Path(args.out), paths + [Path(args.words)])
+    paths = sorted(args.paths, key=lambda p: p.stem)
     occurrences: list[vot.WordOccurrence] = []
 
     def locate(path: Path, report: Report) -> None:
@@ -587,9 +570,6 @@ def cmd_vot_locate(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_windows(args, ctx: Ctx) -> None:
-    out_dir = Path(args.out_dir)
-    grids = expand_paths(ctx, args.textgrids)
-    ctx.check_outputs(out_dir, grids + [Path(args.locations)])
     by_file: dict[str, list[vot.WordOccurrence]] = {}
     for occ in vot.parse_word_locations(read_input(args.locations)):
         by_file.setdefault(occ.file_id, []).append(occ)
@@ -601,14 +581,13 @@ def cmd_vot_windows(args, ctx: Ctx) -> None:
         tier = vot.make_vot_windows(occs, grid.xmax, tier_name)
         return textgrid.TextGrid(grid.xmin, grid.xmax, grid.tiers + (tier,))
 
-    write_grid_step(ctx, grids, step_path(out_dir, args.suffix), add_windows)
+    write_grid_step(ctx, args.paths, step_path(Path(args.out_dir), args.suffix), add_windows)
 
 
 def cmd_vot_lists(args, ctx: Ctx) -> None:
     out_dir = Path(args.out_dir)
     wavs = sorted(Path(args.wav_dir).glob("*.wav"))
     tgs = sorted(Path(args.textgrid_dir).glob("*.TextGrid"))
-    ctx.check_outputs(out_dir, [Path(args.wav_dir), Path(args.textgrid_dir)])
     ctx.out_text(out_dir / vot.WAV_LIST_NAME, vot.render_path_list(wavs))
     ctx.out_text(out_dir / vot.TEXTGRID_LIST_NAME, vot.render_path_list(tgs))
     for letter in "PTKBDG":
@@ -623,26 +602,19 @@ def cmd_vot_lists(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_merge(args, ctx: Ctx) -> None:
-    out_dir = Path(args.out_dir)
-    grids = expand_paths(ctx, args.textgrids)
-    ctx.check_outputs(out_dir, grids)
     indices = _parse_indices(args.tiers)
 
     def merge(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
         return textgrid.merge_interval_tiers(grid, indices, args.name)
 
-    write_grid_step(ctx, grids, step_path(out_dir, args.suffix), merge)
+    write_grid_step(ctx, args.paths, step_path(Path(args.out_dir), args.suffix), merge)
 
 
 def cmd_vot_prefer_manual(args, ctx: Ctx) -> None:
-    out_dir = Path(args.out_dir)
-    grids = expand_paths(ctx, args.textgrids)
-    ctx.check_outputs(out_dir, grids)
-
     def prefer(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
         return vot.prefer_manual(grid, args.manual_tier, args.auto_tier)
 
-    write_grid_step(ctx, grids, step_path(out_dir, args.suffix), prefer)
+    write_grid_step(ctx, args.paths, step_path(Path(args.out_dir), args.suffix), prefer)
 
 
 def cmd_vot_measure(args, ctx: Ctx) -> None:
@@ -651,8 +623,7 @@ def cmd_vot_measure(args, ctx: Ctx) -> None:
     word_tier = ctx.value(args, "word_tier", "words", str)
     labels = ctx.value(args, "silence_labels", None, str)
     silent = vot.DEFAULT_SILENT_LABELS if labels is None else frozenset(labels.split(","))
-    paths = sorted(expand_paths(ctx, args.textgrids), key=lambda p: p.stem)
-    ctx.check_outputs(args.out, paths)
+    paths = sorted(args.paths, key=lambda p: p.stem)
 
     def measure(path: Path, report: Report) -> list[vot.VotMeasurement]:
         return vot.measure_cues(
@@ -667,8 +638,6 @@ def cmd_vot_measure(args, ctx: Ctx) -> None:
 
 def cmd_vot_compare(args, ctx: Ctx) -> None:
     tol = ctx.value(args, "tolerance", 0.0, float)
-    paths = expand_paths(ctx, args.textgrids)
-    ctx.check_outputs(args.out, paths)
     lines = ["file_id\tlabel\tmanual_burst\tauto_burst\tburst_delta\tvowel_delta"]
 
     def compare(path: Path, report: Report) -> None:
@@ -690,7 +659,7 @@ def cmd_vot_compare(args, ctx: Ctx) -> None:
         for msg in cmp_result.conflicts:
             report.warning("", msg)
 
-    process_files(ctx, paths, compare)
+    process_files(ctx, args.paths, compare)
     ctx.out_or_print(args.out, "\n".join(lines) + "\n")
 
 
@@ -699,33 +668,26 @@ def cmd_vot_compare(args, ctx: Ctx) -> None:
 
 
 def cmd_tg_stack(args, ctx: Ctx) -> None:
-    out = Path(args.out)
-    paths = expand_paths(ctx, args.textgrids)
+    paths = args.paths
     if not paths:
         raise UsageError(f"no TextGrids to stack: {' '.join(args.textgrids)} matched no files")
-    ctx.check_outputs(out, paths)
     grids = process_files(ctx, paths, lambda path, report: read_grid(path))
     if len(grids) == len(paths):  # a stack missing a grid would be wrong
-        ctx.out_file(out, textgrid.write_textgrid(textgrid.stack_tiers([g for _, g in grids])))
+        stacked = textgrid.stack_tiers([g for _, g in grids])
+        ctx.out_file(Path(args.out), textgrid.write_textgrid(stacked))
 
 
 def cmd_tg_rename(args, ctx: Ctx) -> None:
-    out = Path(args.out)
-    src = Path(args.textgrid)
-    ctx.check_outputs(out, [src])
     write_grid_step(
-        ctx, [src], lambda _: out,
+        ctx, [Path(args.textgrid)], lambda _: Path(args.out),
         lambda path, grid: textgrid.rename_tier(grid, args.index, args.name),
     )
 
 
 def cmd_tg_merge(args, ctx: Ctx) -> None:
-    out = Path(args.out)
-    src = Path(args.textgrid)
-    ctx.check_outputs(out, [src])
     indices = _parse_indices(args.indices)
     write_grid_step(
-        ctx, [src], lambda _: out,
+        ctx, [Path(args.textgrid)], lambda _: Path(args.out),
         lambda path, grid: textgrid.merge_interval_tiers(grid, indices, args.name),
     )
 
@@ -743,9 +705,7 @@ def cmd_tg_diagnose(args, ctx: Ctx) -> None:
                     f"in [{ov.start}, {ov.end}]",
                 )
 
-    paths = expand_paths(ctx, args.textgrids)
-    ctx.check_outputs(None, paths)
-    process_files(ctx, paths, diagnose)
+    process_files(ctx, args.paths, diagnose)
 
 
 # ---------------------------------------------------------------------------
@@ -953,6 +913,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every path argument by role, named once, so main guards them all before a
+# command runs: no output (nor --report) may lie in or below a read path's
+# directory. A command has at most one glob list; main expands it into
+# args.paths and leaves the raw patterns in place. A test fails on a parser
+# argument that is in none of these tables and not on its list of non-paths.
+READ_ARGS = (
+    "records", "dir", "lexicon", "words", "kaldi_text", "ctm", "segments", "phones",
+    "text", "wav_dir", "textgrid", "wav", "locations", "textgrid_dir",
+)
+GLOB_ARGS = ("textgrids", "transcripts", "wavs")
+WRITTEN_ARGS = ("out", "out_dir", "mfcc_conf")
+
+
 def load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
@@ -988,6 +961,10 @@ def _run(argv: list[str] | None) -> int:
 
     try:
         ctx = Ctx(args, load_config(getattr(args, "config", None)))
+        globs = [getattr(args, d) for d in GLOB_ARGS if hasattr(args, d)]
+        args.paths = expand_paths(ctx, globs[0]) if globs else []
+        reads = [Path(v) for d in READ_ARGS if (v := getattr(args, d, None)) is not None]
+        ctx.check_outputs([getattr(args, d, None) for d in WRITTEN_ARGS], args.paths + reads)
         try:
             args.func(args, ctx)
         except ToolkitError as exc:

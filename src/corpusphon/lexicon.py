@@ -148,15 +148,6 @@ class NormalizationPolicy:
 MARKUP_TOKENS = frozenset({"{NS}", "{SP}"})
 
 
-def _normalize_token(token: str, policy: NormalizationPolicy) -> str:
-    if token in MARKUP_TOKENS:
-        return token
-    if policy.uppercase:
-        token = token.upper()
-    drop = policy.strip_chars + ("" if policy.keep_apostrophe else "'")
-    return token.translate(str.maketrans("", "", drop))
-
-
 def extract_word_list(
     transcripts: str, policy: NormalizationPolicy = NormalizationPolicy()
 ) -> set[str]:
@@ -165,7 +156,13 @@ def extract_word_list(
     Punctuation is stripped from the word rather than deleting the word, so
     the vocabulary never silently shrinks.
     """
-    words = {_normalize_token(token, policy) for token in transcripts.split()}
+    # one table per call: a corpus has tens of thousands of tokens
+    drop = str.maketrans("", "", policy.strip_chars + ("" if policy.keep_apostrophe else "'"))
+    words = {
+        token if token in MARKUP_TOKENS
+        else (token.upper() if policy.uppercase else token).translate(drop)
+        for token in transcripts.split()
+    }
     words.discard("")
     return words
 

@@ -60,7 +60,3 @@ class Report:
     @property
     def warnings(self) -> list[Finding]:
         return [f for f in self.findings if f.severity is Severity.WARNING]
-
-    @property
-    def has_errors(self) -> bool:
-        return any(f.severity is Severity.ERROR for f in self.findings)

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import os
 import shutil
@@ -501,7 +502,8 @@ class TestConfigValues:
         assert not (tmp_path / "r.tsv").exists()
 
     def test_non_numeric_tolerance(self, tmp_path, capsys):
-        words = tmp_path / "words.txt"
+        words = tmp_path / "in" / "words.txt"
+        words.parent.mkdir()
         words.write_text("PAT\n")
         rc = self.run_with(
             tmp_path, "tolerance = x",
@@ -953,6 +955,18 @@ class TestFindingsScope:
         ]
 
 
+# ctm2tg's inputs by flag: one case reads each from "in", the others from the fixtures
+CTM2TG_INPUTS = {"ctm": "merged_alignment.ctm", "segments": "segments", "phones": "phones.txt",
+                 "lexicon": "lexicon.txt", "text": "text"}
+
+
+def _ctm2tg_reading_from_in(flag_in_in):
+    argv = ["ctm2tg", "--out", "{in}/grids"]
+    for flag, name in CTM2TG_INPUTS.items():
+        argv += [f"--{flag}", ("{in}/" if flag == flag_in_in else "{fx}/") + name]
+    return argv
+
+
 SEPARATION_CASES = {
     "vot-words": ["vot", "words", "--lexicon", "{in}/lexicon.txt", "--out", "{in}/w.txt"],
     "vot-locate-grid": ["vot", "locate", "{in}/f1.TextGrid", "--words",
@@ -986,7 +1000,76 @@ SEPARATION_CASES = {
     "vot-measure-report": ["vot", "measure", "{in}/f1.TextGrid", "--out", "{aux}/../m.tsv",
                            "--report", "{in}/r.tsv"],
     "symlink-target-report": ["tg", "diagnose", "{aux}/link.TextGrid", "--report", "{in}/r.tsv"],
+    "validate-mfa-symlinked-wav": ["validate-mfa", "{aux}/f1.TextGrid", "--wav-dir", "{aux}",
+                                   "--report", "{in}/r.tsv"],
+    **{f"ctm2tg-{flag}": _ctm2tg_reading_from_in(flag) for flag in CTM2TG_INPUTS},
+    "lexicon-phones": ["lexicon", "phones", "--lexicon", "{in}/lexicon.txt",
+                       "--out-dir", "{in}/lang"],
+    "kaldi-fix": ["kaldi-prep", "fix", "{in}", "--out", "{in}/fixed"],
+    "audio-mono": ["audio", "mono", "{in}/f1.wav", "--channel", "1", "--out-dir", "{in}/mono"],
+    "vot-windows-locations": ["vot", "windows", "{aux}/f1.TextGrid", "--locations",
+                              "{in}/loc.txt", "--out-dir", "{in}/w"],
+    "vot-lists-wav-dir": ["vot", "lists", "--wav-dir", "{in}", "--textgrid-dir", "{aux}",
+                          "--out-dir", "{in}/lists"],
+    "vot-lists-textgrid-dir": ["vot", "lists", "--wav-dir", "{aux}", "--textgrid-dir", "{in}",
+                               "--out-dir", "{in}/lists"],
+    "vot-merge": ["vot", "merge", "{in}/f1.TextGrid", "--tiers", "1", "--out-dir", "{in}/m"],
+    "vot-prefer-manual": ["vot", "prefer-manual", "{in}/f1.TextGrid", "--manual-tier",
+                          "words", "--auto-tier", "phones", "--out-dir", "{in}/p"],
+    "tg-stack": ["tg", "stack", "{aux}/f1.TextGrid", "{in}/f1.TextGrid",
+                 "--out", "{in}/s.TextGrid"],
+    "tg-rename": ["tg", "rename", "{in}/f1.TextGrid", "--index", "1", "--name", "x",
+                  "--out", "{in}/r/f1.TextGrid"],
+    "tg-merge": ["tg", "merge", "{in}/f1.TextGrid", "--indices", "1", "--name", "x",
+                 "--out", "{in}/r/f1.TextGrid"],
+    "fave-check-lexicon": ["fave", "check", "{aux}/t.lab", "--lexicon", "{in}/lexicon.txt",
+                           "--report", "{in}/r.tsv"],
+    "fave-check-wav-dir": ["fave", "check", "{aux}/t.lab", "--wav-dir", "{in}",
+                           "--report", "{in}/r.tsv"],
 }
+
+
+_SETTING = "a number, a name or a switch, not a path"
+
+# parser arguments in none of main's path tables, each with its reason
+NON_PATH_ARGS = {
+    "config": "read but never guarded: a settings file beside the output tree is normal use",
+    "report": "written; Ctx.check_outputs guards it beside every command's outputs",
+    "classifier": "printed into the AutoVOT commands, never opened",
+    "suffix": "names the files written inside --out-dir",
+    **dict.fromkeys(
+        ("jobs", "dry_run", "sample_rate", "strict_speaker_prefix", "separator",
+         "no_uppercase", "strip_apostrophe", "strip_chars", "oov_word", "oov_phone",
+         "exclude", "min_end_margin", "recommended_end_margin",
+         "require_separator_intervals", "target_rate", "channel", "word_tier",
+         "phone_tier", "tolerance", "vot_tier", "tiers", "name", "manual_tier",
+         "auto_tier", "silence_labels", "no_rate", "index", "indices"),
+        _SETTING,
+    ),
+}
+
+
+def _leaf_parsers(parser, name=""):
+    """(command name, parser) for each subcommand that takes no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield name, parser
+    for action in subs:
+        for word, sub in action.choices.items():
+            yield from _leaf_parsers(sub, f"{name} {word}".strip())
+
+
+def test_every_argument_has_a_path_role():
+    roles = {*cli.READ_ARGS, *cli.GLOB_ARGS, *cli.WRITTEN_ARGS}
+    assert not roles & NON_PATH_ARGS.keys()
+    seen, unclassified = set(), []
+    for command, leaf in _leaf_parsers(cli.build_parser()):
+        dests = [a.dest for a in leaf._actions if not isinstance(a, argparse._HelpAction)]
+        seen.update(dests)
+        unclassified += [f"{command}: {d}" for d in dests if d not in roles | NON_PATH_ARGS.keys()]
+        assert len(set(dests) & set(cli.GLOB_ARGS)) <= 1, command
+    assert unclassified == []
+    assert roles | NON_PATH_ARGS.keys() <= seen  # no stale entry
 
 
 @pytest.mark.parametrize("argv", SEPARATION_CASES.values(), ids=SEPARATION_CASES.keys())
@@ -997,12 +1080,15 @@ def test_no_output_inside_an_input_directory(tmp_path, argv):
         shutil.copy(FIXTURES / "lexicon.txt", d / "lexicon.txt")
         shutil.copy(FIXTURES / "golden" / "f1.TextGrid", d / "f1.TextGrid")
         (d / "words.txt").write_text("PAT\nSAY\n")
+        (d / "t.lab").write_text("SAY PAT AGAIN\n")
     shutil.copy(FIXTURES / "golden" / "f2.TextGrid", aux / "f2.TextGrid")  # no in/f2.wav
-    (src / "t.lab").write_text("SAY PAT AGAIN\n")
-    shutil.copy(FIXTURES / "text", src / "text")
+    for name in CTM2TG_INPUTS.values():
+        shutil.copy(FIXTURES / name, src / name)
+    (src / "loc.txt").write_text("f1\tPAT\t0.1\t0.4\tP\t0.2\n")
     (src / "records.tsv").write_text("u1\tf1\t0.0\t1.5\ts1\tpath/f1.wav\tSAY PAT\n")
     write_wav(src / "f1.wav", seconds=7.0)
     (aux / "link.TextGrid").symlink_to(src / "f1.TextGrid")
+    (aux / "f1.wav").symlink_to(src / "f1.wav")
     before = sorted(tmp_path.rglob("*"))
     rc = main([a.format(**{"in": src, "aux": aux, "fx": FIXTURES}) for a in argv])
     assert rc == 2
@@ -1161,6 +1247,32 @@ class TestLexiconCli:
         )
         assert rc == 0
         assert missing_out.read_text() == "A\nZZZ\n"
+
+    @pytest.mark.parametrize("command", ["filter", "missing"])
+    @pytest.mark.parametrize(
+        "source",
+        [["--transcripts", "{t}/*.lab", "{t}/nomatch/*.lab"], ["--kaldi-text", "{t}/text"]],
+        ids=["transcripts", "kaldi-text"],
+    )
+    def test_words_with_another_vocabulary_source_is_a_usage_error(
+        self, tmp_path, capsys, command, source
+    ):
+        t = tmp_path / "t"
+        t.mkdir()
+        (t / "a.lab").write_text("ZZZ\n")
+        shutil.copy(FIXTURES / "text", t / "text")
+        words = tmp_path / "in" / "words.txt"
+        words.parent.mkdir()
+        words.write_text("PAT\n")
+        out = tmp_path / "out" / "x.txt"
+        rc = main(
+            ["lexicon", command, "--lexicon", str(FIXTURES / "lexicon.txt"),
+             "--words", str(words), *(a.format(t=t) for a in source), "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--words" in err and source[0] in err
+        assert not out.parent.exists()
 
     def test_duplicate_entry_is_a_finding(self, tmp_path, capsys):
         lex = tmp_path / "in" / "lex.txt"

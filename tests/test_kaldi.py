@@ -174,7 +174,7 @@ class TestValidate:
         )
         report = validate_data_dir(d)
         assert any("zero padding" in f.message for f in report.warnings)
-        assert report.has_errors
+        assert report.errors
 
     def test_strict_speaker_prefix(self):
         d = KaldiDataDir(

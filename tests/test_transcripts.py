@@ -64,12 +64,12 @@ class TestValidateFave:
     def test_huge_offset_hack_is_warning_only(self):
         records = [FaveRecord("S1", "S1", 0.0, 9999.0, "HI")]
         report = validate_fave(records, wav_duration=30.0)
-        assert not report.has_errors
+        assert not report.errors
         assert len(report.warnings) == 1
 
     def test_onset_after_offset(self):
         report = validate_fave([FaveRecord("S1", "S1", 5.0, 4.0, "HI")])
-        assert report.has_errors
+        assert report.errors
 
     def test_phone_budget_warning(self):
         # ten phones at 30 ms need 0.3 s; the utterance has only 0.2 s
@@ -95,14 +95,14 @@ class TestValidateFave:
             FaveRecord("S1", "S1", 0.0, 2.0, "A"),
             FaveRecord("S1", "S1", 1.5, 3.0, "B"),
         ]
-        assert validate_fave(records).has_errors
+        assert validate_fave(records).errors
 
     def test_different_speakers_may_overlap(self):
         records = [
             FaveRecord("S1", "S1", 0.0, 2.0, "A"),
             FaveRecord("S2", "S2", 1.5, 3.0, "B"),
         ]
-        assert not validate_fave(records).has_errors
+        assert not validate_fave(records).errors
 
 
 def grid_with_text(intervals, xmax=10.0):
@@ -124,12 +124,12 @@ class TestValidateMfa:
     def test_margin_below_minimum(self):
         grid = grid_with_text([Interval(1.0, 9.99, "HI")])
         report = validate_mfa_textgrid(grid, 10.0)
-        assert report.has_errors
+        assert report.errors
 
     def test_margin_between_min_and_recommended(self):
         grid = grid_with_text([Interval(1.0, 9.97, "HI")])
         report = validate_mfa_textgrid(grid, 10.0)
-        assert not report.has_errors
+        assert not report.errors
         assert len(report.warnings) == 1
 
     def test_comfortable_margin_clean(self):
@@ -140,7 +140,7 @@ class TestValidateMfa:
     def test_duration_mismatch(self):
         grid = grid_with_text([Interval(1.0, 5.0, "HI")])
         report = validate_mfa_textgrid(grid, 12.0)
-        assert report.has_errors
+        assert report.errors
 
     def test_separator_intervals_opt_in(self):
         grid = grid_with_text(
@@ -170,16 +170,16 @@ class TestSingleLine:
         assert any("','" in f.message for f in report.errors)
 
     def test_apostrophe_fine(self):
-        assert not validate_single_line_transcript("I'M HERE").has_errors
+        assert not validate_single_line_transcript("I'M HERE").errors
 
     def test_markup_exempt(self):
-        assert not validate_single_line_transcript("{NS} HI {SP}").has_errors
+        assert not validate_single_line_transcript("{NS} HI {SP}").errors
 
     def test_sp_info(self):
         report = validate_single_line_transcript("HI sp THERE")
         infos = [f for f in report.findings if f.severity is Severity.INFO]
         assert len(infos) == 1
-        assert not report.has_errors
+        assert not report.errors
 
 
 class TestMfaOnAlignerOutput:
