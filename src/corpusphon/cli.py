@@ -1,5 +1,9 @@
 """Subcommand front end wiring the library into the standard pipelines.
 
+Each subcommand is one row of the COMMANDS table: its group, its name, its
+cmd_* handler, its help and its arguments. build_parser builds the argparse
+tree from that table in one loop.
+
 Exit codes: 0 success, 1 validation errors found, 2 usage or I/O failure.
 Human-readable findings go to stderr; --report writes the machine format,
 one finding per line: SEVERITY<TAB>file<TAB>location<TAB>message.
@@ -329,11 +333,6 @@ def cmd_kaldi_fix(args, ctx: Ctx) -> None:
 _SEPARATOR_NAMES = [s.value for s in lexicon.Separator]
 
 
-def add_lexicon_options(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--lexicon", required=required)
-    p.add_argument("--separator", choices=_SEPARATOR_NAMES, default=None)
-
-
 def _load_lexicon(args, ctx: Ctx) -> lexicon.Lexicon:
     sep = ctx.value(args, "separator", lexicon.Separator.ANY_WHITESPACE.value, str)
     if sep not in _SEPARATOR_NAMES:
@@ -525,7 +524,7 @@ def cmd_audio_info(args, ctx: Ctx) -> None:
         print(
             f"{path}: {info.sample_rate} Hz, {info.channels} ch, "
             f"{info.bits_per_sample}-bit {kind}, "
-            f"{kaldi.format_seconds(info.duration)} s"
+            f"{textgrid.format_seconds(info.duration)} s"
         )
 
     process_files(ctx, args.paths, show)
@@ -585,20 +584,23 @@ def cmd_vot_windows(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_lists(args, ctx: Ctx) -> None:
-    out_dir = Path(args.out_dir)
-    wavs = sorted(Path(args.wav_dir).glob("*.wav"))
-    tgs = sorted(Path(args.textgrid_dir).glob("*.TextGrid"))
-    ctx.out_text(out_dir / vot.WAV_LIST_NAME, vot.render_path_list(wavs))
-    ctx.out_text(out_dir / vot.TEXTGRID_LIST_NAME, vot.render_path_list(tgs))
+    # the decoder pairs the two lists line by line: line i of each names one grid
+    # and the WAV of its stem before any step suffix; a file without its pair is left out
+    out_dir, wav_dir = Path(args.out_dir), Path(args.wav_dir)
+    pairs = []
+    for tg in sorted(Path(args.textgrid_dir).glob("*.TextGrid")):
+        wav = _stem_wav(wav_dir, step_name(tg.stem, ""))
+        if wav is None:
+            ctx.add_finding(str(tg), Severity.WARNING, "", "no matching wav file; not listed")
+        else:
+            pairs.append((wav, tg))
+    for wav in sorted(set(wav_dir.glob("*.wav")) - {w for w, _ in pairs}):
+        ctx.add_finding(str(wav), Severity.WARNING, "", "no matching TextGrid; not listed")
+    wav_list, tg_list = out_dir / vot.WAV_LIST_NAME, out_dir / vot.TEXTGRID_LIST_NAME
+    ctx.out_text(wav_list, vot.render_path_list([w for w, _ in pairs]))
+    ctx.out_text(tg_list, vot.render_path_list([t for _, t in pairs]))
     for letter in "PTKBDG":
-        print(
-            vot.decode_command(
-                letter,
-                str(out_dir / vot.WAV_LIST_NAME),
-                str(out_dir / vot.TEXTGRID_LIST_NAME),
-                args.classifier,
-            )
-        )
+        print(vot.decode_command(letter, str(wav_list), str(tg_list), args.classifier))
 
 
 def cmd_vot_merge(args, ctx: Ctx) -> None:
@@ -647,7 +649,7 @@ def cmd_vot_compare(args, ctx: Ctx) -> None:
         cmp_result = vot.compare_boundaries(manual, auto, tol)
         for d in cmp_result.pairs:
             times = (d.manual.xmin, d.auto.xmin, d.burst_delta, d.vowel_delta)
-            lines.append("\t".join([path.stem, d.label, *map(kaldi.format_seconds, times)]))
+            lines.append("\t".join([path.stem, d.label, *map(textgrid.format_seconds, times)]))
         for iv in cmp_result.unpaired_manual:
             report.warning(
                 f"[{iv.xmin}, {iv.xmax}]", "manual token with no auto counterpart"
@@ -712,204 +714,123 @@ def cmd_tg_diagnose(args, ctx: Ctx) -> None:
 # parser
 
 
+# An argument is (flag, add_argument kwargs). Every command takes COMMON;
+# the arguments after it are shared by several commands and defined once.
+COMMON = (
+    ("--config", {"help": "key = value settings file; flags win"}),
+    ("--report", {"help": "write machine-readable findings here"}),
+    ("--jobs", {"type": int, "help": "accepted and has no effect"}),
+    ("--dry-run", {"action": "store_true", "help": "print intended outputs, write nothing"}),
+)
+OUT = ("--out", {"required": True})
+OUT_DIR = ("--out-dir", {"required": True})
+TEXTGRIDS = ("textgrids", {"nargs": "+"})
+SEPARATOR = ("--separator", {"choices": _SEPARATOR_NAMES})
+LEXICON = (("--lexicon", {"required": True}), SEPARATOR)
+VOCABULARY = (
+    ("--words", {"help": "word list file (one per line)"}),
+    ("--transcripts", {"nargs": "*", "default": []}),
+    ("--kaldi-text", {"help": "data-dir text file; first column is dropped"}),
+    ("--no-uppercase", {"action": "store_true"}),
+    ("--strip-apostrophe", {"action": "store_true"}),
+    ("--strip-chars", {}),
+)
+TIER_PAIR = (("--manual-tier", {"required": True}), ("--auto-tier", {"required": True}))
+
+GROUPS = {
+    "kaldi-prep": "Kaldi data directory files",
+    "lexicon": "pronunciation lexicon tools",
+    "fave": "FAVE transcript checks",
+    "audio": "WAV inspection and channel extraction",
+    "vot": "AutoVOT preparation and measurement",
+    "tg": "TextGrid surgery",
+}
+
+# (group, command) -> (handler, help, arguments); group None is a top-level
+# command, and only top-level entries have help. Rows are in --help order.
+COMMANDS = {
+    ("kaldi-prep", "build"): (cmd_kaldi_build, None, (
+        ("--records", {"required": True,
+                       "help": "TSV: utt, file_id, start, end, speaker, source, words"}),
+        OUT, ("--mfcc-conf", {"help": "also write mfcc.conf here"}),
+        ("--sample-rate", {"type": int}))),
+    ("kaldi-prep", "validate"): (cmd_kaldi_validate, None, (
+        ("dir", {}), ("--strict-speaker-prefix", {"action": "store_true"}))),
+    ("kaldi-prep", "fix"): (cmd_kaldi_fix, None, (("dir", {}), OUT)),
+    ("lexicon", "filter"): (cmd_lexicon_filter, None, (
+        *LEXICON, *VOCABULARY, OUT, ("--oov-word", {}), ("--oov-phone", {}))),
+    ("lexicon", "missing"): (cmd_lexicon_missing, None, (*LEXICON, *VOCABULARY, ("--out", {}))),
+    ("lexicon", "phones"): (cmd_lexicon_phones, None, (
+        *LEXICON, OUT_DIR,
+        ("--exclude", {"help": "comma-separated phones to leave out of nonsilence"}))),
+    (None, "ctm2tg"): (cmd_ctm2tg, "CTM alignment to Praat TextGrids", (
+        ("--ctm", {"required": True}), ("--segments", {"required": True}),
+        ("--phones", {"required": True, "help": "phones.txt symbol table"}),
+        *LEXICON,
+        ("--text", {"help": "data-dir text file for positional matching"}),
+        ("--wav-dir", {"help": "read true file durations from audio"}),
+        OUT)),
+    (None, "validate-mfa"): (cmd_validate_mfa, "check TextGrid+wav against MFA input rules", (
+        ("textgrids", {"nargs": "*"}), ("--wav", {}), ("--textgrid", {}), ("--wav-dir", {}),
+        ("--min-end-margin", {"type": float}), ("--recommended-end-margin", {"type": float}),
+        ("--require-separator-intervals", {"action": "store_const", "const": True}),
+        ("--target-rate", {"type": int}))),
+    ("fave", "check"): (cmd_fave_check, None, (
+        ("transcripts", {"nargs": "+"}), ("--wav-dir", {}), ("--lexicon", {}), SEPARATOR)),
+    ("audio", "info"): (cmd_audio_info, None, (("wavs", {"nargs": "+"}),)),
+    ("audio", "mono"): (cmd_audio_mono, None, (
+        ("wavs", {"nargs": "+"}), ("--channel", {"type": int, "required": True}), OUT_DIR)),
+    ("vot", "words"): (cmd_vot_words, None, (*LEXICON, OUT)),
+    ("vot", "locate"): (cmd_vot_locate, None, (
+        TEXTGRIDS, ("--words", {"required": True}), ("--word-tier", {}), ("--phone-tier", {}),
+        ("--tolerance", {"type": float}), OUT)),
+    ("vot", "windows"): (cmd_vot_windows, None, (
+        TEXTGRIDS, ("--locations", {"required": True}), ("--vot-tier", {}),
+        ("--suffix", {"default": "_allauto"}), OUT_DIR)),
+    ("vot", "lists"): (cmd_vot_lists, None, (
+        ("--wav-dir", {"required": True}), ("--textgrid-dir", {"required": True}), OUT_DIR,
+        ("--classifier", {"default": "<path/to/classifier.model>"}))),
+    ("vot", "merge"): (cmd_vot_merge, None, (
+        TEXTGRIDS, ("--tiers", {"required": True, "help": "1-based indices, e.g. 3,4,5,6,7,8"}),
+        ("--name", {"default": "vot"}), ("--suffix", {"default": "_stops"}), OUT_DIR)),
+    ("vot", "prefer-manual"): (cmd_vot_prefer_manual, None, (
+        TEXTGRIDS, *TIER_PAIR, ("--suffix", {"default": "_stacked2"}), OUT_DIR)),
+    ("vot", "measure"): (cmd_vot_measure, None, (
+        TEXTGRIDS, ("--vot-tier", {}), ("--phone-tier", {}), ("--word-tier", {}),
+        ("--silence-labels", {}),
+        ("--no-rate", {"action": "store_true", "help": "skip the speaking-rate measurement"}),
+        ("--out", {}))),
+    ("vot", "compare"): (cmd_vot_compare, None, (
+        TEXTGRIDS, *TIER_PAIR, ("--tolerance", {"type": float}), ("--out", {}))),
+    ("tg", "stack"): (cmd_tg_stack, None, (TEXTGRIDS, OUT)),
+    ("tg", "rename"): (cmd_tg_rename, None, (
+        ("textgrid", {}), ("--index", {"type": int, "required": True}),
+        ("--name", {"required": True}), OUT)),
+    ("tg", "merge"): (cmd_tg_merge, None, (
+        ("textgrid", {}), ("--indices", {"required": True}), ("--name", {"required": True}), OUT)),
+    ("tg", "diagnose"): (cmd_tg_diagnose, None, (TEXTGRIDS,)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value settings file; flags win")
-    common.add_argument("--report", help="write machine-readable findings here")
-    common.add_argument(
-        "--jobs", type=int, default=None, help="accepted and has no effect"
-    )
-    common.add_argument(
-        "--dry-run", action="store_true", help="print intended outputs, write nothing"
-    )
-
+    for flag, kwargs in COMMON:
+        common.add_argument(flag, **kwargs)
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Forced-aligner corpus preparation and post-processing.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-
-    # kaldi-prep
-    kp = top.add_parser("kaldi-prep", help="Kaldi data directory files")
-    kps = kp.add_subparsers(dest="subcommand", required=True)
-    p = kps.add_parser("build", parents=[common])
-    p.add_argument("--records", required=True,
-                   help="TSV: utt, file_id, start, end, speaker, source, words")
-    p.add_argument("--out", required=True)
-    p.add_argument("--mfcc-conf", help="also write mfcc.conf here")
-    p.add_argument("--sample-rate", type=int, default=None)
-    p.set_defaults(func=cmd_kaldi_build)
-    p = kps.add_parser("validate", parents=[common])
-    p.add_argument("dir")
-    p.add_argument("--strict-speaker-prefix", action="store_true")
-    p.set_defaults(func=cmd_kaldi_validate)
-    p = kps.add_parser("fix", parents=[common])
-    p.add_argument("dir")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_kaldi_fix)
-
-    # lexicon
-    lx = top.add_parser("lexicon", help="pronunciation lexicon tools")
-    lxs = lx.add_subparsers(dest="subcommand", required=True)
-
-    def lex_common(p):
-        add_lexicon_options(p)
-        p.add_argument("--words", help="word list file (one per line)")
-        p.add_argument("--transcripts", nargs="*", default=[])
-        p.add_argument("--kaldi-text", dest="kaldi_text",
-                       help="data-dir text file; first column is dropped")
-        p.add_argument("--no-uppercase", action="store_true")
-        p.add_argument("--strip-apostrophe", action="store_true")
-        p.add_argument("--strip-chars", default=None)
-
-    p = lxs.add_parser("filter", parents=[common])
-    lex_common(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--oov-word", default=None)
-    p.add_argument("--oov-phone", default=None)
-    p.set_defaults(func=cmd_lexicon_filter)
-    p = lxs.add_parser("missing", parents=[common])
-    lex_common(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lexicon_missing)
-    p = lxs.add_parser("phones", parents=[common])
-    add_lexicon_options(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--exclude", default=None,
-                   help="comma-separated phones to leave out of nonsilence")
-    p.set_defaults(func=cmd_lexicon_phones)
-
-    # ctm2tg
-    p = top.add_parser("ctm2tg", parents=[common],
-                       help="CTM alignment to Praat TextGrids")
-    p.add_argument("--ctm", required=True)
-    p.add_argument("--segments", required=True)
-    p.add_argument("--phones", required=True, help="phones.txt symbol table")
-    add_lexicon_options(p)
-    p.add_argument("--text", help="data-dir text file for positional matching")
-    p.add_argument("--wav-dir", help="read true file durations from audio")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ctm2tg)
-
-    # validate-mfa
-    p = top.add_parser("validate-mfa", parents=[common],
-                       help="check TextGrid+wav against MFA input rules")
-    p.add_argument("textgrids", nargs="*")
-    p.add_argument("--wav")
-    p.add_argument("--textgrid")
-    p.add_argument("--wav-dir")
-    p.add_argument("--min-end-margin", dest="min_end_margin", type=float, default=None)
-    p.add_argument("--recommended-end-margin", dest="recommended_end_margin",
-                   type=float, default=None)
-    p.add_argument("--require-separator-intervals", dest="require_separator_intervals",
-                   action="store_const", const=True, default=None)
-    p.add_argument("--target-rate", dest="target_rate", type=int, default=None)
-    p.set_defaults(func=cmd_validate_mfa)
-
-    # fave
-    fv = top.add_parser("fave", help="FAVE transcript checks")
-    fvs = fv.add_subparsers(dest="subcommand", required=True)
-    p = fvs.add_parser("check", parents=[common])
-    p.add_argument("transcripts", nargs="+")
-    p.add_argument("--wav-dir")
-    add_lexicon_options(p, required=False)
-    p.set_defaults(func=cmd_fave_check)
-
-    # audio
-    au = top.add_parser("audio", help="WAV inspection and channel extraction")
-    aus = au.add_subparsers(dest="subcommand", required=True)
-    p = aus.add_parser("info", parents=[common])
-    p.add_argument("wavs", nargs="+")
-    p.set_defaults(func=cmd_audio_info)
-    p = aus.add_parser("mono", parents=[common])
-    p.add_argument("wavs", nargs="+")
-    p.add_argument("--channel", type=int, required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_audio_mono)
-
-    # vot
-    vt = top.add_parser("vot", help="AutoVOT preparation and measurement")
-    vts = vt.add_subparsers(dest="subcommand", required=True)
-    p = vts.add_parser("words", parents=[common])
-    add_lexicon_options(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_vot_words)
-    p = vts.add_parser("locate", parents=[common])
-    p.add_argument("textgrids", nargs="+")
-    p.add_argument("--words", required=True)
-    p.add_argument("--word-tier", dest="word_tier", default=None)
-    p.add_argument("--phone-tier", dest="phone_tier", default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_vot_locate)
-    p = vts.add_parser("windows", parents=[common])
-    p.add_argument("textgrids", nargs="+")
-    p.add_argument("--locations", required=True)
-    p.add_argument("--vot-tier", dest="vot_tier", default=None)
-    p.add_argument("--suffix", default="_allauto")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_vot_windows)
-    p = vts.add_parser("lists", parents=[common])
-    p.add_argument("--wav-dir", required=True)
-    p.add_argument("--textgrid-dir", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--classifier", default="<path/to/classifier.model>")
-    p.set_defaults(func=cmd_vot_lists)
-    p = vts.add_parser("merge", parents=[common])
-    p.add_argument("textgrids", nargs="+")
-    p.add_argument("--tiers", required=True, help="1-based indices, e.g. 3,4,5,6,7,8")
-    p.add_argument("--name", default="vot")
-    p.add_argument("--suffix", default="_stops")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_vot_merge)
-    p = vts.add_parser("prefer-manual", parents=[common])
-    p.add_argument("textgrids", nargs="+")
-    p.add_argument("--manual-tier", required=True)
-    p.add_argument("--auto-tier", required=True)
-    p.add_argument("--suffix", default="_stacked2")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_vot_prefer_manual)
-    p = vts.add_parser("measure", parents=[common])
-    p.add_argument("textgrids", nargs="+")
-    p.add_argument("--vot-tier", dest="vot_tier", default=None)
-    p.add_argument("--phone-tier", dest="phone_tier", default=None)
-    p.add_argument("--word-tier", dest="word_tier", default=None)
-    p.add_argument("--silence-labels", dest="silence_labels", default=None)
-    p.add_argument("--no-rate", action="store_true",
-                   help="skip the speaking-rate measurement")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_vot_measure)
-    p = vts.add_parser("compare", parents=[common])
-    p.add_argument("textgrids", nargs="+")
-    p.add_argument("--manual-tier", required=True)
-    p.add_argument("--auto-tier", required=True)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_vot_compare)
-
-    # tg
-    tg = top.add_parser("tg", help="TextGrid surgery")
-    tgs = tg.add_subparsers(dest="subcommand", required=True)
-    p = tgs.add_parser("stack", parents=[common])
-    p.add_argument("textgrids", nargs="+")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tg_stack)
-    p = tgs.add_parser("rename", parents=[common])
-    p.add_argument("textgrid")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--name", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tg_rename)
-    p = tgs.add_parser("merge", parents=[common])
-    p.add_argument("textgrid")
-    p.add_argument("--indices", required=True)
-    p.add_argument("--name", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tg_merge)
-    p = tgs.add_parser("diagnose", parents=[common])
-    p.add_argument("textgrids", nargs="+")
-    p.set_defaults(func=cmd_tg_diagnose)
-
+    groups = {None: top}
+    for (group, name), (func, summary, arguments) in COMMANDS.items():
+        if group not in groups:
+            sub = top.add_parser(group, help=GROUPS[group])
+            groups[group] = sub.add_subparsers(dest="subcommand", required=True)
+        help_kw = {"help": summary} if summary else {}
+        p = groups[group].add_parser(name, parents=[common], **help_kw)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

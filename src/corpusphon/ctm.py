@@ -24,15 +24,14 @@ holds both lists only inside `alignment_rows`. Everything here is pure.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .errors import ToolkitError
-from .kaldi import SegmentLine, format_seconds
-from .lexicon import Lexicon, Pron
-from .textgrid import Interval, IntervalTier
+from .kaldi import SegmentLine
+from .lexicon import Lexicon, Pron, split_position
+from .textgrid import Interval, IntervalTier, format_seconds
 
 SILENCE_SYMBOLS = frozenset({"SIL", "sp", "SP", "oov", "<eps>"})
 
@@ -44,9 +43,6 @@ ALIGNMENT_HEADER = (
 )
 
 TABLE_CHUNK_ROWS = 4096  # lines of final_ali.txt encoded per chunk
-
-_POSITION_RE = re.compile(r"^(.*)_([BIES])$")
-
 
 class CtmError(ToolkitError):
     pass
@@ -162,13 +158,6 @@ class PhoneSymbolTable:
             by_id[pid] = symbol
             symbols.add(symbol)
         return cls(by_id)
-
-
-def split_position(symbol: str) -> tuple[str, str | None]:
-    m = _POSITION_RE.match(symbol)
-    if m:
-        return m.group(1), m.group(2)
-    return symbol, None
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ToolkitError
 from .report import Report
+from .textgrid import format_seconds
 
 class KaldiDataError(ToolkitError):
     """Malformed data-directory file content."""
@@ -46,12 +47,6 @@ class EncodingError(KaldiDataError):
 
 def _bytes_key(s: str) -> bytes:
     return s.encode("utf-8")
-
-
-def format_seconds(t: float) -> str:
-    """Trailing-zero-free decimal with at least one fractional digit."""
-    s = f"{t:.6f}".rstrip("0")
-    return s + "0" if s.endswith(".") else s
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -8,6 +8,7 @@ case-sensitive; uppercasing belongs to transcript normalization, not lookup.
 from __future__ import annotations
 
 import enum
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,6 +21,9 @@ VOWELS = frozenset(
 
 DEFAULT_OOV = ("<oov>", "oov")
 DEFAULT_STRIP_CHARS = ".,?!;:"
+
+# a word-position suffix on a phone symbol (Kaldi's _B, _I, _E, _S)
+_POSITION_RE = re.compile(r"^(.*)_([BIES])$")
 
 
 class LexiconError(ToolkitError):
@@ -42,6 +46,13 @@ def stress_base(symbol: str) -> str:
     if symbol and symbol[-1] in "012" and symbol[:-1] in VOWELS:
         return symbol[:-1]
     return symbol
+
+
+def split_position(symbol: str) -> tuple[str, str | None]:
+    m = _POSITION_RE.match(symbol)
+    if m:
+        return m.group(1), m.group(2)
+    return symbol, None
 
 
 def is_vowel(symbol: str) -> bool:

@@ -84,6 +84,12 @@ def format_time(t: float) -> str:
     return _TIME_FORMAT.format(t)
 
 
+def format_seconds(t: float) -> str:
+    """Trailing-zero-free decimal with at least one fractional digit."""
+    s = f"{t:.6f}".rstrip("0")
+    return s + "0" if s.endswith(".") else s
+
+
 def _require_finite(what: str, *times: float) -> None:
     if not all(map(math.isfinite, times)):
         raise NonFiniteTime(f"{what}: times must be finite, got {times!r}")

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ToolkitError
-from .kaldi import format_seconds
 from .lexicon import DEFAULT_STRIP_CHARS, Lexicon, MARKUP_TOKENS
 from .report import Report
-from .textgrid import TextGrid
+from .textgrid import TextGrid, format_seconds
 
 # the overlap-bug precondition: a phone is assumed to take 30 ms
 PHONE_BUDGET_SECONDS = 0.030

@@ -14,16 +14,14 @@ files and prints the recommended decode command per stop class.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
-from .ctm import split_position
 from .errors import ToolkitError, ToolkitWarning
-from .kaldi import format_seconds
-from .lexicon import VOWELS, Lexicon, is_vowel, stress_base
-from .textgrid import _SNAP, Interval, IntervalTier, TextGrid
+from .lexicon import VOWELS, Lexicon, is_vowel, split_position, stress_base
+from .textgrid import _SNAP, Interval, IntervalTier, TextGrid, format_seconds
 
 VOICELESS = frozenset({"P", "T", "K"})
 VOICED = frozenset({"B", "D", "G"})

@@ -1681,6 +1681,28 @@ class TestVotPostProcessing:
         assert "--window_mark B --min_vot_length 4" in commands
         assert commands.count("auto_vot_decode.py") == 6
 
+    def test_lists_pair_each_grid_with_its_wav(self, tmp_path, capsys):
+        # byte order sorts a.wav before a0.wav but a0_allauto before a_allauto
+        wavs, tgs, out = tmp_path / "wavs", tmp_path / "tgs", tmp_path / "config"
+        wavs.mkdir()
+        tgs.mkdir()
+        for stem in ("a", "a0", "b"):
+            write_wav(wavs / f"{stem}.wav", seconds=1.0)
+        for stem in ("a", "a0", "c"):
+            shutil.copy(FIXTURES / "golden" / "f1.TextGrid", tgs / f"{stem}_allauto.TextGrid")
+        report = tmp_path / "report.tsv"
+        rc = main(["vot", "lists", "--wav-dir", str(wavs), "--textgrid-dir", str(tgs),
+                   "--out-dir", str(out), "--report", str(report)])
+        assert rc == 0
+        wav_list = (out / "ListWavFiles.txt").read_text().splitlines()
+        tg_list = (out / "ListTextGrids.txt").read_text().splitlines()
+        assert [Path(p).name for p in tg_list] == ["a0_allauto.TextGrid", "a_allauto.TextGrid"]
+        assert [Path(p).name for p in wav_list] == ["a0.wav", "a.wav"]
+        findings = [line.split("\t") for line in report.read_text().splitlines()]
+        assert [(sev, Path(file).name) for sev, file, *_ in findings] == [
+            ("WARNING", "c_allauto.TextGrid"), ("WARNING", "b.wav"),
+        ]
+
 
 class TestKaldiTextWordSource:
     def test_first_column_dropped(self, tmp_path):
