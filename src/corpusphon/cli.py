@@ -36,6 +36,7 @@ from pathlib import Path
 from . import audio, ctm, kaldi, lexicon, textgrid, transcripts, vot
 from .errors import ToolkitError
 from .report import Finding, Report, Severity
+from .rows import read_rows
 
 PROG = "corpusphon"
 
@@ -281,26 +282,15 @@ def cmd_kaldi_build(args, ctx: Ctx) -> None:
     rate = ctx.value(args, "sample_rate", 16000, int)
     if rate <= 0:
         raise UsageError(f"sample rate must be positive, got {rate}")
-    records = []
-    for i, line in enumerate(read_input(records_path).splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 7:
-            raise UsageError(
-                f"{records_path} line {i}: expected 7 tab-separated columns "
-                "(utt, file_id, start, end, speaker, source, words)"
-            )
-        utt, file_id, start, end, speaker, source, words = fields
-        try:
-            records.append(
-                kaldi.UtteranceRecord(
-                    utt, file_id, float(start), float(end),
-                    tuple(words.split()), speaker, source,
-                )
-            )
-        except ValueError:
-            raise UsageError(f"{records_path} line {i}: non-numeric time") from None
+    rows = read_rows(
+        read_input(records_path), str(records_path), UsageError, 7,
+        "expected 7 tab-separated columns (utt, file_id, start, end, speaker, source, words)",
+        sep="\t", times=(2, 3),
+    )
+    records = [
+        kaldi.UtteranceRecord(utt, file_id, start, end, tuple(words.split()), speaker, source)
+        for _, (utt, file_id, _, _, speaker, source, words, start, end) in rows
+    ]
     d = kaldi.build_from_records(records)
     for name, content in d.render().items():
         ctx.out_text(out / name, content)
@@ -369,13 +359,16 @@ def _corpus_words(args, ctx: Ctx) -> set[str]:
 
 
 def cmd_lexicon_filter(args, ctx: Ctx) -> None:
+    oov = []
+    for key, default in zip(("oov_word", "oov_phone"), lexicon.DEFAULT_OOV):
+        value = ctx.value(args, key, default, str)
+        if value.split() != [value]:  # the OOV entry is written as one lexicon line
+            given = f"config value {key}" if getattr(args, key) is None else "--" + key.replace("_", "-")
+            raise UsageError(f"{given} {value!r} is not one whitespace-free token")
+        oov.append(value)
     words = _corpus_words(args, ctx)
     lex = _load_lexicon(args, ctx)
-    oov = (
-        ctx.value(args, "oov_word", lexicon.DEFAULT_OOV[0], str),
-        ctx.value(args, "oov_phone", lexicon.DEFAULT_OOV[1], str),
-    )
-    filtered = lexicon.filter_lexicon(lex, words, oov)
+    filtered = lexicon.filter_lexicon(lex, words, tuple(oov))
     for word, pron in lexicon.unstressed_only_prons(filtered):
         ctx.add_finding(
             args.lexicon, Severity.INFO, word,
@@ -599,8 +592,9 @@ def cmd_vot_lists(args, ctx: Ctx) -> None:
     wav_list, tg_list = out_dir / vot.WAV_LIST_NAME, out_dir / vot.TEXTGRID_LIST_NAME
     ctx.out_text(wav_list, vot.render_path_list([w for w, _ in pairs]))
     ctx.out_text(tg_list, vot.render_path_list([t for _, t in pairs]))
+    tier = ctx.value(args, "vot_tier", "vot", str)  # the tier vot windows wrote
     for letter in "PTKBDG":
-        print(vot.decode_command(letter, str(wav_list), str(tg_list), args.classifier))
+        print(vot.decode_command(letter, str(wav_list), str(tg_list), args.classifier, tier))
 
 
 def cmd_vot_merge(args, ctx: Ctx) -> None:

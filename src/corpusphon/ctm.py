@@ -4,7 +4,11 @@ The pipeline: parse the 5-field CTM, map numeric phone IDs to symbols via
 the phones.txt table, join each line with its segments row, regroup phones
 into words via their B/I/E/S position suffixes, and match each
 reconstructed pronunciation to its lexicon word. The 11-column intermediate
-table is written for downstream scripts that expect it.
+table is written for downstream scripts that expect it. The CTM and
+phones.txt are read through rows.read_rows, which decides line breaks,
+blank lines, field counts and finite times; the parsers here add only
+their formats' own rules (an integer channel, a non-negative start, a
+positive duration, a decimal phone ID; unique phones.txt IDs and symbols).
 
 Each CTM line is joined with its segments row once (`alignment_rows`),
 into one `PhoneToken`: the table's 11 columns, utterance and file times
@@ -23,7 +27,6 @@ holds both lists only inside `alignment_rows`. Everything here is pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator, NamedTuple
@@ -31,6 +34,7 @@ from typing import Iterator, NamedTuple
 from .errors import ToolkitError
 from .kaldi import SegmentLine
 from .lexicon import Lexicon, Pron, split_position
+from .rows import read_rows
 from .textgrid import Interval, IntervalTier, format_seconds
 
 SILENCE_SYMBOLS = frozenset({"SIL", "sp", "SP", "oov", "<eps>"})
@@ -140,13 +144,9 @@ class PhoneSymbolTable:
     def parse(cls, content: str) -> "PhoneSymbolTable":
         by_id: dict[int, str] = {}
         symbols: set[str] = set()
-        for i, line in enumerate(content.splitlines(), 1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise CtmError(f"phones.txt line {i}: expected 'symbol id'")
-            symbol, raw_id = fields
+        for i, (symbol, raw_id) in read_rows(
+            content, "phones.txt", CtmError, 2, "expected 'symbol id'"
+        ):
             try:
                 pid = int(raw_id)
             except ValueError:
@@ -168,25 +168,14 @@ def parse_ctm(content: str) -> list[CtmEntry]:
     """Parse `utt channel start dur phone` lines; the phone column is kept as text."""
     entries = []
     share = {}.setdefault  # the first string read for each distinct value
-    for i, line in enumerate(content.splitlines(), 1):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 5:
-            raise MalformedCtmLine(
-                f"line {i}: expected 5 fields, got {len(fields)}"
-            )
-        utt, raw_channel, raw_start, raw_dur, raw_phone = fields
+    new = tuple.__new__  # skips CtmEntry's Python-level __new__, once per line
+    rows = read_rows(content, "", MalformedCtmLine, 5, "expected 5 fields, got {got}",
+                     times=(2, 3))
+    for i, (utt, raw_channel, _, _, raw_phone, start, dur) in rows:
         try:
             channel = int(raw_channel)
         except ValueError:
             raise MalformedCtmLine(f"line {i}: non-integer channel") from None
-        try:
-            start, dur = float(raw_start), float(raw_dur)
-        except ValueError:
-            raise MalformedCtmLine(f"line {i}: non-numeric time") from None
-        if not (math.isfinite(start) and math.isfinite(dur)):
-            raise MalformedCtmLine(f"line {i}: non-finite time")
         if start < 0:
             raise MalformedCtmLine(f"line {i}: negative start time")
         if dur <= 0:
@@ -195,8 +184,8 @@ def parse_ctm(content: str) -> list[CtmEntry]:
             raise MalformedCtmLine(
                 f"line {i}: phone ID {raw_phone!r} is not a decimal integer"
             )
-        utt, raw_phone = share(utt, utt), share(raw_phone, raw_phone)
-        entries.append(CtmEntry(utt, channel, start, dur, raw_phone, i))
+        entry = (share(utt, utt), channel, start, dur, share(raw_phone, raw_phone), i)
+        entries.append(new(CtmEntry, entry))
     return entries
 
 

@@ -2,7 +2,10 @@
 
 Covers the five-file bundle (text, segments, wav.scp, utt2spk, spk2utt) plus
 conf/mfcc.conf. Files are modeled as ordered line lists so that duplicate or
-unsorted input is representable and can be reported.
+unsorted input is representable and can be reported. The five files are
+read through rows.read_rows, which splits fields on any whitespace: tabs are
+accepted on read and written as single spaces. Segment times must be finite
+numbers.
 
 Sorting is byte-wise (C locale) throughout, which is what Kaldi's own tools
 require. Parsed time fields keep their original spelling so a well-formed
@@ -27,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ToolkitError
 from .report import Report
+from .rows import read_rows
 from .textgrid import format_seconds
 
 class KaldiDataError(ToolkitError):
@@ -113,52 +117,33 @@ class KaldiDataDir:
 # parsing / rendering
 
 
-def _rows(
-    content: str, name: str, n: int, expected: str, exact: bool = False, maxsplit: int = -1
-) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each non-blank line, split at most maxsplit times.
-
-    Tabs are accepted on read and written as single spaces. A line with fewer
-    than n fields, or more when exact, raises "<name> line <number>: <expected>".
-    """
-    for i, line in enumerate(content.splitlines(), 1):
-        fields = line.split(None, maxsplit)
-        if not fields:
-            continue
-        if len(fields) < n or exact and len(fields) > n:
-            raise KaldiDataError(f"{name} line {i}: {expected}")
-        yield i, fields
-
-
 def parse_text(content: str) -> list[TranscriptLine]:
-    rows = _rows(content, "text", 2, "need utterance ID and words")
+    rows = read_rows(content, "text", KaldiDataError, 2, "need utterance ID and words",
+                     exact=False)
     return [TranscriptLine(f[0], tuple(f[1:])) for _, f in rows]
 
 
 def parse_segments(content: str) -> list[SegmentLine]:
-    out = []
-    rows = _rows(content, "segments", 4, "expected 4 fields", exact=True)
-    for i, (utt, file_id, start, end) in rows:
-        try:
-            out.append(SegmentLine(utt, file_id, float(start), float(end), start, end))
-        except ValueError:
-            raise KaldiDataError(f"segments line {i}: non-numeric time") from None
-    return out
+    rows = read_rows(content, "segments", KaldiDataError, 4, "expected 4 fields", times=(2, 3))
+    return [SegmentLine(utt, file_id, start, end, start_raw, end_raw)
+            for _, (utt, file_id, start_raw, end_raw, start, end) in rows]
 
 
 def parse_wav_scp(content: str) -> list[WavScpEntry]:
     # one split only: a source (a path or a command) keeps its inner spacing
-    rows = _rows(content, "wav.scp", 2, "expected file ID and source", maxsplit=1)
+    rows = read_rows(content, "wav.scp", KaldiDataError, 2, "expected file ID and source",
+                     maxsplit=1)
     return [WavScpEntry(file_id, source.strip()) for _, (file_id, source) in rows]
 
 
 def parse_utt2spk(content: str) -> list[tuple[str, str]]:
-    rows = _rows(content, "utt2spk", 2, "expected 2 fields", exact=True)
+    rows = read_rows(content, "utt2spk", KaldiDataError, 2, "expected 2 fields")
     return [(utt, spk) for _, (utt, spk) in rows]
 
 
 def parse_spk2utt(content: str) -> list[tuple[str, tuple[str, ...]]]:
-    rows = _rows(content, "spk2utt", 2, "expected speaker and utterances")
+    rows = read_rows(content, "spk2utt", KaldiDataError, 2, "expected speaker and utterances",
+                     exact=False)
     return [(f[0], tuple(f[1:])) for _, f in rows]
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import ToolkitError
 from .lexicon import DEFAULT_STRIP_CHARS, Lexicon, MARKUP_TOKENS
 from .report import Report
+from .rows import read_rows
 from .textgrid import TextGrid, format_seconds
 
 # the overlap-bug precondition: a phone is assumed to take 30 ms
@@ -28,7 +29,7 @@ class FieldCountError(TranscriptError):
 
 
 class NonNumericTime(TranscriptError):
-    """Onset or offset column fails to parse as seconds."""
+    """Onset or offset column that is not a finite number of seconds."""
 
 
 @dataclass(frozen=True)
@@ -56,23 +57,12 @@ class MfaCheckConfig:
 
 def parse_fave_transcript(content: str) -> list[FaveRecord]:
     """Parse speaker ID, speaker name, onset, offset, transcription rows."""
-    records = []
-    for i, line in enumerate(content.splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise FieldCountError(
-                f"line {i}: expected 5 tab-separated columns, got {len(fields)}"
-            )
-        try:
-            onset, offset = float(fields[2]), float(fields[3])
-        except ValueError:
-            raise NonNumericTime(f"line {i}: non-numeric onset/offset") from None
-        records.append(
-            FaveRecord(fields[0], fields[1], onset, offset, fields[4])
-        )
-    return records
+    rows = read_rows(
+        content, "", FieldCountError, 5, "expected 5 tab-separated columns, got {got}",
+        sep="\t", times=(2, 3), time_error=NonNumericTime,
+    )
+    return [FaveRecord(speaker_id, name, onset, offset, text)
+            for _, (speaker_id, name, _, _, text, onset, offset) in rows]
 
 
 def validate_fave(

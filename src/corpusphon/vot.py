@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .errors import ToolkitError, ToolkitWarning
 from .lexicon import VOWELS, Lexicon, is_vowel, split_position, stress_base
+from .rows import read_rows
 from .textgrid import _SNAP, Interval, IntervalTier, TextGrid, format_seconds
 
 VOICELESS = frozenset({"P", "T", "K"})
@@ -583,27 +584,10 @@ def render_word_locations(occurrences: list[WordOccurrence]) -> str:
 
 
 def parse_word_locations(content: str) -> list[WordOccurrence]:
-    out = []
-    for i, line in enumerate(content.splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise VotError(f"locations line {i}: expected 6 columns")
-        try:
-            out.append(
-                WordOccurrence(
-                    word=fields[1],
-                    file_id=fields[0],
-                    start=float(fields[2]),
-                    end=float(fields[3]),
-                    initial_stop=StopClass(fields[4]),
-                    stop_end=float(fields[5]),
-                )
-            )
-        except ValueError:
-            raise VotError(f"locations line {i}: non-numeric time") from None
-    return out
+    rows = read_rows(content, "locations", VotError, 6, "expected 6 columns", sep="\t",
+                     times=(2, 3, 5))
+    return [WordOccurrence(word, file_id, start, end, StopClass(stop), stop_end)
+            for _, (file_id, word, _, _, stop, _, start, end, stop_end) in rows]
 
 
 def render_path_list(paths: list[Path | str]) -> str:
@@ -616,11 +600,12 @@ def decode_command(
     wav_list: str = WAV_LIST_NAME,
     textgrid_list: str = TEXTGRID_LIST_NAME,
     classifier: str = "<path/to/classifier.model>",
+    window_tier: str = "vot",
 ) -> str:
-    """The recommended external decoder invocation for one stop class, on the "vot" tier."""
+    """The recommended external decoder invocation for one stop class and window tier."""
     stop = StopClass(stop_letter)
     return (
-        "auto_vot_decode.py --window_tier vot "
+        f"auto_vot_decode.py --window_tier {window_tier} "
         f"--window_mark {stop.phone} --min_vot_length {stop.min_vot_ms} "
         f"{wav_list} {textgrid_list} {classifier}"
     )

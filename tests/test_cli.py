@@ -743,6 +743,22 @@ class TestVotCli:
         )
 
 
+    @pytest.mark.parametrize("column", [2, 3, 5])
+    def test_windows_reports_a_non_finite_location_time(self, tmp_path, column):
+        fields = ["f1", "PAT", "3.48", "3.95", "P", "3.55"]
+        fields[column] = "nan"
+        locations = tmp_path / "in" / "CVWordLocations.txt"
+        locations.parent.mkdir()
+        locations.write_text("f1\tDOT\t1.0\t1.3\tD\t1.05\n" + "\t".join(fields) + "\n")
+        report, out = tmp_path / "r.tsv", tmp_path / "out"
+        rc = main(["vot", "windows", str(FIXTURES / "golden" / "f1.TextGrid"),
+                   "--locations", str(locations), "--out-dir", str(out),
+                   "--report", str(report)])
+        assert rc == 1
+        assert report.read_text() == "ERROR\t\t\tlocations line 2: non-finite time\n"
+        assert not out.exists()
+
+
 class TestTgCli:
     def test_stack_rename_diagnose(self, tmp_path):
         a = tmp_path / "in_a" / "a.TextGrid"
@@ -1200,6 +1216,45 @@ class TestKaldiCli:
         )
         assert (tmp_path / "fixed2" / "utt2spk").read_text() == "u1 s1\nu2 s1\n"
 
+    def non_finite_segment_dir(self, tmp_path):
+        data = tmp_path / "in"
+        data.mkdir()
+        (data / "text").write_text("u0 HI\nu1 SAY PAT\n")
+        (data / "segments").write_text("u0 f1 0.0 1.0\nu1 f1 nan 2.0\n")
+        (data / "wav.scp").write_text("f1 p/f1.wav\n")
+        (data / "utt2spk").write_text("u0 s1\nu1 s1\n")
+        (data / "spk2utt").write_text("s1 u0 u1\n")
+        return data
+
+    def test_validate_reports_a_non_finite_segment_time(self, tmp_path):
+        data = self.non_finite_segment_dir(tmp_path)
+        report = tmp_path / "r.tsv"
+        assert main(["kaldi-prep", "validate", str(data), "--report", str(report)]) == 1
+        assert report.read_text() == f"ERROR\t{data}\t\tsegments line 2: non-finite time\n"
+
+    def test_fix_refuses_a_non_finite_segment_time(self, tmp_path):
+        # the directory fails with the line named; it is not repaired by dropping the line
+        data = self.non_finite_segment_dir(tmp_path)
+        report, out = tmp_path / "r.tsv", tmp_path / "out"
+        argv = ["kaldi-prep", "fix", str(data), "--out", str(out), "--report", str(report)]
+        assert main(argv) == 1
+        assert report.read_text() == "ERROR\t\t\tsegments line 2: non-finite time\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start, end", [("0.0", "inf"), ("nan", "1.5"), ("-inf", "1.5")])
+    def test_build_refuses_a_non_finite_time(self, tmp_path, capsys, start, end):
+        records = tmp_path / "in" / "records.tsv"
+        records.parent.mkdir()
+        records.write_text(
+            "u0\tf1\t0.0\t0.5\ts1\tp/f1.wav\tHI\n"
+            f"u1\tf1\t{start}\t{end}\ts1\tp/f1.wav\tSAY PAT\n"
+        )
+        rc = main(["kaldi-prep", "build", "--records", str(records),
+                   "--out", str(tmp_path / "data")])
+        assert rc == 2
+        assert f"{records} line 2: non-finite time" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
     def test_undecodable_file_is_an_error_naming_it(self, tmp_path, capsys):
         data = tmp_path / "in"
         data.mkdir()
@@ -1272,6 +1327,34 @@ class TestLexiconCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--words" in err and source[0] in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "option, config, named",
+        [
+            (["--oov-word", "<unk x>"], "", "--oov-word"),
+            (["--oov-phone", ""], "", "--oov-phone"),
+            (["--oov-word", "u\u00a0nk"], "", "--oov-word"),
+            ([], "oov_word = <unk x>", "oov_word"),
+            ([], "oov_phone = o o", "oov_phone"),
+            ([], "oov_word =", "oov_word"),
+        ],
+    )
+    def test_filter_refuses_an_oov_value_that_is_not_one_token(
+        self, tmp_path, capsys, option, config, named
+    ):
+        # the OOV entry is one line of the written lexicon, word then phone
+        words = tmp_path / "in" / "words.txt"
+        words.parent.mkdir()
+        words.write_text("PAT\n")
+        cfg = tmp_path / "in" / "lex.conf"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "out" / "lexicon.txt"
+        rc = main(["lexicon", "filter", "--lexicon", str(FIXTURES / "lexicon.txt"),
+                   "--words", str(words), "--out", str(out), "--config", str(cfg), *option])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err and "one whitespace-free token" in err
         assert not out.parent.exists()
 
     def test_duplicate_entry_is_a_finding(self, tmp_path, capsys):
@@ -1537,6 +1620,16 @@ class TestFaveCli:
         assert main(["fave", "check", str(t)]) == 1
 
 
+    @pytest.mark.parametrize("onset", ["nan", "inf", "-inf"])
+    def test_check_reports_a_non_finite_onset(self, tmp_path, onset):
+        t = tmp_path / "in" / "t.txt"
+        t.parent.mkdir()
+        t.write_text(f"S1\tSpeaker One\t0.0\t1.0\tHI\nS1\tSpeaker One\t{onset}\t3.4\tSAY\n")
+        report = tmp_path / "r.tsv"
+        assert main(["fave", "check", str(t), "--report", str(report)]) == 1
+        assert report.read_text() == f"ERROR\t{t}\t\tline 2: non-finite time\n"
+
+
 class TestVotPostProcessing:
     def decoded_grid_path(self, tmp_path):
         """A grid imitating decoded output: base tiers + six stop tiers."""
@@ -1702,6 +1795,28 @@ class TestVotPostProcessing:
         assert [(sev, Path(file).name) for sev, file, *_ in findings] == [
             ("WARNING", "c_allauto.TextGrid"), ("WARNING", "b.wav"),
         ]
+
+
+    def test_lists_name_the_window_tier_vot_windows_wrote(self, tmp_path, capsys):
+        # one vot_tier config value names the tier vot windows writes and vot lists decodes
+        src, wavs, out = tmp_path / "in", tmp_path / "wavs", tmp_path / "windows"
+        src.mkdir()
+        wavs.mkdir()
+        shutil.copy(FIXTURES / "golden" / "f1.TextGrid", src / "f1.TextGrid")
+        write_wav(wavs / "f1.wav", seconds=1.0)
+        (src / "loc.txt").write_text("f1\tPAT\t3.48\t3.95\tP\t3.55\n")
+        config = src / "vot.conf"
+        config.write_text("vot_tier = windows\n")
+        assert main(["vot", "windows", str(src / "f1.TextGrid"), "--locations",
+                     str(src / "loc.txt"), "--out-dir", str(out), "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["vot", "lists", "--wav-dir", str(wavs), "--textgrid-dir", str(out),
+                     "--out-dir", str(tmp_path / "config"), "--config", str(config)]) == 0
+        commands = capsys.readouterr().out.splitlines()
+        assert len(commands) == 6
+        tiers = {t.name for t in parse_textgrid((out / "f1_allauto.TextGrid").read_bytes()).tiers}
+        assert "windows" in tiers
+        assert all(c.split("--window_tier ")[1].startswith("windows ") for c in commands)
 
 
 class TestKaldiTextWordSource:

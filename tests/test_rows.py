@@ -1,0 +1,243 @@
+"""The one row reader, through each of the ten parsers that read with it.
+
+Every line-per-record input (the five Kaldi data files, CTM, phones.txt,
+FAVE transcripts, word locations and kaldi-prep build's records TSV) is
+read by rows.read_rows, so each format breaks lines, skips blank lines and
+refuses NaN or inf times the same way. The table below names each parser
+with a valid sample; the tests run every row. The records TSV is read by
+`kaldi-prep build` through main, whose exit 2 the helper turns back into
+the UsageError it printed.
+
+The last test is an ast scan that keeps it one reader: no other line
+splitting in src/ but the allow-listed readers of other formats.
+"""
+
+import ast
+import contextlib
+import io
+import tempfile
+from dataclasses import astuple
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpusphon import ctm, kaldi, transcripts, vot
+from corpusphon.cli import UsageError, main
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "corpusphon"
+
+
+def build_records(content: str):
+    """kaldi-prep build on a records TSV: exit code and the files it wrote."""
+    with tempfile.TemporaryDirectory() as tmp:
+        records, out = Path(tmp, "in", "records.tsv"), Path(tmp, "data")
+        records.parent.mkdir()
+        records.write_bytes(content.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["kaldi-prep", "build", "--records", str(records), "--out", str(out)])
+        if rc == 2:
+            raise UsageError(err.getvalue().strip().removeprefix("corpusphon: "))
+        return rc, {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+
+
+# id: (parse, error class, separator, sample rows, time columns, a free text column)
+FORMATS = {
+    "text": (kaldi.parse_text, kaldi.KaldiDataError, " ",
+             [["u1", "SAY", "PAT"], ["u2", "HI"]], (), None),
+    "segments": (kaldi.parse_segments, kaldi.KaldiDataError, " ",
+                 [["u1", "f1", "0.0", "1.5"], ["u2", "f1", "1.50", "3"]], (2, 3), None),
+    "wav.scp": (kaldi.parse_wav_scp, kaldi.KaldiDataError, " ",
+                [["f1", "p/f1.wav"], ["f2", "sox p/f2.wav -t wav - |"]], (), None),
+    "utt2spk": (kaldi.parse_utt2spk, kaldi.KaldiDataError, " ",
+                [["u1", "s1"], ["u2", "s1"]], (), None),
+    "spk2utt": (kaldi.parse_spk2utt, kaldi.KaldiDataError, " ",
+                [["s1", "u1", "u2"], ["s2", "u3"]], (), None),
+    "ctm": (ctm.parse_ctm, ctm.MalformedCtmLine, " ",
+            [["u1", "1", "0.00", "0.10", "SIL"], ["u1", "1", "0.10", "0.05", "42"]], (2, 3), None),
+    "phones.txt": (ctm.PhoneSymbolTable.parse, ctm.CtmError, " ",
+                   [["<eps>", "0"], ["SIL", "1"], ["AH1_B", "2"]], (), None),
+    "fave": (transcripts.parse_fave_transcript, transcripts.TranscriptError, "\t",
+             [["S1", "Speaker One", "0.0", "1.5", "SAY PAT"], ["S2", "Two", "1.5", "3.0", "HI"]],
+             (2, 3), 4),
+    "locations": (vot.parse_word_locations, vot.VotError, "\t",
+                  [["f1", "PAT", "3.48", "3.95", "P", "3.55"],
+                   ["f1", "DOT", "5.0", "5.3", "D", "5.05"]], (2, 3, 5), 1),
+    "records": (build_records, UsageError, "\t",
+                [["u1", "f1", "0.0", "1.5", "s1", "p/f1.wav", "SAY PAT"],
+                 ["u2", "f1", "1.5", "3.0", "s1", "p/f1.wav", "HI"]], (2, 3), 6),
+}
+TIMED = [name for name, row in FORMATS.items() if row[4]]
+
+
+def render(sep, rows, newline="\n"):
+    return "".join(sep.join(fields) + newline for fields in rows)
+
+
+def with_char(sep, fields, free, char):
+    """The line of fields with char inside it, where it leaves the fields as they are."""
+    if free is None:  # whitespace-separated: char joins the first separator
+        return sep.join(fields).replace(" ", " " + char, 1)
+    fields = list(fields)
+    fields[free] = fields[free][:1] + char + fields[free][1:]
+    return sep.join(fields)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_parse_as_lf(name, newline):
+    parse, _, sep, rows, *_ = FORMATS[name]
+    assert parse(render(sep, rows, newline)) == parse(render(sep, rows))
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"], ids=["ff", "nel", "ls"])
+def test_a_line_break_str_splitlines_knows_stays_in_its_line(name, char):
+    parse, error, sep, rows, times, free = FORMATS[name]
+    lines = [with_char(sep, rows[0], free, char), *(sep.join(f) for f in rows[1:])]
+    parsed = parse("".join(line + "\n" for line in lines))
+    if name == "records":
+        assert parsed[0] == 0 and parsed[1]["text"].count(b"\n") == len(rows)
+    elif name == "phones.txt":
+        assert len(parsed.by_id) == len(rows)
+    else:
+        assert len(parsed) == len(rows)
+        if free is not None:
+            assert any(isinstance(v, str) and char in v for v in astuple(parsed[0]))
+    # the line count goes on after the one line: a bad line after it is line 2
+    with pytest.raises(error, match=r"line 2: "):
+        parse(lines[0] + "\nx\n")
+
+
+@pytest.mark.parametrize("name", TIMED)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_a_non_finite_time_names_its_line(name, value):
+    parse, error, sep, rows, times, _ = FORMATS[name]
+    for column in times:
+        bad = [list(f) for f in rows]
+        bad[1][column] = value
+        # the blank first line counts: the bad row is line 3
+        with pytest.raises(error, match=r"line 3: non-finite time$"):
+            parse("\n" + render(sep, bad))
+
+
+@pytest.mark.parametrize("name", TIMED)
+def test_a_non_numeric_time_names_its_line(name):
+    parse, error, sep, rows, times, _ = FORMATS[name]
+    for column in times:
+        bad = [list(f) for f in rows]
+        bad[0][column] = "zero"
+        with pytest.raises(error, match=r"line 1: non-numeric time$"):
+            parse(render(sep, bad))
+
+
+INSERTS = ["\t", "\r", "\n", "\x0c", "\x85", "\u2028", "nan", "inf"]
+
+
+@st.composite
+def mutated(draw, content):
+    """content with one to three character ranges deleted or duplicated, or inserts."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(content)))
+        j = draw(st.integers(i, min(len(content), i + 8)))
+        kind = draw(st.sampled_from(["delete", "duplicate", "insert"]))
+        if kind == "delete":
+            content = content[:i] + content[j:]
+        elif kind == "duplicate":
+            content = content[:j] + content[i:j] + content[j:]
+        else:
+            content = content[:i] + draw(st.sampled_from(INSERTS)) + content[i:]
+    return content
+
+
+@st.composite
+def mutated_inputs(draw):
+    name = draw(st.sampled_from(sorted(FORMATS)))
+    _, _, sep, rows, *_ = FORMATS[name]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return name, draw(mutated(render(sep, rows, newline)))
+
+
+# 300 examples over the ten formats: about 1 s on a 2 vCPU VM
+@settings(max_examples=300, deadline=None)
+@given(mutated_inputs())
+def test_only_the_format_error_escapes_a_mutated_input(case):
+    name, content = case
+    parse, error, *_ = FORMATS[name]
+    try:
+        parse(content)
+    except error:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# one reader: the ast scan
+
+# function or class (module.qualified name) -> why it splits lines itself
+ALLOWED = {
+    "textgrid._Lines": "TextGrid is not one record per line; its reader splits in blocks",
+    "lexicon.parse_lexicon": "the lexicon reader, kept for its rewrite (ROADMAP item 3)",
+    "cli.load_config": "key = value lines with # comments, not fields",
+    "cli.read_words": "one word per line, not fields",
+    "transcripts.validate_single_line_transcript": "a check of plain text, not records",
+}
+
+
+def _is_newline_split(node) -> bool:
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "split" and len(node.args) >= 1
+        and isinstance(node.args[0], ast.Constant) and node.args[0].value == "\n"
+    )
+
+
+def line_splits(tree: ast.Module, module: str):
+    """(qualified name, line) of each .splitlines() call and loop over .split("\\n")."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "splitlines":
+            found.append((scope, node.lineno))
+        if isinstance(node, (ast.For, ast.comprehension)):
+            if any(_is_newline_split(n) for n in ast.walk(node.iter)):
+                found.append((scope, node.iter.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_line_splitting_stays_in_the_row_reader():
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "rows.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for scope, line in line_splits(tree, path.stem):
+            if not any(scope == a or scope.startswith(a + ".") for a in ALLOWED):
+                bad.append(f"{path.name}:{line} {scope}")
+    assert not bad, f"split lines with rows.read_rows, or allow-list with a reason: {bad}"
+
+
+def test_every_allowed_reader_still_splits_lines():
+    scopes = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        scopes |= {scope for scope, _ in line_splits(tree, path.stem)}
+    stale = {a for a in ALLOWED if not any(s == a or s.startswith(a + ".") for s in scopes)}
+    # _Lines splits at a separator held in a variable, which the scan does not see
+    assert stale <= {"textgrid._Lines"}, f"allow-listed but splitting no lines: {stale}"
+
+
+def test_the_scan_finds_a_splitlines_loop():
+    tree = ast.parse(
+        "def parse(content):\n"
+        "    for line in content.splitlines():\n        pass\n"
+        "    return [l for l in content.split('\\n')]\n"
+    )
+    assert line_splits(tree, "kaldi") == [("kaldi.parse", 2), ("kaldi.parse", 4)]

@@ -36,6 +36,11 @@ class TestParseFave:
         with pytest.raises(NonNumericTime):
             parse_fave_transcript("S1\tName\tzero\t1.0\tTEXT\n")
 
+    @pytest.mark.parametrize("char", ["\x0c", "\u2028", "\x85"])
+    def test_a_line_break_inside_the_text_stays_in_it(self, char):
+        (rec,) = parse_fave_transcript(f"S1\tName\t0.0\t1.0\tHI{char}THERE\n")
+        assert rec.text == f"HI{char}THERE"
+
     def test_id_same_as_name_is_fine(self):
         (rec,) = parse_fave_transcript("S1\tS1\t0.0\t1.0\tHI\n")
         assert rec.speaker_id == rec.speaker_name
