@@ -2,7 +2,11 @@
 
 Each subcommand is one row of the COMMANDS table: its group, its name, its
 cmd_* handler, its help and its arguments. build_parser builds the argparse
-tree from that table in one loop.
+tree from that table in one loop. main builds only the command that its
+arguments name, because a pipeline pays that build once per step, and the
+one-command tree keeps the whole tree's top-level usage line, so help and
+errors read the same. Help at the top or group level, a group alone and a
+word that names no command get the whole tree.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage or I/O failure.
 Human-readable findings go to stderr; --report writes the machine format,
@@ -806,7 +810,8 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: tuple[str | None, str] | None = None) -> argparse.ArgumentParser:
+    """The argparse tree of every command, or of the one COMMANDS key only names."""
     common = argparse.ArgumentParser(add_help=False)
     for flag, kwargs in COMMON:
         common.add_argument(flag, **kwargs)
@@ -814,9 +819,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog=PROG,
         description="Forced-aligner corpus preparation and post-processing.",
     )
-    top = parser.add_subparsers(dest="command", required=True)
+    # a one-command tree keeps the whole tree's usage line, which an unknown
+    # option prints; the whole tree needs no metavar, which would also replace
+    # "command" in its required and invalid-choice errors
+    choices = "{" + ",".join(dict.fromkeys(group or name for group, name in COMMANDS)) + "}"
+    top = parser.add_subparsers(
+        dest="command", required=True, **({"metavar": choices} if only else {})
+    )
     groups = {None: top}
     for (group, name), (func, summary, arguments) in COMMANDS.items():
+        if only and (group, name) != only:
+            continue
         if group not in groups:
             sub = top.add_parser(group, help=GROUPS[group])
             groups[group] = sub.add_subparsers(dest="subcommand", required=True)
@@ -868,7 +881,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the named command's tree alone; the whole tree for help, a group alone or a typo
+    key = (None, argv[0]) if argv and (None, argv[0]) in COMMANDS else tuple(argv[:2])
+    parser = build_parser(key if key in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import ToolkitError, ToolkitWarning
+from .rows import read_rows
 
 # Arpabet vowel bases; stress digits 0/1/2 attach only to these.
 VOWELS = frozenset(
@@ -65,6 +66,10 @@ class Separator(enum.Enum):
     TAB = "tab"
 
 
+# the str.split separator between a word and its phones
+_SEPARATORS = {Separator.ANY_WHITESPACE: None, Separator.TWO_SPACES: "  ", Separator.TAB: "\t"}
+
+
 @dataclass
 class Lexicon:
     """Ordered (word, pronunciation) entries plus a word index."""
@@ -103,25 +108,18 @@ class Lexicon:
 def parse_lexicon(
     content: str, separator: Separator = Separator.ANY_WHITESPACE
 ) -> Lexicon:
-    """Parse `WORD <sep> PH PH ...` lines; blank lines are skipped.
+    """Parse `WORD <sep> PH PH ...` lines, split by rows.read_rows; blank lines are skipped.
 
     Identical duplicate entries collapse to one with a DuplicateEntryWarning;
     a word with no phones is a MalformedLine.
     """
     entries: list[tuple[str, Pron]] = []
     seen: set[tuple[str, Pron]] = set()
-    for i, line in enumerate(content.splitlines(), 1):
-        if not line.strip():
-            continue
-        if separator is Separator.TWO_SPACES:
-            word, _, rest = line.partition("  ")
-        elif separator is Separator.TAB:
-            word, _, rest = line.partition("\t")
-        else:
-            parts = line.split(None, 1)
-            word, rest = parts[0], parts[1] if len(parts) > 1 else ""
+    rows = read_rows(content, "", MalformedLine, 1, "missing word",
+                     sep=_SEPARATORS[separator], maxsplit=1, exact=False)
+    for i, (word, *rest) in rows:
         word = word.strip()
-        phones = tuple(rest.split())
+        phones = tuple(rest[0].split()) if rest else ()
         if not word:
             raise MalformedLine(f"line {i}: missing word")
         if not phones:

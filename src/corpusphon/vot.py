@@ -13,6 +13,7 @@ files and prints the recommended decode command per stop class.
 
 from __future__ import annotations
 
+import shlex
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -602,12 +603,17 @@ def decode_command(
     classifier: str = "<path/to/classifier.model>",
     window_tier: str = "vot",
 ) -> str:
-    """The recommended external decoder invocation for one stop class and window tier."""
+    """The recommended external decoder invocation for one stop class and window tier.
+
+    The tier, paths and classifier are shell-quoted, so a value holding a space
+    or a shell metacharacter stays one argument; a plain value prints as is.
+    """
     stop = StopClass(stop_letter)
+    tier, wavs, grids, model = map(shlex.quote, (window_tier, wav_list, textgrid_list, classifier))
     return (
-        f"auto_vot_decode.py --window_tier {window_tier} "
+        f"auto_vot_decode.py --window_tier {tier} "
         f"--window_mark {stop.phone} --min_vot_length {stop.min_vot_ms} "
-        f"{wav_list} {textgrid_list} {classifier}"
+        f"{wavs} {grids} {model}"
     )
 
 

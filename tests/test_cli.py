@@ -1,6 +1,7 @@
 import argparse
 import gc
 import os
+import shlex
 import shutil
 import struct
 import subprocess
@@ -1773,6 +1774,22 @@ class TestVotPostProcessing:
         assert "--window_mark P --min_vot_length 15" in commands
         assert "--window_mark B --min_vot_length 4" in commands
         assert commands.count("auto_vot_decode.py") == 6
+
+    def test_lists_commands_split_in_a_shell_with_one_word_per_path(self, tmp_path, capsys):
+        wavs, tgs, out = tmp_path / "wavs", tmp_path / "tgs", tmp_path / "cfg dir"
+        wavs.mkdir()
+        tgs.mkdir()
+        write_wav(wavs / "s01.wav", seconds=1.0)
+        shutil.copy(FIXTURES / "golden" / "f1.TextGrid", tgs / "s01.TextGrid")
+        model = tmp_path / "my model.classifier"
+        assert main(["vot", "lists", "--wav-dir", str(wavs), "--textgrid-dir", str(tgs),
+                     "--out-dir", str(out), "--classifier", str(model)]) == 0
+        commands = capsys.readouterr().out.splitlines()
+        assert len(commands) == 6
+        for command in commands:
+            assert shlex.split(command)[-3:] == [
+                str(out / "ListWavFiles.txt"), str(out / "ListTextGrids.txt"), str(model),
+            ]
 
     def test_lists_pair_each_grid_with_its_wav(self, tmp_path, capsys):
         # byte order sorts a.wav before a0.wav but a0_allauto before a_allauto

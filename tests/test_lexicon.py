@@ -42,6 +42,11 @@ class TestParseLexicon:
         lex = parse_lexicon("\nA AH0\n\n")
         assert lex.entries == [("A", ("AH0",))]
 
+    def test_form_feed_inside_a_line_keeps_later_line_numbers(self):
+        # \x0c is whitespace inside line 1, not a line break
+        with pytest.raises(MalformedLine, match=r"^line 2: word 'A' has no phones$"):
+            parse_lexicon("PAT P AE1\x0c T\nA\n")
+
     def test_tab_separator(self):
         lex = parse_lexicon("WORD\tW ER D\n", Separator.TAB)
         assert lex.prons("WORD") == [("W", "ER", "D")]

@@ -178,7 +178,6 @@ def test_only_the_format_error_escapes_a_mutated_input(case):
 # function or class (module.qualified name) -> why it splits lines itself
 ALLOWED = {
     "textgrid._Lines": "TextGrid is not one record per line; its reader splits in blocks",
-    "lexicon.parse_lexicon": "the lexicon reader, kept for its rewrite (ROADMAP item 3)",
     "cli.load_config": "key = value lines with # comments, not fields",
     "cli.read_words": "one word per line, not fields",
     "transcripts.validate_single_line_transcript": "a check of plain text, not records",
