@@ -16,6 +16,7 @@ __all__ = [
     "kaldi",
     "lexicon",
     "report",
+    "rows",
     "textgrid",
     "transcripts",
     "vot",

@@ -89,6 +89,9 @@ class Ctx:
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
         self.config = config
         self.report_path: str | None = getattr(args, "report", None)
+        # what check_outputs guards: every output path given, --report included
+        self.outputs = [Path(v) for d in (*WRITTEN_ARGS, "report")
+                        if (v := getattr(args, d, None)) is not None]
         self.dry_run: bool = bool(getattr(args, "dry_run", False))
         self.findings: list[tuple[str, Finding]] = []
 
@@ -137,15 +140,14 @@ class Ctx:
         else:
             print(text, end="")
 
-    def check_outputs(self, outs: list[str | Path | None], inputs: list[Path]) -> None:
-        """Refuse any of outs (None: not given) or --report inside an input's directory."""
-        outs = [Path(p) for p in (*outs, self.report_path) if p is not None]
+    def check_outputs(self, inputs: list[Path]) -> None:
+        """Refuse any output, --report included, inside an input's directory."""
         # each distinct directory is resolved once, as a batch may name thousands
         # of files; a symlinked file guards its target's directory too
         dirs = {p.parent if p.suffix or p.is_file() else p for p in inputs}
         dirs = {d.resolve() for d in dirs}
         dirs |= {p.resolve().parent for p in inputs if p.is_symlink() and p.is_file()}
-        for path in outs:
+        for path in self.outputs:
             out_dir = (path if path.suffix == "" else path.parent).resolve()
             for d in sorted(dirs):
                 if out_dir == d or d in out_dir.parents:
@@ -187,7 +189,8 @@ def file_findings(ctx: Ctx, file: str):
     """Yield one file's Report; it also takes every warning raised inside.
 
     The report goes to ctx.findings once, on exit, so a file's findings are
-    reported together and in the order they arose.
+    reported together and in the order they arose. A ToolkitError that
+    escapes ends the command; it takes the file, so main reports it there.
     """
     report = Report()
     with warnings.catch_warnings():
@@ -195,6 +198,9 @@ def file_findings(ctx: Ctx, file: str):
         warnings.showwarning = lambda message, *_: report.warning("", str(message))
         try:
             yield report
+        except ToolkitError as exc:
+            exc.file = file
+            raise
         finally:
             ctx.findings.extend((file, f) for f in report.findings)
 
@@ -225,9 +231,16 @@ def read_input(path: str | Path) -> str:
         raise UsageError(f"{path}: {exc}") from None
 
 
+def parse_input(ctx: Ctx, path: str, parse):
+    """parse(the text of path) for an input read outside a batch, in its file_findings."""
+    with file_findings(ctx, path):
+        return parse(read_input(path))
+
+
 def read_words(path: str) -> set[str]:
     """A word list file: one word per line, blank lines skipped."""
-    return {w.strip() for w in read_input(path).splitlines() if w.strip()}
+    rows = read_rows(read_input(path), path, UsageError, 1, "", maxsplit=0)
+    return {word.rstrip() for _, (word,) in rows}
 
 
 def read_grid(path: Path) -> textgrid.TextGrid:
@@ -249,6 +262,17 @@ def _parse_indices(raw: str) -> list[int]:
 def _stem_wav(wav_dir: Path, stem: str) -> Path | None:
     cand = wav_dir / f"{stem}.wav"
     return cand if cand.exists() else None
+
+
+def stem_wavs(ctx: Ctx, wav_dir: str | None, stems: Iterable[str]) -> dict[str, Path | None]:
+    """Each stem's WAV in wav_dir (None: no wav_dir or no such file), guarded.
+
+    main guards wav_dir itself; a matched WAV that is a symlink also guards
+    its target's directory, so no output lands beside audio read through it.
+    """
+    wavs = {stem: _stem_wav(Path(wav_dir), stem) if wav_dir else None for stem in stems}
+    ctx.check_outputs([w for w in wavs.values() if w is not None])
+    return wavs
 
 
 # pipeline-step name templates; a new step's suffix replaces the old one
@@ -312,10 +336,10 @@ def cmd_kaldi_validate(args, ctx: Ctx) -> None:
 
 def cmd_kaldi_fix(args, ctx: Ctx) -> None:
     out = Path(args.out)
-    d = kaldi.read_data_dir(args.dir)
-    fixed, log = kaldi.fix_data_dir(d)
-    for entry in log:
-        ctx.add_finding(args.dir, Severity.INFO, "fix", entry)
+    with file_findings(ctx, args.dir) as report:
+        fixed, log = kaldi.fix_data_dir(kaldi.read_data_dir(args.dir))
+        for entry in log:
+            report.info("fix", entry)
     for name, content in fixed.render().items():
         ctx.out_text(out / name, content)
 
@@ -330,12 +354,9 @@ _SEPARATOR_NAMES = [s.value for s in lexicon.Separator]
 def _load_lexicon(args, ctx: Ctx) -> lexicon.Lexicon:
     sep = ctx.value(args, "separator", lexicon.Separator.ANY_WHITESPACE.value, str)
     if sep not in _SEPARATOR_NAMES:
-        raise UsageError(
-            f"separator {sep!r} is not one of: {', '.join(_SEPARATOR_NAMES)}"
-        )
-    text = read_input(args.lexicon)
+        raise UsageError(f"separator {sep!r} is not one of: {', '.join(_SEPARATOR_NAMES)}")
     with file_findings(ctx, args.lexicon):
-        return lexicon.parse_lexicon(text, lexicon.Separator(sep))
+        return lexicon.parse_lexicon(read_input(args.lexicon), lexicon.Separator(sep))
 
 
 def _corpus_words(args, ctx: Ctx) -> set[str]:
@@ -357,7 +378,7 @@ def _corpus_words(args, ctx: Ctx) -> set[str]:
         # the data-dir text file: drop the utterance-ID column
         chunks += [
             " ".join(line.words) + "\n"
-            for line in kaldi.parse_text(read_input(args.kaldi_text))
+            for line in parse_input(ctx, args.kaldi_text, kaldi.parse_text)
         ]
     return lexicon.extract_word_list("".join(chunks), policy)
 
@@ -410,27 +431,27 @@ def cmd_lexicon_phones(args, ctx: Ctx) -> None:
 
 def cmd_ctm2tg(args, ctx: Ctx) -> None:
     out = Path(args.out)
-    entries = ctm.parse_ctm(read_input(args.ctm))
-    segments = kaldi.parse_segments(read_input(args.segments))
-    table = ctm.PhoneSymbolTable.parse(read_input(args.phones))
+    entries = parse_input(ctx, args.ctm, ctm.parse_ctm)
+    segments = parse_input(ctx, args.segments, kaldi.parse_segments)
+    table = parse_input(ctx, args.phones, ctm.PhoneSymbolTable.parse)
     lex = _load_lexicon(args, ctx)
     text = None
     if args.text:
-        text = {line.utt: list(line.words) for line in kaldi.parse_text(read_input(args.text))}
+        text = {l.utt: list(l.words) for l in parse_input(ctx, args.text, kaldi.parse_text)}
 
-    symbols = ctm.resolve_phone_ids(entries, table)
+    with file_findings(ctx, args.ctm):  # an unknown phone ID names its CTM line
+        symbols = ctm.resolve_phone_ids(entries, table)
     tokens = ctm.alignment_rows(entries, segments, symbols)
     del entries, symbols  # corpus-sized, and the tokens carry all they held
-    ctx.out_file(out / "final_ali.txt", ctm.render_alignment_table(tokens))
-
-    durations = ctm.corpus_durations(segments)
     per_file = ctm.align_corpus(tokens, segments)
+    wavs = stem_wavs(ctx, args.wav_dir, per_file)  # guarded before anything is written
+    ctx.out_file(out / "final_ali.txt", ctm.render_alignment_table(tokens))
     del tokens  # from here a file's tokens live in per_file until its grid is written
+    durations = ctm.corpus_durations(segments)
 
     def to_grid(fid: str, report: Report) -> None:
         # written here, not after the loop: holding every grid raises peak RSS
-        utterances, duration = per_file.pop(fid), durations[fid]
-        wav = _stem_wav(Path(args.wav_dir), fid) if args.wav_dir else None
+        utterances, duration, wav = per_file.pop(fid), durations[fid], wavs[fid]
         if wav is not None:
             duration = read_wav_info(wav).duration
         file_tokens, words = ctm.align_file(utterances, lex, text)
@@ -460,21 +481,18 @@ def cmd_validate_mfa(args, ctx: Ctx) -> None:
 
     # every input given is used, so a selection that would ignore one is refused
     if args.wav and args.textgrid and not (args.textgrids or args.wav_dir):
-        paths, wavs = [Path(args.textgrid)], [Path(args.wav)]
+        paths, wavs = [Path(args.textgrid)], {Path(args.textgrid).stem: Path(args.wav)}
     elif args.textgrids and not (args.wav or args.textgrid):
         paths = args.paths
-        wavs = [_stem_wav(Path(args.wav_dir), p.stem) if args.wav_dir else None for p in paths]
+        wavs = stem_wavs(ctx, args.wav_dir, (p.stem for p in paths))
     else:
         raise UsageError("need --wav with --textgrid, or TextGrid paths and an optional --wav-dir")
-    # main guards --wav-dir; a matched WAV that is a symlink guards its target's directory
-    ctx.check_outputs([], [w for w in wavs if w is not None])
-    wav_by_grid = dict(zip(paths, wavs))
 
     def check(path: Path, report: Report) -> None:
         # the MFA reads a .lab single-line transcript in place of a TextGrid
         lab = path.suffix == ".lab"
         transcript = path.read_text(encoding="utf-8") if lab else read_grid(path)
-        wav_path = wav_by_grid[path]
+        wav_path = wavs[path.stem]
         if wav_path is None:
             report.warning("wav", "no matching wav file; skipping audio checks")
             duration = None if lab else transcript.xmax
@@ -491,20 +509,13 @@ def cmd_validate_mfa(args, ctx: Ctx) -> None:
 
 
 def cmd_fave_check(args, ctx: Ctx) -> None:
-    lex = None
-    if args.lexicon:
-        lex = _load_lexicon(args, ctx)
-    wav_dir = Path(args.wav_dir) if args.wav_dir else None
+    lex = _load_lexicon(args, ctx) if args.lexicon else None
+    wavs = stem_wavs(ctx, args.wav_dir, (p.stem for p in args.paths))
 
     def check(path: Path, report: Report) -> None:
-        records = transcripts.parse_fave_transcript(
-            path.read_text(encoding="utf-8")
-        )
-        duration = None
-        if wav_dir:
-            wav = _stem_wav(wav_dir, path.stem)
-            if wav is not None:
-                duration = read_wav_info(wav).duration
+        records = transcripts.parse_fave_transcript(path.read_text(encoding="utf-8"))
+        wav = wavs[path.stem]
+        duration = None if wav is None else read_wav_info(wav).duration
         report.extend(transcripts.validate_fave(records, duration, lex))
 
     process_files(ctx, args.paths, check)
@@ -567,7 +578,7 @@ def cmd_vot_locate(args, ctx: Ctx) -> None:
 
 def cmd_vot_windows(args, ctx: Ctx) -> None:
     by_file: dict[str, list[vot.WordOccurrence]] = {}
-    for occ in vot.parse_word_locations(read_input(args.locations)):
+    for occ in parse_input(ctx, args.locations, vot.parse_word_locations):
         by_file.setdefault(occ.file_id, []).append(occ)
 
     tier_name = ctx.value(args, "vot_tier", "vot", str)
@@ -858,7 +869,7 @@ def load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     config: dict[str, str] = {}
-    for raw in read_input(path).splitlines():
+    for _, (raw,) in read_rows(read_input(path), path, UsageError, 1, "", maxsplit=0):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -896,11 +907,11 @@ def _run(argv: list[str] | None) -> int:
         globs = [getattr(args, d) for d in GLOB_ARGS if hasattr(args, d)]
         args.paths = expand_paths(ctx, globs[0]) if globs else []
         reads = [Path(v) for d in READ_ARGS if (v := getattr(args, d, None)) is not None]
-        ctx.check_outputs([getattr(args, d, None) for d in WRITTEN_ARGS], args.paths + reads)
+        ctx.check_outputs(args.paths + reads)
         try:
             args.func(args, ctx)
         except ToolkitError as exc:
-            ctx.add_finding("", Severity.ERROR, "", str(exc))
+            ctx.add_finding(exc.file, Severity.ERROR, "", str(exc))
         ctx.flush()
     except (UsageError, OSError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)

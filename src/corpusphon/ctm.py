@@ -441,7 +441,7 @@ def align_corpus(
         utt_tokens = by_utt.get(seg.utt)
         if utt_tokens:
             by_file.setdefault(utt_tokens[0].file_id, {})[seg.utt] = utt_tokens
-    return dict(sorted(by_file.items(), key=lambda item: item[0].encode("utf-8")))
+    return dict(sorted(by_file.items()))
 
 
 def align_file(

@@ -8,9 +8,11 @@ accepted on read and written as single spaces. Segment times must be finite
 numbers.
 
 Sorting is byte-wise (C locale) throughout, which is what Kaldi's own tools
-require. Parsed time fields keep their original spelling so a well-formed
-file re-renders byte-identically; times built from floats are rendered
-trailing-zero-free (0.0, 3.44).
+require, and plain str order gives it: every ID comes from strictly decoded
+UTF-8, so it holds no lone surrogate, and for such strings code-point order
+is UTF-8 byte order. Parsed time fields keep their original spelling so a
+well-formed file re-renders byte-identically; times built from floats are
+rendered trailing-zero-free (0.0, 3.44).
 
 Tokens are checked in build_from_records only, the one entry point whose
 fields do not come from str.split(). A field that str.split() gives is never
@@ -47,10 +49,6 @@ class EmptyResult(KaldiDataError):
 
 class EncodingError(KaldiDataError):
     """A data-directory file that is not valid UTF-8."""
-
-
-def _bytes_key(s: str) -> bytes:
-    return s.encode("utf-8")
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -174,10 +172,7 @@ def invert_utt2spk(utt2spk: Mapping[str, str]) -> dict[str, tuple[str, ...]]:
     grouped: dict[str, list[str]] = {}
     for utt, spk in utt2spk.items():
         grouped.setdefault(spk, []).append(utt)
-    return {
-        spk: tuple(sorted(grouped[spk], key=_bytes_key))
-        for spk in sorted(grouped, key=_bytes_key)
-    }
+    return {spk: tuple(sorted(grouped[spk])) for spk in sorted(grouped)}
 
 
 def invert_spk2utt(spk2utt: Mapping[str, tuple[str, ...]]) -> dict[str, str]:
@@ -185,7 +180,7 @@ def invert_spk2utt(spk2utt: Mapping[str, tuple[str, ...]]) -> dict[str, str]:
     for spk, utts in spk2utt.items():
         for utt in utts:
             out[utt] = spk
-    return {utt: out[utt] for utt in sorted(out, key=_bytes_key)}
+    return {utt: out[utt] for utt in sorted(out)}
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +194,7 @@ def _strip_padding(utt: str) -> str:
 
 def _check_sorted(report: Report, name: str, keys: list[str]) -> None:
     for a, b in zip(keys, keys[1:]):
-        if _bytes_key(a) > _bytes_key(b):
+        if a > b:
             report.error(name, f"not in C-sorted order: {b!r} follows {a!r}")
             return
 
@@ -211,7 +206,7 @@ def _check_duplicates(report: Report, name: str, keys: list[str]) -> None:
         if k in seen:
             dups.add(k)
         seen.add(k)
-    for k in sorted(dups, key=_bytes_key):
+    for k in sorted(dups):
         report.error(name, f"duplicate entry for {k!r}")
 
 
@@ -274,7 +269,7 @@ def validate_data_dir(
         for b in sets:
             if a == b:
                 continue
-            for utt in sorted(sets[a] - sets[b], key=_bytes_key):
+            for utt in sorted(sets[a] - sets[b]):
                 report.error(a, f"utterance {utt!r} missing from {b}")
                 if b not in canon:
                     canon[b] = {_strip_padding(u) for u in sets[b]}
@@ -300,9 +295,7 @@ def validate_data_dir(
 
     expected = invert_utt2spk(dict(d.utt2spk))
     actual = {s: us for s, us in d.spk2utt}
-    if actual != expected or [s for s, _ in d.spk2utt] != sorted(
-        actual, key=_bytes_key
-    ):
+    if actual != expected or [s for s, _ in d.spk2utt] != sorted(actual):
         report.error("spk2utt", "not the sorted inversion of utt2spk")
 
     if strict_speaker_prefix:
@@ -386,10 +379,10 @@ def fix_data_dir(d: KaldiDataDir) -> tuple[KaldiDataDir, list[str]]:
         None if e.file_id in referenced else f"{e.file_id!r} (no surviving segment)"
         for e in wav_scp))
 
-    text.sort(key=lambda l: _bytes_key(l.utt))
-    segments.sort(key=lambda l: _bytes_key(l.utt))
-    utt2spk.sort(key=lambda p: _bytes_key(p[0]))
-    wav_scp.sort(key=lambda e: _bytes_key(e.file_id))
+    text.sort(key=utt)
+    segments.sort(key=utt)
+    utt2spk.sort(key=pair_utt)
+    wav_scp.sort(key=file_id)
     spk2utt = list(invert_utt2spk(dict(utt2spk)).items())
 
     fixed = KaldiDataDir(
@@ -441,7 +434,7 @@ def build_from_records(records: list[UtteranceRecord]) -> KaldiDataDir:
             )
         sources[r.file_id] = r.source
 
-    ordered = sorted(records, key=lambda r: _bytes_key(r.utt))
+    ordered = sorted(records, key=attrgetter("utt"))
     for r in ordered:
         _check_token(r.utt, "utterance ID")
         _check_token(r.file_id, "file ID")
@@ -457,10 +450,7 @@ def build_from_records(records: list[UtteranceRecord]) -> KaldiDataDir:
     text = [TranscriptLine(r.utt, tuple(r.words)) for r in ordered]
     segments = [SegmentLine(r.utt, r.file_id, r.start, r.end) for r in ordered]
     utt2spk = [(r.utt, r.speaker) for r in ordered]
-    wav_scp = [
-        WavScpEntry(fid, sources[fid])
-        for fid in sorted(sources, key=_bytes_key)
-    ]
+    wav_scp = [WavScpEntry(fid, sources[fid]) for fid in sorted(sources)]
     spk2utt = list(invert_utt2spk(dict(utt2spk)).items())
     return KaldiDataDir(
         text=text,

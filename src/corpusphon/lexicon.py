@@ -194,9 +194,7 @@ def filter_lexicon(
 
 def missing_words(words: set[str], lex: Lexicon) -> list[str]:
     """The words you need to add to the dictionary, byte-sorted."""
-    return sorted(
-        (w for w in words if w not in lex), key=lambda w: w.encode("utf-8")
-    )
+    return sorted(w for w in words if w not in lex)
 
 
 def derive_nonsilence_phones(
@@ -212,10 +210,7 @@ def derive_nonsilence_phones(
         if phone in exclude:
             continue
         groups.setdefault(stress_base(phone), []).append(phone)
-    return [
-        sorted(groups[base], key=lambda p: p.encode("utf-8"))
-        for base in sorted(groups, key=lambda b: b.encode("utf-8"))
-    ]
+    return [sorted(groups[base]) for base in sorted(groups)]
 
 
 def render_phone_groups(groups: list[list[str]]) -> str:

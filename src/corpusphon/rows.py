@@ -1,5 +1,6 @@
-"""The one reader of the line-per-record text files: Kaldi data files, CTM,
-phones.txt, FAVE transcripts, word locations and records TSVs."""
+"""The one reader of line-oriented text files: Kaldi data files, CTM,
+phones.txt, lexicons, FAVE and .lab transcripts, word locations, records
+TSVs, word lists and config files."""
 
 from __future__ import annotations
 

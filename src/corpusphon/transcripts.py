@@ -202,8 +202,8 @@ def validate_single_line_transcript(content: str) -> Report:
     the aligner inserts short pauses itself.
     """
     report = Report()
-    for i, line in enumerate(content.splitlines(), 1):
-        for token in line.split():
+    for i, tokens in read_rows(content, "", TranscriptError, 1, "", exact=False):
+        for token in tokens:
             if token in MARKUP_TOKENS:
                 continue
             bad = sorted(set(token) & set(DEFAULT_STRIP_CHARS))

@@ -188,7 +188,7 @@ def find_cv_stop_words(lex: Lexicon) -> list[str]:
             continue
         if stress_base(pron[0]) in STOP_LETTERS and is_vowel(pron[1]):
             hits.add(word)
-    return sorted(hits, key=lambda w: w.encode("utf-8"))
+    return sorted(hits)
 
 
 def locate_words(

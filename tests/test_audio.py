@@ -272,7 +272,8 @@ def _reference_mono(blob, channel):
         raise UnsupportedFormatCode("not integer PCM")
     if not 1 <= channel <= info.channels:
         raise ChannelOutOfRange("no such channel")
-    bps, frame = info.bits_per_sample // 8, info.bytes_per_frame
+    # a sample takes whole bytes (the WAVE container rule): 1 to 8 bits take 1
+    bps, frame = (info.bits_per_sample + 7) // 8, info.bytes_per_frame
     end = info.data_offset + info.data_bytes - info.data_bytes % frame
     data = blob[info.data_offset : end]
     at = (channel - 1) * bps
@@ -286,6 +287,7 @@ class TestReadChannel:
     @example(build_wav(pcm16(range(10)), 16000, 2, 16), 2, 2, 0)  # blocks of exactly 2 frames
     @example(build_wav(pcm16(range(10)), 16000, 2, 16), 1, 1, 3)  # a block of a frame and a bit
     @example(build_wav(b"", 16000, 1, 16), 1, 1, 0)  # no sample data
+    @example(build_wav(b"\0\0", 16000, 2, 1), 1, 1, 0)  # a 1-bit sample takes a byte
     def test_blocks_join_to_the_whole_buffer_deinterleave(self, blob, channel, frames, extra):
         try:
             frame = parse_wav_header(blob).bytes_per_frame

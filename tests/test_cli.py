@@ -643,6 +643,65 @@ class TestBatch:
         ) == 0
 
 
+# a whole input (one read outside a batch) with one bad line: flag -> (file, content, message)
+WHOLE_INPUT_ERRORS = {
+    "ctm": ("merged_alignment.ctm", "s1_001 1 0.00 0.10 1\ns1_001 1 0.10 nan 14\n",
+            "line 2: non-finite time"),
+    "unknown-phone-id": ("merged_alignment.ctm", "s1_001 1 0.00 0.10 1\ns1_001 1 0.10 0.05 999\n",
+                         "line 2: phone ID 999 not in phones.txt"),
+    "segments": ("segments", "s1_001 f1 0.50 2.50\ns1_002 f1 x 5.00\n",
+                 "segments line 2: non-numeric time"),
+    "phones": ("phones.txt", "<eps> 0\nSIL x\n", "phones.txt line 2: non-integer ID"),
+    "lexicon": ("lexicon.txt", "SAY S EY1\nBAD\n", "line 2: word 'BAD' has no phones"),
+    "text": ("text", "s1_001 SAY\ns1_002\n", "text line 2: need utterance ID and words"),
+}
+
+
+class TestWholeInputErrors:
+    """An error in an input read outside a batch names that input in the file column."""
+
+    def run(self, tmp_path, capsys, argv):
+        """Exit code, --report, stderr, and what was written under tmp_path/out."""
+        report = tmp_path / "r.tsv"
+        rc = main([*argv, "--report", str(report)])
+        return rc, report.read_text(), capsys.readouterr().err, sorted(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("case", WHOLE_INPUT_ERRORS)
+    def test_ctm2tg_input(self, tmp_path, capsys, case):
+        name, content, message = WHOLE_INPUT_ERRORS[case]
+        bad = tmp_path / "in" / name
+        bad.parent.mkdir()
+        bad.write_text(content)
+        argv = ["ctm2tg", "--out", str(tmp_path / "out")]
+        for flag, fixture in CTM2TG_INPUTS.items():
+            argv += [f"--{flag}", str(bad if fixture == name else FIXTURES / fixture)]
+        rc, report, err, written = self.run(tmp_path, capsys, argv)
+        assert (rc, written) == (1, [])
+        assert report == f"ERROR\t{bad}\t\t{message}\n"
+        assert err == f"{bad}: ERROR: {message}\n"
+
+    def test_lexicon_warning_and_error_name_the_lexicon(self, tmp_path, capsys):
+        lex = tmp_path / "in" / "lex.txt"
+        lex.parent.mkdir()
+        lex.write_text("PAT P AE1 T\nPAT P AE1 T\nBAD\n")
+        argv = ["lexicon", "filter", "--lexicon", str(lex), "--words", str(FIXTURES / "text"),
+                "--out", str(tmp_path / "out" / "lexicon.txt")]
+        rc, report, err, written = self.run(tmp_path, capsys, argv)
+        assert (rc, written) == (1, [])
+        assert report == (f"WARNING\t{lex}\t\tline 2: duplicate entry for 'PAT' collapsed\n"
+                          f"ERROR\t{lex}\t\tline 3: word 'BAD' has no phones\n")
+
+    def test_kaldi_text(self, tmp_path, capsys):
+        text = tmp_path / "in" / "text"
+        text.parent.mkdir()
+        text.write_text("u1\n")
+        argv = ["lexicon", "missing", "--lexicon", str(FIXTURES / "lexicon.txt"),
+                "--kaldi-text", str(text), "--out", str(tmp_path / "out" / "missing.txt")]
+        rc, report, err, written = self.run(tmp_path, capsys, argv)
+        assert (rc, written) == (1, [])
+        assert report == f"ERROR\t{text}\t\ttext line 1: need utterance ID and words\n"
+
+
 class TestVotCli:
     def test_words_locate_windows(self, tmp_path):
         work = tmp_path / "work"
@@ -756,7 +815,7 @@ class TestVotCli:
                    "--locations", str(locations), "--out-dir", str(out),
                    "--report", str(report)])
         assert rc == 1
-        assert report.read_text() == "ERROR\t\t\tlocations line 2: non-finite time\n"
+        assert report.read_text() == f"ERROR\t{locations}\t\tlocations line 2: non-finite time\n"
         assert not out.exists()
 
 
@@ -1019,6 +1078,11 @@ SEPARATION_CASES = {
     "symlink-target-report": ["tg", "diagnose", "{aux}/link.TextGrid", "--report", "{in}/r.tsv"],
     "validate-mfa-symlinked-wav": ["validate-mfa", "{aux}/f1.TextGrid", "--wav-dir", "{aux}",
                                    "--report", "{in}/r.tsv"],
+    "fave-check-symlinked-wav": ["fave", "check", "{aux}/t.lab", "--wav-dir", "{aux}",
+                                 "--report", "{in}/r.tsv"],
+    "ctm2tg-symlinked-wav": ["ctm2tg", "--ctm", "{fx}/merged_alignment.ctm", "--segments",
+                             "{fx}/segments", "--phones", "{fx}/phones.txt", "--lexicon",
+                             "{fx}/lexicon.txt", "--wav-dir", "{aux}", "--out", "{in}/grids"],
     **{f"ctm2tg-{flag}": _ctm2tg_reading_from_in(flag) for flag in CTM2TG_INPUTS},
     "lexicon-phones": ["lexicon", "phones", "--lexicon", "{in}/lexicon.txt",
                        "--out-dir", "{in}/lang"],
@@ -1106,6 +1170,7 @@ def test_no_output_inside_an_input_directory(tmp_path, argv):
     write_wav(src / "f1.wav", seconds=7.0)
     (aux / "link.TextGrid").symlink_to(src / "f1.TextGrid")
     (aux / "f1.wav").symlink_to(src / "f1.wav")
+    (aux / "t.wav").symlink_to(src / "f1.wav")
     before = sorted(tmp_path.rglob("*"))
     rc = main([a.format(**{"in": src, "aux": aux, "fx": FIXTURES}) for a in argv])
     assert rc == 2
@@ -1239,7 +1304,7 @@ class TestKaldiCli:
         report, out = tmp_path / "r.tsv", tmp_path / "out"
         argv = ["kaldi-prep", "fix", str(data), "--out", str(out), "--report", str(report)]
         assert main(argv) == 1
-        assert report.read_text() == "ERROR\t\t\tsegments line 2: non-finite time\n"
+        assert report.read_text() == f"ERROR\t{data}\t\tsegments line 2: non-finite time\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("start, end", [("0.0", "inf"), ("nan", "1.5"), ("-inf", "1.5")])

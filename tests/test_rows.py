@@ -1,22 +1,24 @@
-"""The one row reader, through each of the ten parsers that read with it.
+"""The one row reader, through each of the thirteen readers that use it.
 
-Every line-per-record input (the five Kaldi data files, CTM, phones.txt,
-FAVE transcripts, word locations and kaldi-prep build's records TSV) is
-read by rows.read_rows, so each format breaks lines, skips blank lines and
-refuses NaN or inf times the same way. The table below names each parser
-with a valid sample; the tests run every row. The records TSV is read by
-`kaldi-prep build` through main, whose exit 2 the helper turns back into
-the UsageError it printed.
+Every line-oriented input (the five Kaldi data files, CTM, phones.txt,
+FAVE transcripts, word locations, kaldi-prep build's records TSV, .lab
+transcripts, --config files and --words lists) is read by rows.read_rows,
+so each format breaks lines, skips blank lines and refuses NaN or inf
+times the same way. The table below names each reader with a valid
+sample; the tests run every row. The records TSV is read by `kaldi-prep
+build` through main, whose exit 2 the helper turns back into the
+UsageError it printed. The config and word-list readers take a path, so
+their helpers write the content to a file first.
 
 The last test is an ast scan that keeps it one reader: no other line
-splitting in src/ but the allow-listed readers of other formats.
+splitting in src/ but the allow-listed reader of TextGrid blocks.
 """
 
 import ast
 import contextlib
 import io
 import tempfile
-from dataclasses import astuple
+from dataclasses import astuple, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusphon import ctm, kaldi, transcripts, vot
-from corpusphon.cli import UsageError, main
+from corpusphon.cli import UsageError, load_config, main, read_words
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "corpusphon"
 
@@ -41,6 +43,25 @@ def build_records(content: str):
         if rc == 2:
             raise UsageError(err.getvalue().strip().removeprefix("corpusphon: "))
         return rc, {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+
+
+def in_file(read):
+    """read(path) of the content, written to a file: the reader of a path as a parser."""
+    def parse(content: str):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "in.txt")
+            path.write_bytes(content.encode("utf-8"))
+            return read(str(path))
+    return parse
+
+
+def check_lab(content: str):
+    """(location, message) of each finding of a .lab transcript; the first error is raised."""
+    report = transcripts.validate_single_line_transcript(content)
+    if report.errors:
+        first = report.errors[0]
+        raise transcripts.TranscriptError(f"{first.location}: {first.message}")
+    return [(f.location, f.message) for f in report.findings]
 
 
 # id: (parse, error class, separator, sample rows, time columns, a free text column)
@@ -68,7 +89,19 @@ FORMATS = {
     "records": (build_records, UsageError, "\t",
                 [["u1", "f1", "0.0", "1.5", "s1", "p/f1.wav", "SAY PAT"],
                  ["u2", "f1", "1.5", "3.0", "s1", "p/f1.wav", "HI"]], (2, 3), 6),
+    # each "sp" token is an Info finding at its line
+    "lab": (check_lab, transcripts.TranscriptError, " ",
+            [["SAY", "sp", "PAT"], ["HI", "sp"]], (), None),
+    "config": (in_file(lambda path: list(load_config(path).items())), UsageError, " = ",
+               [["word_tier", "words"], ["tolerance", "0.02"]], (), 1),
+    # sorted, and the sample's first word sorts first
+    "words": (in_file(lambda path: [(w,) for w in sorted(read_words(path))]), UsageError, " ",
+              [["AY"], ["PAT"]], (), 0),
 }
+# a line each format refuses after the first, and its error; "x" is a short row.
+# A config error quotes its line, and a word list has no bad line.
+BAD_LINE = {"lab": ("HI,", r"^line 2: "), "config": ("x", r"^config line 'x' is not"),
+            "words": None}
 TIMED = [name for name, row in FORMATS.items() if row[4]]
 
 
@@ -105,10 +138,15 @@ def test_a_line_break_str_splitlines_knows_stays_in_its_line(name, char):
     else:
         assert len(parsed) == len(rows)
         if free is not None:
-            assert any(isinstance(v, str) and char in v for v in astuple(parsed[0]))
+            first = astuple(parsed[0]) if is_dataclass(parsed[0]) else parsed[0]
+            assert any(isinstance(v, str) and char in v for v in first)
     # the line count goes on after the one line: a bad line after it is line 2
-    with pytest.raises(error, match=r"line 2: "):
-        parse(lines[0] + "\nx\n")
+    bad = BAD_LINE.get(name, ("x", r"line 2: "))
+    if bad is None:
+        assert len(parse(lines[0] + "\nx\n")) == 2
+    else:
+        with pytest.raises(error, match=bad[1]):
+            parse(lines[0] + "\n" + bad[0] + "\n")
 
 
 @pytest.mark.parametrize("name", TIMED)
@@ -160,7 +198,7 @@ def mutated_inputs(draw):
     return name, draw(mutated(render(sep, rows, newline)))
 
 
-# 300 examples over the ten formats: about 1 s on a 2 vCPU VM
+# 300 examples over the thirteen formats: about 1 s on a 2 vCPU VM
 @settings(max_examples=300, deadline=None)
 @given(mutated_inputs())
 def test_only_the_format_error_escapes_a_mutated_input(case):
@@ -178,9 +216,6 @@ def test_only_the_format_error_escapes_a_mutated_input(case):
 # function or class (module.qualified name) -> why it splits lines itself
 ALLOWED = {
     "textgrid._Lines": "TextGrid is not one record per line; its reader splits in blocks",
-    "cli.load_config": "key = value lines with # comments, not fields",
-    "cli.read_words": "one word per line, not fields",
-    "transcripts.validate_single_line_transcript": "a check of plain text, not records",
 }
 
 

@@ -186,6 +186,13 @@ class TestSingleLine:
         assert len(infos) == 1
         assert not report.errors
 
+    @pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"], ids=["ff", "nel", "ls"])
+    def test_a_line_break_only_splitlines_knows_keeps_the_line_number(self, char):
+        # a file of one line: its error is at line 1, and a second line is line 2
+        report = validate_single_line_transcript(f"SAY{char}PAT, AGAIN\r\nHI, sp\r\n")
+        assert [(f.severity, f.location) for f in report.findings] == [
+            (Severity.ERROR, "line 1"), (Severity.ERROR, "line 2"), (Severity.INFO, "line 2")]
+
 
 class TestMfaOnAlignerOutput:
     """Both directions: margin-respecting tokens pass, edge tokens fail."""
