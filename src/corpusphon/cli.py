@@ -8,6 +8,13 @@ one-command tree keeps the whole tree's top-level usage line, so help and
 errors read the same. Help at the top or group level, a group alone and a
 word that names no command get the whole tree.
 
+Each cmd_* handler, and each helper that reads through a library module,
+imports the modules it uses in its own body. A pipeline starts one process
+per step, and importing the whole library before parsing an argument
+would cost more than a short step's own work. Only lexicon is imported here, as its
+Separator names are the --separator choices, so --help and a usage error
+load no other library module.
+
 Exit codes: 0 success, 1 validation errors found, 2 usage or I/O failure.
 Human-readable findings go to stderr; --report writes the machine format,
 one finding per line: SEVERITY<TAB>file<TAB>location<TAB>message.
@@ -37,7 +44,7 @@ import warnings
 from collections.abc import Iterable
 from pathlib import Path
 
-from . import audio, ctm, kaldi, lexicon, textgrid, transcripts, vot
+from . import lexicon
 from .errors import ToolkitError
 from .report import Finding, Report, Severity
 from .rows import read_rows
@@ -244,10 +251,12 @@ def read_words(path: str) -> set[str]:
 
 
 def read_grid(path: Path) -> textgrid.TextGrid:
+    from . import textgrid
     return textgrid.parse_textgrid(path.read_bytes())
 
 
 def read_wav_info(path: Path) -> audio.WavInfo:
+    from . import audio
     with path.open("rb") as f:
         return audio.read_wav_header(f)
 
@@ -293,6 +302,7 @@ def step_path(out_dir: Path, suffix: str):
 
 def write_grid_step(ctx: Ctx, paths: list[Path], out_path, fn) -> None:
     """Write fn(path, grid) to out_path(path) for each grid file, as it succeeds."""
+    from . import textgrid
 
     def step(path: Path, report: Report) -> None:
         ctx.out_file(out_path(path), textgrid.write_textgrid(fn(path, read_grid(path))))
@@ -305,6 +315,7 @@ def write_grid_step(ctx: Ctx, paths: list[Path], out_path, fn) -> None:
 
 
 def cmd_kaldi_build(args, ctx: Ctx) -> None:
+    from . import kaldi
     out = Path(args.out)
     records_path = Path(args.records)
     rate = ctx.value(args, "sample_rate", 16000, int)
@@ -327,6 +338,8 @@ def cmd_kaldi_build(args, ctx: Ctx) -> None:
 
 
 def cmd_kaldi_validate(args, ctx: Ctx) -> None:
+    from . import kaldi
+
     def validate(path: Path, report: Report) -> None:
         d = kaldi.read_data_dir(path)
         report.extend(kaldi.validate_data_dir(d, args.strict_speaker_prefix))
@@ -335,6 +348,7 @@ def cmd_kaldi_validate(args, ctx: Ctx) -> None:
 
 
 def cmd_kaldi_fix(args, ctx: Ctx) -> None:
+    from . import kaldi
     out = Path(args.out)
     with file_findings(ctx, args.dir) as report:
         fixed, log = kaldi.fix_data_dir(kaldi.read_data_dir(args.dir))
@@ -361,6 +375,7 @@ def _load_lexicon(args, ctx: Ctx) -> lexicon.Lexicon:
 
 def _corpus_words(args, ctx: Ctx) -> set[str]:
     """The corpus vocabulary, from --words or from the transcripts and --kaldi-text."""
+    from . import kaldi
     if args.words:
         # every vocabulary source given is read, so one that would be ignored is refused
         if args.transcripts or args.kaldi_text:
@@ -430,6 +445,7 @@ def cmd_lexicon_phones(args, ctx: Ctx) -> None:
 
 
 def cmd_ctm2tg(args, ctx: Ctx) -> None:
+    from . import ctm, kaldi, textgrid
     out = Path(args.out)
     entries = parse_input(ctx, args.ctm, ctm.parse_ctm)
     segments = parse_input(ctx, args.segments, kaldi.parse_segments)
@@ -439,9 +455,9 @@ def cmd_ctm2tg(args, ctx: Ctx) -> None:
     if args.text:
         text = {l.utt: list(l.words) for l in parse_input(ctx, args.text, kaldi.parse_text)}
 
-    with file_findings(ctx, args.ctm):  # an unknown phone ID names its CTM line
+    with file_findings(ctx, args.ctm):  # an unknown phone ID or utterance names its CTM line
         symbols = ctm.resolve_phone_ids(entries, table)
-    tokens = ctm.alignment_rows(entries, segments, symbols)
+        tokens = ctm.alignment_rows(entries, segments, symbols)
     del entries, symbols  # corpus-sized, and the tokens carry all they held
     per_file = ctm.align_corpus(tokens, segments)
     wavs = stem_wavs(ctx, args.wav_dir, per_file)  # guarded before anything is written
@@ -467,6 +483,7 @@ def cmd_ctm2tg(args, ctx: Ctx) -> None:
 
 
 def cmd_validate_mfa(args, ctx: Ctx) -> None:
+    from . import audio, transcripts
     min_margin = ctx.value(args, "min_end_margin", 0.020, float)
     recommended = ctx.value(args, "recommended_end_margin", 0.050, float)
     separators = ctx.value(args, "require_separator_intervals", False, bool)
@@ -509,6 +526,7 @@ def cmd_validate_mfa(args, ctx: Ctx) -> None:
 
 
 def cmd_fave_check(args, ctx: Ctx) -> None:
+    from . import transcripts
     lex = _load_lexicon(args, ctx) if args.lexicon else None
     wavs = stem_wavs(ctx, args.wav_dir, (p.stem for p in args.paths))
 
@@ -526,6 +544,8 @@ def cmd_fave_check(args, ctx: Ctx) -> None:
 
 
 def cmd_audio_info(args, ctx: Ctx) -> None:
+    from . import audio, textgrid
+
     def show(path: Path, report: Report) -> None:
         info = read_wav_info(path)
         kind = "PCM" if info.format_code == audio.WAVE_FORMAT_PCM else "float"
@@ -539,6 +559,7 @@ def cmd_audio_info(args, ctx: Ctx) -> None:
 
 
 def cmd_audio_mono(args, ctx: Ctx) -> None:
+    from . import audio
     out_dir = Path(args.out_dir)
 
     def convert(path: Path, report: Report) -> None:
@@ -553,12 +574,14 @@ def cmd_audio_mono(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_words(args, ctx: Ctx) -> None:
+    from . import vot
     lex = _load_lexicon(args, ctx)
     words = vot.find_cv_stop_words(lex)
     ctx.out_text(Path(args.out), vot.render_word_list(words))
 
 
 def cmd_vot_locate(args, ctx: Ctx) -> None:
+    from . import vot
     words = read_words(args.words)
     word_tier = ctx.value(args, "word_tier", "words", str)
     phone_tier = ctx.value(args, "phone_tier", "phones", str)
@@ -577,6 +600,7 @@ def cmd_vot_locate(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_windows(args, ctx: Ctx) -> None:
+    from . import textgrid, vot
     by_file: dict[str, list[vot.WordOccurrence]] = {}
     for occ in parse_input(ctx, args.locations, vot.parse_word_locations):
         by_file.setdefault(occ.file_id, []).append(occ)
@@ -592,6 +616,7 @@ def cmd_vot_windows(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_lists(args, ctx: Ctx) -> None:
+    from . import vot
     # the decoder pairs the two lists line by line: line i of each names one grid
     # and the WAV of its stem before any step suffix; a file without its pair is left out
     out_dir, wav_dir = Path(args.out_dir), Path(args.wav_dir)
@@ -613,6 +638,7 @@ def cmd_vot_lists(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_merge(args, ctx: Ctx) -> None:
+    from . import textgrid
     indices = _parse_indices(args.tiers)
 
     def merge(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
@@ -622,6 +648,8 @@ def cmd_vot_merge(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_prefer_manual(args, ctx: Ctx) -> None:
+    from . import vot
+
     def prefer(path: Path, grid: textgrid.TextGrid) -> textgrid.TextGrid:
         return vot.prefer_manual(grid, args.manual_tier, args.auto_tier)
 
@@ -629,6 +657,7 @@ def cmd_vot_prefer_manual(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_measure(args, ctx: Ctx) -> None:
+    from . import vot
     vot_tier = ctx.value(args, "vot_tier", "vot", str)
     phone_tier = ctx.value(args, "phone_tier", "phones", str)
     word_tier = ctx.value(args, "word_tier", "words", str)
@@ -648,6 +677,7 @@ def cmd_vot_measure(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_compare(args, ctx: Ctx) -> None:
+    from . import textgrid, vot
     tol = ctx.value(args, "tolerance", 0.0, float)
     lines = ["file_id\tlabel\tmanual_burst\tauto_burst\tburst_delta\tvowel_delta"]
 
@@ -679,6 +709,7 @@ def cmd_vot_compare(args, ctx: Ctx) -> None:
 
 
 def cmd_tg_stack(args, ctx: Ctx) -> None:
+    from . import textgrid
     paths = args.paths
     if not paths:
         raise UsageError(f"no TextGrids to stack: {' '.join(args.textgrids)} matched no files")
@@ -689,6 +720,7 @@ def cmd_tg_stack(args, ctx: Ctx) -> None:
 
 
 def cmd_tg_rename(args, ctx: Ctx) -> None:
+    from . import textgrid
     write_grid_step(
         ctx, [Path(args.textgrid)], lambda _: Path(args.out),
         lambda path, grid: textgrid.rename_tier(grid, args.index, args.name),
@@ -696,6 +728,7 @@ def cmd_tg_rename(args, ctx: Ctx) -> None:
 
 
 def cmd_tg_merge(args, ctx: Ctx) -> None:
+    from . import textgrid
     indices = _parse_indices(args.indices)
     write_grid_step(
         ctx, [Path(args.textgrid)], lambda _: Path(args.out),
@@ -704,6 +737,8 @@ def cmd_tg_merge(args, ctx: Ctx) -> None:
 
 
 def cmd_tg_diagnose(args, ctx: Ctx) -> None:
+    from . import textgrid
+
     def diagnose(path: Path, report: Report) -> None:
         grid = read_grid(path)
         for i, tier in enumerate(grid.tiers, 1):
@@ -869,12 +904,12 @@ def load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     config: dict[str, str] = {}
-    for _, (raw,) in read_rows(read_input(path), path, UsageError, 1, "", maxsplit=0):
+    for i, (raw,) in read_rows(read_input(path), path, UsageError, 1, "", maxsplit=0):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"config line {raw!r} is not 'key = value'")
+            raise UsageError(f"{path} line {i}: {raw!r} is not 'key = value'")
         key, value = line.split("=", 1)
         config[key.strip().replace("-", "_")] = value.strip()
     return config

@@ -224,10 +224,10 @@ def alignment_rows(
     seg_by_utt = {s.utt: s for s in segments}
     split: dict[str, tuple[str, str | None]] = {}
     tokens = []
-    for (utt, channel, in_utt, dur, raw, _), phone in zip(entries, symbols):
+    for (utt, channel, in_utt, dur, raw, line), phone in zip(entries, symbols):
         seg = seg_by_utt.get(utt)
         if seg is None:
-            raise UnknownUtterance(f"utterance {utt!r} has no segments row")
+            raise UnknownUtterance(f"line {line}: utterance {utt!r} has no segments row")
         parts = split.get(phone)
         if parts is None:
             parts = split[phone] = split_position(phone)

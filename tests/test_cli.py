@@ -428,6 +428,13 @@ class TestConfigValues:
         cfg.write_text(line + "\n")
         return main([*argv, "--config", str(cfg)])
 
+    def test_a_line_without_equals_names_its_file_and_line(self, tmp_path, capsys):
+        grid = tmp_path / "x.TextGrid"
+        write_grid(grid, [Interval(1.0, 9.9, "HI")])
+        assert self.run_with(tmp_path, "# settings\nx", ["tg", "diagnose", str(grid)]) == 2
+        cfg = tmp_path / "bad.conf"
+        assert capsys.readouterr().err == f"corpusphon: {cfg} line 2: 'x' is not 'key = value'\n"
+
     def test_unknown_separator(self, tmp_path, capsys):
         rc = self.run_with(
             tmp_path, "separator = tabs",
@@ -649,6 +656,8 @@ WHOLE_INPUT_ERRORS = {
             "line 2: non-finite time"),
     "unknown-phone-id": ("merged_alignment.ctm", "s1_001 1 0.00 0.10 1\ns1_001 1 0.10 0.05 999\n",
                          "line 2: phone ID 999 not in phones.txt"),
+    "unknown-utterance": ("merged_alignment.ctm", "s1_001 1 0.00 0.10 1\ns9_001 1 0.00 0.10 1\n",
+                          "line 2: utterance 's9_001' has no segments row"),
     "segments": ("segments", "s1_001 f1 0.50 2.50\ns1_002 f1 x 5.00\n",
                  "segments line 2: non-numeric time"),
     "phones": ("phones.txt", "<eps> 0\nSIL x\n", "phones.txt line 2: non-integer ID"),

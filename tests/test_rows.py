@@ -99,8 +99,8 @@ FORMATS = {
               [["AY"], ["PAT"]], (), 0),
 }
 # a line each format refuses after the first, and its error; "x" is a short row.
-# A config error quotes its line, and a word list has no bad line.
-BAD_LINE = {"lab": ("HI,", r"^line 2: "), "config": ("x", r"^config line 'x' is not"),
+# A config error also quotes its line, and a word list has no bad line.
+BAD_LINE = {"lab": ("HI,", r"^line 2: "), "config": ("x", r" line 2: 'x' is not 'key = value'$"),
             "words": None}
 TIMED = [name for name, row in FORMATS.items() if row[4]]
 
