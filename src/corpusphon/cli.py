@@ -330,7 +330,8 @@ def cmd_kaldi_build(args, ctx: Ctx) -> None:
         kaldi.UtteranceRecord(utt, file_id, start, end, tuple(words.split()), speaker, source)
         for _, (utt, file_id, _, _, speaker, source, words, start, end) in rows
     ]
-    d = kaldi.build_from_records(records)
+    with file_findings(ctx, args.records):  # a bad record names the records file
+        d = kaldi.build_from_records(records)
     for name, content in d.render().items():
         ctx.out_text(out / name, content)
     if args.mfcc_conf:
@@ -365,12 +366,13 @@ def cmd_kaldi_fix(args, ctx: Ctx) -> None:
 _SEPARATOR_NAMES = [s.value for s in lexicon.Separator]
 
 
-def _load_lexicon(args, ctx: Ctx) -> lexicon.Lexicon:
+def _load_lexicon(args, ctx: Ctx, words: set[str] | None = None) -> lexicon.Lexicon:
+    """The --lexicon entries of words (every entry when None); every line is checked."""
     sep = ctx.value(args, "separator", lexicon.Separator.ANY_WHITESPACE.value, str)
     if sep not in _SEPARATOR_NAMES:
         raise UsageError(f"separator {sep!r} is not one of: {', '.join(_SEPARATOR_NAMES)}")
     with file_findings(ctx, args.lexicon):
-        return lexicon.parse_lexicon(read_input(args.lexicon), lexicon.Separator(sep))
+        return lexicon.parse_lexicon(read_input(args.lexicon), lexicon.Separator(sep), words)
 
 
 def _corpus_words(args, ctx: Ctx) -> set[str]:
@@ -407,7 +409,7 @@ def cmd_lexicon_filter(args, ctx: Ctx) -> None:
             raise UsageError(f"{given} {value!r} is not one whitespace-free token")
         oov.append(value)
     words = _corpus_words(args, ctx)
-    lex = _load_lexicon(args, ctx)
+    lex = _load_lexicon(args, ctx, words)
     filtered = lexicon.filter_lexicon(lex, words, tuple(oov))
     for word, pron in lexicon.unstressed_only_prons(filtered):
         ctx.add_finding(
@@ -420,7 +422,7 @@ def cmd_lexicon_filter(args, ctx: Ctx) -> None:
 
 def cmd_lexicon_missing(args, ctx: Ctx) -> None:
     words = _corpus_words(args, ctx)
-    lex = _load_lexicon(args, ctx)
+    lex = _load_lexicon(args, ctx, words)
     missing = lexicon.missing_words(words, lex)
     for w in missing:
         ctx.add_finding(args.lexicon, Severity.WARNING, w, "missing from lexicon")
@@ -450,10 +452,15 @@ def cmd_ctm2tg(args, ctx: Ctx) -> None:
     entries = parse_input(ctx, args.ctm, ctm.parse_ctm)
     segments = parse_input(ctx, args.segments, kaldi.parse_segments)
     table = parse_input(ctx, args.phones, ctm.PhoneSymbolTable.parse)
-    lex = _load_lexicon(args, ctx)
     text = None
     if args.text:
         text = {l.utt: list(l.words) for l in parse_input(ctx, args.text, kaldi.parse_text)}
+    # the transcript's words, unless an utterance with no text line is matched by its
+    # pronunciation alone, which needs every entry
+    used = None
+    if text is not None and all(seg.utt in text for seg in segments):
+        used = {w for words in text.values() for w in words}
+    lex = _load_lexicon(args, ctx, used)
 
     with file_findings(ctx, args.ctm):  # an unknown phone ID or utterance names its CTM line
         symbols = ctm.resolve_phone_ids(entries, table)

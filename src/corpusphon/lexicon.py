@@ -106,34 +106,39 @@ class Lexicon:
 
 
 def parse_lexicon(
-    content: str, separator: Separator = Separator.ANY_WHITESPACE
+    content: str, separator: Separator = Separator.ANY_WHITESPACE,
+    words: set[str] | None = None,
 ) -> Lexicon:
     """Parse `WORD <sep> PH PH ...` lines, split by rows.read_rows; blank lines are skipped.
 
     Identical duplicate entries collapse to one with a DuplicateEntryWarning;
-    a word with no phones is a MalformedLine.
+    a word with no phones is a MalformedLine. Given words, only their entries
+    are kept, but every line is still checked and warned about.
     """
     entries: list[tuple[str, Pron]] = []
-    seen: set[tuple[str, Pron]] = set()
+    first: dict[str, str] = {}  # each word's phones as its first line gave them
+    seen: set[tuple[str, Pron]] = set()  # the entries of words given more than once
     rows = read_rows(content, "", MalformedLine, 1, "missing word",
                      sep=_SEPARATORS[separator], maxsplit=1, exact=False)
-    for i, (word, *rest) in rows:
-        word = word.strip()
-        phones = tuple(rest[0].split()) if rest else ()
+    for i, fields in rows:  # indexed, not unpacked: a lexicon has 1e5 lines
+        word = fields[0].strip()
+        raw = fields[1] if len(fields) > 1 else ""
         if not word:
             raise MalformedLine(f"line {i}: missing word")
-        if not phones:
+        if not raw or raw.isspace():  # str.split() splits on the same whitespace
             raise MalformedLine(f"line {i}: word {word!r} has no phones")
-        entry = (word, phones)
-        if entry in seen:
-            warnings.warn(
-                f"line {i}: duplicate entry for {word!r} collapsed",
-                DuplicateEntryWarning,
-                stacklevel=2,
-            )
-            continue
-        seen.add(entry)
-        entries.append(entry)
+        if word in first:  # phones are split only for a word given again or kept
+            seen.add((word, tuple(first[word].split())))
+            entry = (word, tuple(raw.split()))
+            if entry in seen:
+                warnings.warn(f"line {i}: duplicate entry for {word!r} collapsed",
+                              DuplicateEntryWarning, stacklevel=2)
+                continue
+            seen.add(entry)
+        else:
+            first[word] = raw
+        if words is None or word in words:
+            entries.append((word, tuple(raw.split())))
     return Lexicon(entries)
 
 

@@ -711,6 +711,89 @@ class TestWholeInputErrors:
         assert report == f"ERROR\t{text}\t\ttext line 1: need utterance ID and words\n"
 
 
+# the commands that build entries only for the words they use, each reading
+# its lexicon from {lex}; every word of the fixture text is in the fixture lexicon
+USED_WORDS_ONLY = {
+    "filter": ["lexicon", "filter", "--lexicon", "{lex}", "--kaldi-text", "{fx}/text",
+               "--out", "{out}/lexicon.txt"],
+    "missing": ["lexicon", "missing", "--lexicon", "{lex}", "--kaldi-text", "{fx}/text",
+                "--out", "{out}/missing.txt"],
+    "ctm2tg-text": ["ctm2tg", "--ctm", "{fx}/merged_alignment.ctm", "--segments", "{fx}/segments",
+                    "--phones", "{fx}/phones.txt", "--lexicon", "{lex}", "--text", "{fx}/text",
+                    "--out", "{out}/grids"],
+}
+
+
+class TestUnusedLexiconLines:
+    """A duplicate or malformed line under a word no corpus text uses still reaches the user."""
+
+    def run(self, tmp_path, capsys, command, lexicon_text):
+        lex = tmp_path / "in" / "lex.txt"
+        lex.parent.mkdir()
+        lex.write_text((FIXTURES / "lexicon.txt").read_text() + lexicon_text)
+        report = tmp_path / "r.tsv"
+        fields = {"lex": lex, "fx": FIXTURES, "out": tmp_path / "out"}
+        argv = [a.format(**fields) for a in USED_WORDS_ONLY[command]]
+        rc = main([*argv, "--report", str(report)])
+        return lex, rc, report.read_text(), capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", USED_WORDS_ONLY)
+    def test_duplicate_under_an_unused_word_is_a_warning(self, tmp_path, capsys, command):
+        # line 8 differs from line 9 in its phones; line 10 repeats line 8 with other spacing
+        lex, rc, report, err = self.run(
+            tmp_path, capsys, command, "ZZZ Z IY1\nZZZ Z IY0\nZZZ  Z IY1\n")
+        message = "line 10: duplicate entry for 'ZZZ' collapsed"
+        assert rc == 0
+        assert report == f"WARNING\t{lex}\t\t{message}\n"
+        assert err == f"{lex}: WARNING: {message}\n"
+
+    @pytest.mark.parametrize("command", USED_WORDS_ONLY)
+    @pytest.mark.parametrize("line, message", [
+        ("ZZZ\n", "line 8: word 'ZZZ' has no phones"),
+        ("ZZZ\u00a0\n", "line 8: word 'ZZZ' has no phones"),
+    ], ids=["bare", "no-break-space"])
+    def test_malformed_line_under_an_unused_word_is_an_error(
+        self, tmp_path, capsys, command, line, message
+    ):
+        lex, rc, report, err = self.run(tmp_path, capsys, command, line + "SAY S EY1\n")
+        assert rc == 1
+        assert report == f"ERROR\t{lex}\t\t{message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_ctm2tg_reads_text_before_the_lexicon(self, tmp_path, capsys):
+        # with both malformed, the text's error is the one reported
+        bad = tmp_path / "in"
+        bad.mkdir()
+        (bad / "text").write_text("s1_001 SAY\ns1_002\n")
+        (bad / "lexicon.txt").write_text("SAY S EY1\nBAD\n")
+        argv = ["ctm2tg", "--out", str(tmp_path / "out")]
+        for flag, fixture in CTM2TG_INPUTS.items():
+            folder = bad if flag in ("text", "lexicon") else FIXTURES
+            argv += [f"--{flag}", str(folder / fixture)]
+        report = tmp_path / "r.tsv"
+        assert main([*argv, "--report", str(report)]) == 1
+        assert report.read_text() == (
+            f"ERROR\t{bad / 'text'}\t\ttext line 2: need utterance ID and words\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_ctm2tg_utterance_without_text_matches_through_every_word(self, tmp_path):
+        # s2_001 is the only utterance of TUTT, which then comes from the reverse index
+        text = tmp_path / "in" / "text"
+        text.parent.mkdir()
+        text.write_text("".join(
+            line for line in (FIXTURES / "text").read_text().splitlines(keepends=True)
+            if not line.startswith("s2_001 ")))
+        outs = {}
+        for name, text_path in (("full", FIXTURES / "text"), ("partial", text)):
+            argv = ["ctm2tg", "--out", str(tmp_path / name)]
+            for flag, fixture in CTM2TG_INPUTS.items():
+                argv += [f"--{flag}", str(text_path if flag == "text" else FIXTURES / fixture)]
+            assert main(argv) == 0
+            outs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        assert outs["partial"] == outs["full"]
+        assert b'"TUTT"' in outs["partial"]["f2.TextGrid"]
+
+
 class TestVotCli:
     def test_words_locate_windows(self, tmp_path):
         work = tmp_path / "work"
@@ -1227,6 +1310,7 @@ class TestKaldiCli:
             # any whitespace the parsers split on, not only ASCII
             ("utt", "u\u00a01", "utterance ID 'u\\xa01' is empty or contains whitespace"),
             ("speaker", "s\u20031", "speaker 's\\u20031' is empty or contains whitespace"),
+            ("utt", "u0", "duplicate utterance ID 'u0'"),
         ],
     )
     def test_build_refuses_a_bad_record_field(self, tmp_path, column, value, message):
@@ -1243,7 +1327,7 @@ class TestKaldiCli:
         out = tmp_path / "data"
         argv = ["kaldi-prep", "build", "--records", str(records), "--out", str(out)]
         assert main(argv + ["--report", str(report)]) == 1
-        assert report.read_text() == f"ERROR\t\t\t{message}\n"
+        assert report.read_text() == f"ERROR\t{records}\t\t{message}\n"
         assert not out.exists()
 
     def test_build_validate_fix(self, tmp_path):

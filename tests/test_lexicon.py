@@ -1,6 +1,9 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusphon.lexicon import (
     DuplicateEntryWarning,
@@ -54,6 +57,101 @@ class TestParseLexicon:
     def test_render_round_trip(self):
         text = "<oov> oov\nA AH0\nA EY1\nKLATT K L AE1 T\n"
         assert render_lexicon(parse_lexicon(text)) == text
+
+
+# whitespace that str.split() splits on, ASCII and not
+SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\u00a0", "\u2003", "\u3000"]
+LEX_WORDS = ["A", "PAT", "\u00c9T\u00c9", "ZZ"]
+LEX_PHONES = ["AH0", "P", "AE1", "T"]
+
+
+@st.composite
+def lexicon_texts(draw):
+    """(content, separator) with duplicates, and now and then a malformed line, among words."""
+    separator = draw(st.sampled_from(list(Separator)))
+    gap = st.text(st.sampled_from(SPACES), min_size=1, max_size=3)
+    pad = st.sampled_from(["", "\u2003", "\u00a0 "])
+
+    def sep():
+        return {Separator.TAB: "\t", Separator.TWO_SPACES: "  "}.get(separator) or draw(gap)
+
+    def render(word, phones):
+        return draw(pad) + word + sep() + draw(gap).join(phones) + draw(pad)
+
+    def malformed():
+        word = draw(st.sampled_from(LEX_WORDS))
+        return draw(st.sampled_from([
+            word,  # no phones
+            word + sep() + draw(st.sampled_from(["", *SPACES])),  # only whitespace after it
+            sep() + " ".join(LEX_PHONES[:2]),  # no word, unless any whitespace separates
+        ]))
+
+    pairs = draw(st.lists(st.tuples(st.sampled_from(LEX_WORDS),
+                                    st.lists(st.sampled_from(LEX_PHONES), min_size=1, max_size=3)),
+                          max_size=10))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []  # duplicates
+    lines = [render(word, phones) for word, phones in draw(st.permutations(pairs))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\u3000"])))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), malformed())
+    return "".join(line + "\n" for line in lines), separator
+
+
+def _reference_parse(content, separator):
+    """The full parse as a plain loop: every line's phones split, duplicates found in one set."""
+    sep = {Separator.TAB: "\t", Separator.TWO_SPACES: "  "}.get(separator)
+    entries, seen = [], set()
+    for i, line in enumerate(content.split("\n"), 1):
+        if not line.split() if sep is None else not line.strip():
+            continue
+        word, *rest = line.split(sep, 1)
+        word, phones = word.strip(), tuple(rest[0].split()) if rest else ()
+        if not word:
+            raise MalformedLine(f"line {i}: missing word")
+        if not phones:
+            raise MalformedLine(f"line {i}: word {word!r} has no phones")
+        if (word, phones) in seen:
+            warnings.warn(f"line {i}: duplicate entry for {word!r} collapsed", DuplicateEntryWarning)
+            continue
+        seen.add((word, phones))
+        entries.append((word, phones))
+    return Lexicon(entries)
+
+
+def _parsed(parse, *args):
+    """(entries or the error, warnings) of one parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(*args).entries
+        except MalformedLine as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestParseWantedWords:
+    """A parse of wanted words keeps their entries and checks every line as a full parse does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lexicon_texts(), st.sets(st.sampled_from([*LEX_WORDS, "NONE"])))
+    def test_equals_the_full_parse_restricted(self, case, wanted):
+        content, separator = case
+        full = _parsed(parse_lexicon, content, separator)
+        assert full == _parsed(_reference_parse, content, separator)
+        part = _parsed(parse_lexicon, content, separator, wanted)
+        assert part[1] == full[1]  # the same warnings, in order
+        if isinstance(full[0], str):  # the same first error
+            assert part[0] == full[0]
+        else:
+            assert part[0] == [e for e in full[0] if e[0] in wanted]
+
+    def test_unused_word_lines_are_checked(self):
+        with pytest.warns(DuplicateEntryWarning, match=r"^line 3: duplicate entry for 'B'"):
+            lex = parse_lexicon("A AH0\nB B IY1\nB  B IY1\n", words={"A"})
+        assert lex.entries == [("A", ("AH0",))]
+        with pytest.raises(MalformedLine, match=r"^line 2: word 'B' has no phones$"):
+            parse_lexicon("A\tAH0\nB\t\u2003\n", Separator.TAB, words={"A"})
 
 
 class TestExtractWordList:
