@@ -100,7 +100,7 @@ class Ctx:
         self.outputs = [Path(v) for d in (*WRITTEN_ARGS, "report")
                         if (v := getattr(args, d, None)) is not None]
         self.dry_run: bool = bool(getattr(args, "dry_run", False))
-        self.findings: list[tuple[str, Finding]] = []
+        self.findings: list[Finding] = []
 
     def value(self, args, key, default, cast):
         v = getattr(args, key, None)
@@ -124,12 +124,9 @@ class Ctx:
                 ) from None
         return default
 
-    def add_finding(self, file: str, severity: Severity, location: str, message: str) -> None:
-        self.findings.append((file, Finding(severity, location, message)))
-
     @property
     def has_errors(self) -> bool:
-        return any(f.severity is Severity.ERROR for _, f in self.findings)
+        return any(f.severity is Severity.ERROR for f in self.findings)
 
     def out_file(self, path: Path, data: bytes | Iterable[bytes]) -> None:
         if self.dry_run:
@@ -164,12 +161,10 @@ class Ctx:
                     )
 
     def flush(self) -> None:
-        for file, f in self.findings:
-            print(f"{file}: {f.human_line()}" if file else f.human_line(), file=sys.stderr)
+        for f in self.findings:
+            print(f.human_line(), file=sys.stderr)
         if self.report_path:
-            lines = "".join(
-                f.machine_line(file) + "\n" for file, f in self.findings
-            )
+            lines = "".join(f.machine_line() + "\n" for f in self.findings)
             if self.dry_run:
                 print(f"dry-run: would write {self.report_path}")
             else:
@@ -182,13 +177,16 @@ def expand_paths(ctx: Ctx, patterns: list[str]) -> list[Path]:
         if any(c in pattern for c in "*?["):
             matches = sorted(globmod.glob(pattern))
             if not matches:
-                ctx.add_finding(
-                    pattern, Severity.WARNING, "", "glob matched no files"
-                )
+                with file_findings(ctx, pattern) as report:
+                    report.warning("", "glob matched no files")
             out.extend(Path(m) for m in matches)
         else:
             out.append(Path(pattern))
     return out
+
+
+class _Reported(Exception):
+    """A ToolkitError that file_findings made the last finding of its scope."""
 
 
 @contextlib.contextmanager
@@ -197,19 +195,19 @@ def file_findings(ctx: Ctx, file: str):
 
     The report goes to ctx.findings once, on exit, so a file's findings are
     reported together and in the order they arose. A ToolkitError that
-    escapes ends the command; it takes the file, so main reports it there.
+    escapes becomes its last finding and ends the command as _Reported.
     """
-    report = Report()
+    report = Report(file)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: report.warning("", str(message))
         try:
             yield report
         except ToolkitError as exc:
-            exc.file = file
-            raise
+            report.error("", str(exc))
+            raise _Reported from exc
         finally:
-            ctx.findings.extend((file, f) for f in report.findings)
+            ctx.findings.extend(report.findings)
 
 
 def process_files(ctx: Ctx, paths: list[Path] | list[str], fn) -> list[tuple]:
@@ -246,8 +244,8 @@ def parse_input(ctx: Ctx, path: str, parse):
 
 def read_words(path: str) -> set[str]:
     """A word list file: one word per line, blank lines skipped."""
-    rows = read_rows(read_input(path), path, UsageError, 1, "", maxsplit=0)
-    return {word.rstrip() for _, (word,) in rows}
+    rows = read_rows(read_input(path), path, UsageError, 1, "expected one word, got {got} fields")
+    return {word for _, (word,) in rows}
 
 
 def read_grid(path: Path) -> textgrid.TextGrid:
@@ -327,8 +325,8 @@ def cmd_kaldi_build(args, ctx: Ctx) -> None:
         sep="\t", times=(2, 3),
     )
     records = [
-        kaldi.UtteranceRecord(utt, file_id, start, end, tuple(words.split()), speaker, source)
-        for _, (utt, file_id, _, _, speaker, source, words, start, end) in rows
+        kaldi.UtteranceRecord(utt, file_id, start, end, tuple(words.split()), speaker, source, i)
+        for i, (utt, file_id, _, _, speaker, source, words, start, end) in rows
     ]
     with file_findings(ctx, args.records):  # a bad record names the records file
         d = kaldi.build_from_records(records)
@@ -411,12 +409,12 @@ def cmd_lexicon_filter(args, ctx: Ctx) -> None:
     words = _corpus_words(args, ctx)
     lex = _load_lexicon(args, ctx, words)
     filtered = lexicon.filter_lexicon(lex, words, tuple(oov))
-    for word, pron in lexicon.unstressed_only_prons(filtered):
-        ctx.add_finding(
-            args.lexicon, Severity.INFO, word,
-            f"pronunciation {' '.join(pron)!r} has no stressed vowel; "
-            "was the stress annotation step skipped?",
-        )
+    with file_findings(ctx, args.lexicon) as report:
+        for word, pron in lexicon.unstressed_only_prons(filtered):
+            report.info(
+                word, f"pronunciation {' '.join(pron)!r} has no stressed vowel; "
+                "was the stress annotation step skipped?",
+            )
     ctx.out_text(Path(args.out), lexicon.render_lexicon(filtered))
 
 
@@ -424,8 +422,9 @@ def cmd_lexicon_missing(args, ctx: Ctx) -> None:
     words = _corpus_words(args, ctx)
     lex = _load_lexicon(args, ctx, words)
     missing = lexicon.missing_words(words, lex)
-    for w in missing:
-        ctx.add_finding(args.lexicon, Severity.WARNING, w, "missing from lexicon")
+    with file_findings(ctx, args.lexicon) as report:
+        for w in missing:
+            report.warning(w, "missing from lexicon")
     ctx.out_or_print(args.out, "".join(w + "\n" for w in missing))
 
 
@@ -631,11 +630,13 @@ def cmd_vot_lists(args, ctx: Ctx) -> None:
     for tg in sorted(Path(args.textgrid_dir).glob("*.TextGrid")):
         wav = _stem_wav(wav_dir, step_name(tg.stem, ""))
         if wav is None:
-            ctx.add_finding(str(tg), Severity.WARNING, "", "no matching wav file; not listed")
+            with file_findings(ctx, str(tg)) as report:
+                report.warning("", "no matching wav file; not listed")
         else:
             pairs.append((wav, tg))
     for wav in sorted(set(wav_dir.glob("*.wav")) - {w for w, _ in pairs}):
-        ctx.add_finding(str(wav), Severity.WARNING, "", "no matching TextGrid; not listed")
+        with file_findings(ctx, str(wav)) as report:
+            report.warning("", "no matching TextGrid; not listed")
     wav_list, tg_list = out_dir / vot.WAV_LIST_NAME, out_dir / vot.TEXTGRID_LIST_NAME
     ctx.out_text(wav_list, vot.render_path_list([w for w, _ in pairs]))
     ctx.out_text(tg_list, vot.render_path_list([t for _, t in pairs]))
@@ -950,10 +951,8 @@ def _run(argv: list[str] | None) -> int:
         args.paths = expand_paths(ctx, globs[0]) if globs else []
         reads = [Path(v) for d in READ_ARGS if (v := getattr(args, d, None)) is not None]
         ctx.check_outputs(args.paths + reads)
-        try:
+        with contextlib.suppress(_Reported), file_findings(ctx, ""):
             args.func(args, ctx)
-        except ToolkitError as exc:
-            ctx.add_finding(exc.file, Severity.ERROR, "", str(exc))
         ctx.flush()
     except (UsageError, OSError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)

@@ -9,8 +9,6 @@ entries, exit 1) from genuine crashes.
 class ToolkitError(Exception):
     """Base class for all data and format errors raised by this package."""
 
-    file = ""  # the input it arose in, when the CLI knows it
-
 
 class ToolkitWarning(UserWarning):
     """Base class for recoverable oddities reported via warnings.warn()."""

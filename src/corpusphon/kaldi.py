@@ -410,6 +410,7 @@ class UtteranceRecord:
     words: tuple[str, ...]
     speaker: str
     source: str
+    line: int = 0  # in the records file
 
 
 def _check_token(token: str, what: str) -> None:
@@ -426,26 +427,26 @@ def build_from_records(records: list[UtteranceRecord]) -> KaldiDataDir:
     sources: dict[str, str] = {}
     for r in records:
         if r.utt in seen:
-            raise DuplicateUtt(f"duplicate utterance ID {r.utt!r}")
+            raise DuplicateUtt(f"line {r.line}: duplicate utterance ID {r.utt!r}")
         seen.add(r.utt)
         if r.file_id in sources and sources[r.file_id] != r.source:
             raise KaldiDataError(
-                f"file ID {r.file_id!r} has conflicting audio sources"
+                f"line {r.line}: file ID {r.file_id!r} has conflicting audio sources"
             )
         sources[r.file_id] = r.source
 
     ordered = sorted(records, key=attrgetter("utt"))
     for r in ordered:
-        _check_token(r.utt, "utterance ID")
-        _check_token(r.file_id, "file ID")
-        _check_token(r.speaker, "speaker")
+        _check_token(r.utt, f"line {r.line}: utterance ID")
+        _check_token(r.file_id, f"line {r.line}: file ID")
+        _check_token(r.speaker, f"line {r.line}: speaker")
         if not r.words:
-            raise KaldiDataError(f"utterance {r.utt}: transcript has no words")
+            raise KaldiDataError(f"line {r.line}: utterance {r.utt}: transcript has no words")
         if not r.source.strip():
-            raise KaldiDataError(f"wav.scp entry {r.file_id}: empty source")
+            raise KaldiDataError(f"line {r.line}: wav.scp entry {r.file_id}: empty source")
         if not 0 <= r.start < r.end:
             raise KaldiDataError(
-                f"utterance {r.utt!r}: start {r.start} not before end {r.end}"
+                f"line {r.line}: utterance {r.utt!r}: start {r.start} not before end {r.end}"
             )
     text = [TranscriptLine(r.utt, tuple(r.words)) for r in ordered]
     segments = [SegmentLine(r.utt, r.file_id, r.start, r.end) for r in ordered]

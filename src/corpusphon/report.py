@@ -1,8 +1,9 @@
 """Validation findings and reports.
 
 Validators never raise on bad data; they collect findings with a severity so
-callers can decide what is fatal. The machine-readable rendering is one line
-per finding: SEVERITY<TAB>file<TAB>location<TAB>message.
+callers can decide what is fatal. A finding names its file ("" for none), set
+by the Report that adds or takes it in. The machine-readable rendering is one
+line per finding: SEVERITY<TAB>file<TAB>location<TAB>message.
 """
 
 from __future__ import annotations
@@ -16,30 +17,30 @@ class Severity(enum.Enum):
     WARNING = "WARNING"
     INFO = "INFO"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Finding:
     severity: Severity
     location: str
     message: str
+    file: str = ""
 
-    def machine_line(self, file: str) -> str:
-        return "\t".join([self.severity.value, file, self.location, self.message])
+    def machine_line(self) -> str:
+        return "\t".join([self.severity.value, self.file, self.location, self.message])
 
     def human_line(self) -> str:
         loc = f" [{self.location}]" if self.location else ""
-        return f"{self.severity.value}{loc}: {self.message}"
+        line = f"{self.severity.value}{loc}: {self.message}"
+        return f"{self.file}: {line}" if self.file else line
 
 
 @dataclass
 class Report:
+    file: str = ""
     findings: list[Finding] = field(default_factory=list)
 
     def add(self, severity: Severity, location: str, message: str) -> None:
-        self.findings.append(Finding(severity, location, message))
+        self.findings.append(Finding(severity, location, message, self.file))
 
     def error(self, location: str, message: str) -> None:
         self.add(Severity.ERROR, location, message)
@@ -51,7 +52,8 @@ class Report:
         self.add(Severity.INFO, location, message)
 
     def extend(self, other: "Report") -> None:
-        self.findings.extend(other.findings)
+        for f in other.findings:
+            self.add(f.severity, f.location, f.message)
 
     @property
     def errors(self) -> list[Finding]:

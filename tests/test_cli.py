@@ -595,7 +595,7 @@ class TestBatch:
     @pytest.mark.parametrize(
         "argv, bad",
         [
-            (["lexicon", "missing", "--lexicon", "{bad}", "--words", "{fx}/text"],
+            (["lexicon", "missing", "--lexicon", "{bad}", "--kaldi-text", "{fx}/text"],
              "lexicon.txt"),
             (["ctm2tg", "--ctm", "{bad}", "--segments", "{fx}/segments",
               "--phones", "{fx}/phones.txt", "--lexicon", "{fx}/lexicon.txt",
@@ -693,8 +693,8 @@ class TestWholeInputErrors:
         lex = tmp_path / "in" / "lex.txt"
         lex.parent.mkdir()
         lex.write_text("PAT P AE1 T\nPAT P AE1 T\nBAD\n")
-        argv = ["lexicon", "filter", "--lexicon", str(lex), "--words", str(FIXTURES / "text"),
-                "--out", str(tmp_path / "out" / "lexicon.txt")]
+        argv = ["lexicon", "filter", "--lexicon", str(lex),
+                "--kaldi-text", str(FIXTURES / "text"), "--out", str(tmp_path / "out" / "lexicon.txt")]
         rc, report, err, written = self.run(tmp_path, capsys, argv)
         assert (rc, written) == (1, [])
         assert report == (f"WARNING\t{lex}\t\tline 2: duplicate entry for 'PAT' collapsed\n"
@@ -1311,6 +1311,8 @@ class TestKaldiCli:
             ("utt", "u\u00a01", "utterance ID 'u\\xa01' is empty or contains whitespace"),
             ("speaker", "s\u20031", "speaker 's\\u20031' is empty or contains whitespace"),
             ("utt", "u0", "duplicate utterance ID 'u0'"),
+            ("file_id", "f0", "file ID 'f0' has conflicting audio sources"),
+            ("end", "0.0", "utterance 'u1': start 0.0 not before end 0.0"),
         ],
     )
     def test_build_refuses_a_bad_record_field(self, tmp_path, column, value, message):
@@ -1327,7 +1329,8 @@ class TestKaldiCli:
         out = tmp_path / "data"
         argv = ["kaldi-prep", "build", "--records", str(records), "--out", str(out)]
         assert main(argv + ["--report", str(report)]) == 1
-        assert report.read_text() == f"ERROR\t{records}\t\t{message}\n"
+        # the bad row is line 2 of the records file
+        assert report.read_text() == f"ERROR\t{records}\t\tline 2: {message}\n"
         assert not out.exists()
 
     def test_build_validate_fix(self, tmp_path):
@@ -1514,6 +1517,30 @@ class TestLexiconCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert named in err and "one whitespace-free token" in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lexicon", "filter", "--lexicon", str(FIXTURES / "lexicon.txt"), "--out", "{out}"],
+            ["lexicon", "missing", "--lexicon", str(FIXTURES / "lexicon.txt"), "--out", "{out}"],
+            ["vot", "locate", str(FIXTURES / "golden" / "f1.TextGrid"), "--out", "{out}"],
+        ],
+        ids=["filter", "missing", "locate"],
+    )
+    def test_a_word_list_line_of_two_words_names_its_file_and_line(
+        self, tmp_path, capsys, argv
+    ):
+        # a line of two words is two words to --transcripts, never one word
+        words = tmp_path / "in" / "words.txt"
+        words.parent.mkdir()
+        words.write_text("KLATT\nSAY PAT\n")
+        out = tmp_path / "out" / "x.txt"
+        rc = main([a.format(out=out) for a in argv] + ["--words", str(words)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"corpusphon: {words} line 2: expected one word, got 2 fields\n"
+        )
         assert not out.parent.exists()
 
     def test_duplicate_entry_is_a_finding(self, tmp_path, capsys):
