@@ -448,9 +448,10 @@ def cmd_lexicon_phones(args, ctx: Ctx) -> None:
 def cmd_ctm2tg(args, ctx: Ctx) -> None:
     from . import ctm, kaldi, textgrid
     out = Path(args.out)
-    entries = parse_input(ctx, args.ctm, ctm.parse_ctm)
     segments = parse_input(ctx, args.segments, kaldi.parse_segments)
     table = parse_input(ctx, args.phones, ctm.PhoneSymbolTable.parse)
+    # a bad line, an unknown phone ID or an unknown utterance names its CTM line
+    tokens = parse_input(ctx, args.ctm, lambda content: ctm.read_ctm(content, segments, table))
     text = None
     if args.text:
         text = {l.utt: list(l.words) for l in parse_input(ctx, args.text, kaldi.parse_text)}
@@ -461,10 +462,6 @@ def cmd_ctm2tg(args, ctx: Ctx) -> None:
         used = {w for words in text.values() for w in words}
     lex = _load_lexicon(args, ctx, used)
 
-    with file_findings(ctx, args.ctm):  # an unknown phone ID or utterance names its CTM line
-        symbols = ctm.resolve_phone_ids(entries, table)
-        tokens = ctm.alignment_rows(entries, segments, symbols)
-    del entries, symbols  # corpus-sized, and the tokens carry all they held
     per_file = ctm.align_corpus(tokens, segments)
     wavs = stem_wavs(ctx, args.wav_dir, per_file)  # guarded before anything is written
     ctx.out_file(out / "final_ali.txt", ctm.render_alignment_table(tokens))

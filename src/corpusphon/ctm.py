@@ -1,35 +1,38 @@
 """CTM post-processing: from aligner output to per-file word alignments.
 
-The pipeline: parse the 5-field CTM, map numeric phone IDs to symbols via
-the phones.txt table, join each line with its segments row, regroup phones
-into words via their B/I/E/S position suffixes, and match each
-reconstructed pronunciation to its lexicon word. The 11-column intermediate
-table is written for downstream scripts that expect it. The CTM and
-phones.txt are read through rows.read_rows, which decides line breaks,
-blank lines, field counts and finite times; the parsers here add only
-their formats' own rules (an integer channel, a non-negative start, a
-positive duration, a decimal phone ID; unique phones.txt IDs and symbols).
+The pipeline: read the 5-field CTM into phone tokens, regroup each
+utterance's phones into words via their B/I/E/S position suffixes, and
+match each reconstructed pronunciation to its lexicon word. The 11-column
+intermediate table is written for downstream scripts that expect it.
 
-Each CTM line is joined with its segments row once (`alignment_rows`),
-into one `PhoneToken`: the table's 11 columns, utterance and file times
-included, plus the split position suffix. The one token list feeds both
-the table (`render_alignment_table`, which yields encoded chunks, so the
-table is never one string) and the word alignment. That runs in two steps:
-`align_corpus` splits the corpus into files, each file's tokens grouped by
-utterance, and `align_file` groups and matches one file's words, so an
-error in one utterance costs only its file. Per-line work that depends only
-on a symbol or a time (the position split, the table's time formatting) is
-done once per distinct value. Entries and tokens share one string per
-distinct utterance ID and phone column. A caller that drops the entries
-once the tokens are built, and each file's tokens once its grid is written,
-holds both lists only inside `alignment_rows`. Everything here is pure.
+One reader, `read_ctm`, takes each CTM line from rows.read_rows (which
+decides line breaks, blank lines, field counts and finite times) to the
+`PhoneToken` it ends as before it reads the next: it checks the CTM's own
+rules (an integer channel, a non-negative start, a positive duration, a
+decimal phone ID), maps a numeric phone ID to its symbol through the
+phones.txt table, splits off the position suffix, and joins the line with
+its segments row for the file ID and file times. So the first bad line in
+line order is the one reported, and no per-line list but the tokens is
+built. Resolution and the suffix split run once per distinct phone column;
+tokens share one string per distinct utterance ID and phone column.
+`parse_ctm`, `resolve_phone_ids` and `alignment_rows` expose the reader's
+stages one at a time over the same code.
+
+The one token list feeds both the table (`render_alignment_table`, which
+yields encoded chunks, so the table is never one string) and the word
+alignment. That runs in two steps: `align_corpus` splits the corpus into
+files, each file's tokens grouped by utterance, and `align_file` groups and
+matches one file's words, so an error in one utterance costs only its file.
+A caller that drops each file's tokens once its grid is written holds the
+corpus once. Everything here is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ToolkitError
 from .kaldi import SegmentLine
@@ -161,17 +164,44 @@ class PhoneSymbolTable:
 
 
 # ---------------------------------------------------------------------------
-# parsing and resolution
+# the CTM reader
+
+
+def read_ctm(
+    content: str, segments: list[SegmentLine], table: PhoneSymbolTable,
+) -> list[PhoneToken]:
+    """The phone token of each CTM line, in CTM order, from one pass over the lines.
+
+    Each line is checked, its phone column resolved and it is joined with its
+    segments row before the next line is read, so the first bad line in line
+    order is the one reported.
+    """
+    return _join(_lines(content), segments, lambda column, line: _symbol(column, line, table))
 
 
 def parse_ctm(content: str) -> list[CtmEntry]:
-    """Parse `utt channel start dur phone` lines; the phone column is kept as text."""
-    entries = []
-    share = {}.setdefault  # the first string read for each distinct value
-    new = tuple.__new__  # skips CtmEntry's Python-level __new__, once per line
+    """read_ctm's checked lines, before resolution and the join."""
+    return list(map(CtmEntry._make, _lines(content)))
+
+
+def resolve_phone_ids(entries: list[CtmEntry], table: PhoneSymbolTable) -> list[str]:
+    """The phone symbol of each entry, as read_ctm resolves it."""
+    return [_symbol(e.phone, e.line, table) for e in entries]
+
+
+def alignment_rows(
+    entries: list[CtmEntry], segments: list[SegmentLine], symbols: list[str]
+) -> list[PhoneToken]:
+    """read_ctm's tokens for entries whose phone columns resolve to symbols."""
+    given = {e.phone: phone for e, phone in zip(entries, symbols)}
+    return _join(entries, segments, lambda column, line: given[column])
+
+
+def _lines(content: str) -> Iterator[tuple[str, int, float, float, str, int]]:
+    """(utterance, channel, start, duration, phone column, line) of each line, checked."""
     rows = read_rows(content, "", MalformedCtmLine, 5, "expected 5 fields, got {got}",
                      times=(2, 3))
-    for i, (utt, raw_channel, _, _, raw_phone, start, dur) in rows:
+    for i, (utt, raw_channel, _, _, column, start, dur) in rows:
         try:
             channel = int(raw_channel)
         except ValueError:
@@ -180,64 +210,43 @@ def parse_ctm(content: str) -> list[CtmEntry]:
             raise MalformedCtmLine(f"line {i}: negative start time")
         if dur <= 0:
             raise MalformedCtmLine(f"line {i}: non-positive duration")
-        if raw_phone.isdigit() and not raw_phone.isdecimal():  # "²": no int()
-            raise MalformedCtmLine(
-                f"line {i}: phone ID {raw_phone!r} is not a decimal integer"
-            )
-        entry = (share(utt, utt), channel, start, dur, share(raw_phone, raw_phone), i)
-        entries.append(new(CtmEntry, entry))
-    return entries
+        if column.isdigit() and not column.isdecimal():  # "²": no int()
+            raise MalformedCtmLine(f"line {i}: phone ID {column!r} is not a decimal integer")
+        yield utt, channel, start, dur, column, i
 
 
-def resolve_phone_ids(
-    entries: list[CtmEntry], table: PhoneSymbolTable
-) -> list[str]:
-    """The phone symbol of each entry: decimal IDs looked up, symbols kept."""
-    by_id = table.by_id
-    by_column: dict[str, str] = {}  # each distinct phone column converted once
-    symbols = []
-    for e in entries:
-        phone = by_column.get(e.phone)
-        if phone is None:
-            phone = by_id.get(int(e.phone)) if e.phone.isdecimal() else e.phone
-            if phone is None:
-                raise UnknownPhoneId(
-                    f"line {e.line}: phone ID {e.phone} not in phones.txt"
-                )
-            by_column[e.phone] = phone
-        symbols.append(phone)
-    return symbols
+def _symbol(column: str, line: int, table: PhoneSymbolTable) -> str:
+    """A phone column's symbol: a decimal ID looked up in phones.txt, a symbol kept."""
+    phone = table.by_id.get(int(column)) if column.isdecimal() else column
+    if phone is None:
+        raise UnknownPhoneId(f"line {line}: phone ID {column} not in phones.txt")
+    return phone
 
 
-def alignment_rows(
-    entries: list[CtmEntry],
-    segments: list[SegmentLine],
-    symbols: list[str],
-) -> list[PhoneToken]:
-    """Join each CTM entry with its segments row, in CTM order.
+def _join(lines: Iterable[tuple], segments: list[SegmentLine], resolve) -> list[PhoneToken]:
+    """Each line joined with its segments row into a token.
 
     The CTM reports times relative to the utterance; the segments row
-    supplies the utterance's offset and file ID. symbols is the
-    resolve_phone_ids list for entries; the B/I/E/S word-position suffix
-    is split off each distinct symbol once.
+    supplies the utterance's offset and file ID. resolve(column, line) is
+    called once per distinct phone column, whose B/I/E/S word-position
+    suffix is split off then. Tokens share the segments row's utterance ID
+    and the first string read for each phone column.
     """
     seg_by_utt = {s.utt: s for s in segments}
-    split: dict[str, tuple[str, str | None]] = {}
+    phones: dict[str, tuple[str, str, str, str | None]] = {}
     tokens = []
-    for (utt, channel, in_utt, dur, raw, line), phone in zip(entries, symbols):
+    append, new = tokens.append, tuple.__new__  # new skips PhoneToken's Python-level __new__
+    for utt, channel, in_utt, dur, column, line in lines:
+        phone = phones.get(column)
+        if phone is None:
+            symbol = resolve(column, line)
+            phone = phones[column] = (column, symbol, *split_position(symbol))
         seg = seg_by_utt.get(utt)
         if seg is None:
             raise UnknownUtterance(f"line {line}: utterance {utt!r} has no segments row")
-        parts = split.get(phone)
-        if parts is None:
-            parts = split[phone] = split_position(phone)
         start = seg.start + in_utt
-        tokens.append(
-            PhoneToken(
-                utt, seg.file_id, raw, channel, in_utt, dur, phone,
-                seg.start, seg.end, start, start + dur, *parts,
-            )
-        )
+        append(new(PhoneToken, (seg.utt, seg.file_id, phone[0], channel, in_utt, dur, phone[1],
+                                seg.start, seg.end, start, start + dur, phone[2], phone[3])))
     return tokens
 
 
@@ -257,60 +266,48 @@ def group_words(tokens: list[PhoneToken]) -> GroupResult:
     exactly one word unit or the non-word list.
     """
     result = GroupResult()
-    open_run: list[tuple[int, PhoneToken]] = []
-
-    def abandon(reason: str) -> None:
-        if open_run:
-            idx = open_run[0][0]
-            result.defects.append(GroupDefect(idx, reason))
-            result.non_words.extend(t for _, t in open_run)
-            open_run.clear()
-
-    def close() -> None:
-        phones = tuple(t for _, t in open_run)
-        pron = tuple(t.phone_base for t in phones)
-        result.units.append(WordUnit(pron, phones[0].start, phones[-1].end, phones))
-        open_run.clear()
-
+    units, non_words, defects = result.units, result.non_words, result.defects
+    run: list[PhoneToken] = []  # the open word's tokens
+    first = 0  # the index of its first token
     for i, token in enumerate(tokens):
         pos = token.position
-        if pos is None:
-            abandon(f"token {i}: word interrupted by {token.phone!r}")
-            if token.phone_base not in SILENCE_SYMBOLS:
-                result.defects.append(
-                    GroupDefect(
-                        i,
-                        f"token {i}: {token.phone!r} has no word-position "
+        if pos == "I" or pos == "E":
+            if not run:
+                kind = "internal" if pos == "I" else "final"
+                defects.append(GroupDefect(i, f"token {i}: {kind} phone with no open word"))
+                non_words.append(token)
+                continue
+            run.append(token)
+        else:
+            if run:  # a B, S or suffixless token abandons the open word
+                defects.append(GroupDefect(first, _ABANDONED[pos].format(i, token.phone)))
+                non_words += run
+                run = []
+            if pos is None:
+                if token.phone_base not in SILENCE_SYMBOLS:
+                    defects.append(GroupDefect(
+                        i, f"token {i}: {token.phone!r} has no word-position "
                         "suffix and is not a known silence symbol",
-                    )
-                )
-            result.non_words.append(token)
-        elif pos == "B":
-            abandon(f"token {i}: new word starts before previous one ended")
-            open_run.append((i, token))
-        elif pos == "S":
-            abandon(f"token {i}: singleton starts before previous word ended")
-            open_run.append((i, token))
-            close()
-        elif pos == "I":
-            if not open_run:
-                result.defects.append(
-                    GroupDefect(i, f"token {i}: internal phone with no open word")
-                )
-                result.non_words.append(token)
-            else:
-                open_run.append((i, token))
-        elif pos == "E":
-            if not open_run:
-                result.defects.append(
-                    GroupDefect(i, f"token {i}: final phone with no open word")
-                )
-                result.non_words.append(token)
-            else:
-                open_run.append((i, token))
-                close()
-    abandon("word still open at end of stream")
+                    ))
+                non_words.append(token)
+                continue
+            run, first = [token], i
+        if pos == "E" or pos == "S":
+            units.append(WordUnit(tuple(map(_BASE, run)), run[0].start, token.end, tuple(run)))
+            run = []
+    if run:
+        defects.append(GroupDefect(first, "word still open at end of stream"))
+        non_words += run
     return result
+
+
+_BASE = attrgetter("phone_base")
+# why group_words abandons an open word, by the position of the token that ends it
+_ABANDONED = {
+    None: "token {}: word interrupted by {!r}",
+    "B": "token {}: new word starts before previous one ended",
+    "S": "token {}: singleton starts before previous word ended",
+}
 
 
 def match_words(
@@ -368,26 +365,27 @@ def _aligned(word: str, unit: WordUnit) -> AlignedWord:
 
 def phones_to_tier(tokens: list[PhoneToken], file_duration: float) -> IntervalTier:
     """The "phones" tier: one interval per token, labeled with the full suffixed symbol."""
-    return _tier("phones", file_duration, "token", [(t.phone, t.start, t.end) for t in tokens])
+    return _tier("phones", file_duration, "token", map(attrgetter("phone", "start", "end"), tokens))
 
 
 def words_to_tier(words: list[AlignedWord], file_duration: float) -> IntervalTier:
     """The "words" tier: one interval per aligned word."""
-    return _tier("words", file_duration, "word", [(w.word, w.start, w.end) for w in words])
+    return _tier("words", file_duration, "word", map(attrgetter("word", "start", "end"), words))
 
 
-def _tier(
-    name: str, file_duration: float, kind: str, spans: list[tuple[str, float, float]]
-) -> IntervalTier:
+def _tier(name: str, file_duration: float, kind: str, spans: Iterable[tuple]) -> IntervalTier:
+    """A tier of the spans, each end within TIME_TOL of the file clamped to it, gaps filled."""
+    limit = file_duration + TIME_TOL
+    intervals = []
     for label, start, end in spans:
-        if end > file_duration + TIME_TOL:
-            raise TokenBeyondDuration(
-                f"{kind} {label!r} ends at {end} but the file is {file_duration} s"
-            )
-    intervals = tuple(
-        Interval(start, min(end, file_duration), label) for label, start, end in spans
-    )
-    return IntervalTier(name, 0.0, file_duration, intervals).normalized()
+        if end > file_duration:
+            if end > limit:
+                raise TokenBeyondDuration(
+                    f"{kind} {label!r} ends at {end} but the file is {file_duration} s"
+                )
+            end = file_duration
+        intervals.append(Interval(start, end, label))
+    return IntervalTier(name, 0.0, file_duration, tuple(intervals)).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +426,14 @@ def render_alignment_table(tokens: list[PhoneToken]) -> Iterator[bytes]:
 def align_corpus(
     tokens: list[PhoneToken], segments: list[SegmentLine]
 ) -> dict[str, dict[str, list[PhoneToken]]]:
-    """Each file's alignment_rows tokens, grouped by utterance.
+    """Each file's read_ctm tokens, grouped by utterance.
 
     Utterances come in segments order, each once, with their tokens in CTM
     order; files come in byte-sorted order.
     """
     by_utt: dict[str, list[PhoneToken]] = {}
-    for t in tokens:
-        by_utt.setdefault(t.utt, []).append(t)
+    for utt, run in groupby(tokens, attrgetter("utt")):  # one call per run of an utterance
+        by_utt.setdefault(utt, []).extend(run)
     by_file: dict[str, dict[str, list[PhoneToken]]] = {}
     for seg in segments:
         utt_tokens = by_utt.get(seg.utt)
@@ -463,7 +461,7 @@ def align_file(
         except CtmError as exc:
             raise type(exc)(f"utterance {utt}: {exc}") from None
     by_start = attrgetter("start")
-    tokens = sorted((t for ts in utterances.values() for t in ts), key=by_start)
+    tokens = sorted(chain.from_iterable(utterances.values()), key=by_start)
     return tokens, sorted(words, key=by_start)
 
 

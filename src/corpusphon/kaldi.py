@@ -434,9 +434,6 @@ def build_from_records(records: list[UtteranceRecord]) -> KaldiDataDir:
                 f"line {r.line}: file ID {r.file_id!r} has conflicting audio sources"
             )
         sources[r.file_id] = r.source
-
-    ordered = sorted(records, key=attrgetter("utt"))
-    for r in ordered:
         _check_token(r.utt, f"line {r.line}: utterance ID")
         _check_token(r.file_id, f"line {r.line}: file ID")
         _check_token(r.speaker, f"line {r.line}: speaker")
@@ -448,6 +445,8 @@ def build_from_records(records: list[UtteranceRecord]) -> KaldiDataDir:
             raise KaldiDataError(
                 f"line {r.line}: utterance {r.utt!r}: start {r.start} not before end {r.end}"
             )
+
+    ordered = sorted(records, key=attrgetter("utt"))
     text = [TranscriptLine(r.utt, tuple(r.words)) for r in ordered]
     segments = [SegmentLine(r.utt, r.file_id, r.start, r.end) for r in ordered]
     utt2spk = [(r.utt, r.speaker) for r in ordered]

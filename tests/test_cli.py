@@ -154,17 +154,69 @@ class TestCtm2Tg:
         assert rc == 1
         assert "line 3:" in capsys.readouterr().err
 
-    def test_resolves_phone_ids_once(self, tmp_path, monkeypatch):
-        calls = []
-        resolve = ctm.resolve_phone_ids
+    def run_bad_inputs(self, tmp_path, bad):
+        """ctm2tg on the fixture corpus with lines of its inputs replaced, as {name: {index: line}}."""
+        src, report = tmp_path / "in", tmp_path / "r.tsv"
+        src.mkdir()
+        inputs = {"ctm": "merged_alignment.ctm", "segments": "segments", "phones": "phones.txt"}
+        for name, fixture in inputs.items():
+            lines = (FIXTURES / fixture).read_text().split("\n")
+            for index, line in bad.get(name, {}).items():
+                lines[index] = line
+            (src / name).write_text("\n".join(lines))
+        argv = ["ctm2tg", *(a for name in inputs for a in (f"--{name}", str(src / name))),
+                "--lexicon", str(FIXTURES / "lexicon.txt"), "--out", str(tmp_path / "out"),
+                "--report", str(report)]
+        assert main(argv) == 1
+        assert not (tmp_path / "out").exists()
+        return src, report.read_text()
 
-        def counted(entries, table):
-            calls.append(len(entries))
-            return resolve(entries, table)
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ("s1_001 1 0.10 0.15 999", "line 2: phone ID 999 not in phones.txt"),
+            ("zz 1 0.10 0.15 14", "line 2: utterance 'zz' has no segments row"),
+        ],
+        ids=["unknown-id", "unknown-utterance"],
+    )
+    def test_first_bad_ctm_line_in_line_order_is_reported(self, tmp_path, first, message):
+        # a malformed line 4 was reported before any unknown ID or utterance
+        src, report = self.run_bad_inputs(
+            tmp_path, {"ctm": {1: first, 3: "s1_001 1 0.50 0.08"}})
+        assert report == f"ERROR\t{src / 'ctm'}\t\t{message}\n"
 
-        monkeypatch.setattr(ctm, "resolve_phone_ids", counted)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"segments": {1: "s1_002 f1 3.00"}}, "segments line 2: expected 4 fields"),
+            ({"phones": {2: "AA1_I two"}}, "phones.txt line 3: non-integer ID"),
+        ],
+        ids=["segments", "phones"],
+    )
+    def test_segments_and_phones_errors_come_before_ctm_errors(self, tmp_path, bad, message):
+        src, report = self.run_bad_inputs(tmp_path, {"ctm": {0: "s1_001 1 0.00"}, **bad})
+        (name,) = bad
+        assert report == f"ERROR\t{src / name}\t\t{message}\n"
+
+    def test_reads_the_ctm_once_and_resolves_each_column_once(self, tmp_path, monkeypatch):
+        reads, columns = [], []
+        read, symbol = ctm.read_ctm, ctm._symbol
+
+        def counted_read(content, segments, table):
+            reads.append(content.count("\n"))
+            return read(content, segments, table)
+
+        def counted_symbol(column, line, table):
+            columns.append(column)
+            return symbol(column, line, table)
+
+        monkeypatch.setattr(ctm, "read_ctm", counted_read)
+        monkeypatch.setattr(ctm, "_symbol", counted_symbol)
         assert self.run_mixed(tmp_path / "out") == 0
-        assert calls == [16]
+        assert reads == [16]  # the mixed CTM's 16 lines, in one call
+        ctm_columns = [line.split()[4] for line in
+                       (FIXTURES / "mixed" / "ali.ctm").read_text().split("\n") if line]
+        assert sorted(columns) == sorted(set(ctm_columns)) and len(columns) == 13
 
     @pytest.mark.parametrize(
         "fault, message",
@@ -1332,6 +1384,19 @@ class TestKaldiCli:
         # the bad row is line 2 of the records file
         assert report.read_text() == f"ERROR\t{records}\t\tline 2: {message}\n"
         assert not out.exists()
+
+    def test_build_reports_the_first_bad_record_in_line_order(self, tmp_path):
+        # line 1 sorts after line 2 by utterance ID; line 1 is still the one named
+        records = tmp_path / "in" / "records.tsv"
+        records.parent.mkdir()
+        records.write_text("ub\tf1\t0.0\t0.5\t\tp/f1.wav\tHI\n"
+                           "ua\tf1\t0.5\t1.0\ts1\tp/f1.wav\t \n")
+        report = tmp_path / "r.tsv"
+        argv = ["kaldi-prep", "build", "--records", str(records), "--out", str(tmp_path / "data")]
+        assert main(argv + ["--report", str(report)]) == 1
+        assert report.read_text() == (
+            f"ERROR\t{records}\t\tline 1: speaker '' is empty or contains whitespace\n"
+        )
 
     def test_build_validate_fix(self, tmp_path):
         records = tmp_path / "in" / "records.tsv"

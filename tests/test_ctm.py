@@ -30,6 +30,7 @@ from corpusphon.ctm import (
     words_to_tier,
 )
 from corpusphon.lexicon import parse_lexicon
+from corpusphon.rows import read_rows
 from corpusphon.textgrid import Interval, TextGrid, parse_textgrid, write_textgrid
 
 # hand-traced expectations for the fixture corpus: file time is the segment
@@ -533,3 +534,190 @@ class TestSilenceClassConfig:
         result = group_words([_tok("NOISE", None, 0.0, 0.5)])
         assert len(result.defects) == 1
         assert result.non_words[0].phone_base == "NOISE"
+
+
+# ---------------------------------------------------------------------------
+# characterization: group_words and the CTM reader against plain copies of
+# the three-stage algorithm they replaced
+
+
+def _reference_group_words(tokens):
+    """group_words as a list of open (index, token) pairs and two closures."""
+    units, non_words, defects = [], [], []
+    open_run = []
+
+    def abandon(reason):
+        if open_run:
+            defects.append((open_run[0][0], reason))
+            non_words.extend(t for _, t in open_run)
+            open_run.clear()
+
+    def close():
+        phones = tuple(t for _, t in open_run)
+        units.append((tuple(t.phone_base for t in phones), phones[0].start, phones[-1].end, phones))
+        open_run.clear()
+
+    for i, token in enumerate(tokens):
+        pos = token.position
+        if pos is None:
+            abandon(f"token {i}: word interrupted by {token.phone!r}")
+            if token.phone_base not in ctm.SILENCE_SYMBOLS:
+                defects.append((i, f"token {i}: {token.phone!r} has no word-position "
+                                   "suffix and is not a known silence symbol"))
+            non_words.append(token)
+        elif pos == "B":
+            abandon(f"token {i}: new word starts before previous one ended")
+            open_run.append((i, token))
+        elif pos == "S":
+            abandon(f"token {i}: singleton starts before previous word ended")
+            open_run.append((i, token))
+            close()
+        elif not open_run:
+            kind = "internal" if pos == "I" else "final"
+            defects.append((i, f"token {i}: {kind} phone with no open word"))
+            non_words.append(token)
+        else:
+            open_run.append((i, token))
+            if pos == "E":
+                close()
+    abandon("word still open at end of stream")
+    return units, non_words, defects
+
+
+@st.composite
+def _position_tokens(draw):
+    """A token stream of B/I/E/S and suffixless phones, silences among them."""
+    drawn = draw(st.lists(
+        st.tuples(st.sampled_from(["K", "AH1", "SIL", "sp", "NOISE"]),
+                  st.sampled_from(["B", "I", "E", "S", None])),
+        max_size=30,
+    ))
+    return [_tok(base, pos, i / 10, (i + 1) / 10) for i, (base, pos) in enumerate(drawn)]
+
+
+class TestGroupWordsCharacterized:
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=_position_tokens())
+    def test_matches_the_closure_algorithm(self, tokens):
+        units, non_words, defects = _reference_group_words(tokens)
+        result = group_words(tokens)
+        assert [(u.pron, u.start, u.end, u.phones) for u in result.units] == units
+        assert result.non_words == non_words
+        assert [(d.token_index, d.message) for d in result.defects] == defects
+
+
+def _reference_tokens(content, segments, table):
+    """parse_ctm, resolve_phone_ids and alignment_rows as three corpus-wide loops."""
+    entries = []
+    for i, (utt, raw_channel, _, _, raw_phone, start, dur) in read_rows(
+        content, "", MalformedCtmLine, 5, "expected 5 fields, got {got}", times=(2, 3)
+    ):
+        try:
+            channel = int(raw_channel)
+        except ValueError:
+            raise MalformedCtmLine(f"line {i}: non-integer channel") from None
+        if start < 0:
+            raise MalformedCtmLine(f"line {i}: negative start time")
+        if dur <= 0:
+            raise MalformedCtmLine(f"line {i}: non-positive duration")
+        if raw_phone.isdigit() and not raw_phone.isdecimal():
+            raise MalformedCtmLine(f"line {i}: phone ID {raw_phone!r} is not a decimal integer")
+        entries.append((utt, channel, start, dur, raw_phone, i))
+    symbols = []
+    for _, _, _, _, raw, line in entries:
+        phone = table.by_id.get(int(raw)) if raw.isdecimal() else raw
+        if phone is None:
+            raise UnknownPhoneId(f"line {line}: phone ID {raw} not in phones.txt")
+        symbols.append(phone)
+    seg_by_utt = {s.utt: s for s in segments}
+    tokens = []
+    for (utt, channel, in_utt, dur, raw, line), phone in zip(entries, symbols):
+        seg = seg_by_utt.get(utt)
+        if seg is None:
+            raise UnknownUtterance(f"line {line}: utterance {utt!r} has no segments row")
+        start = seg.start + in_utt
+        tokens.append(PhoneToken(utt, seg.file_id, raw, channel, in_utt, dur, phone,
+                                 seg.start, seg.end, start, start + dur, *split_position(phone)))
+    return tokens
+
+
+def _three_stages(content, segments, table):
+    entries = parse_ctm(content)
+    return alignment_rows(entries, segments, resolve_phone_ids(entries, table))
+
+
+_READER_TABLE = PhoneSymbolTable.parse("SIL 1\nAH1_B 2\nT_E 3\nK_S 7\nsp 12\n")
+# decimal IDs, zero-padded and non-ASCII decimal IDs, and symbols
+_COLUMNS = ["1", "2", "3", "7", "12", "007", "0002", "٣", "SIL", "AH1_B", "X_I", "sp", "T_E"]
+_UTTS = ["u1", "u2", "s_003", "ü4"]
+
+
+@st.composite
+def _ctm_corpus(draw):
+    """A valid CTM over some of _UTTS, its segments rows (files shared or not) and its lines."""
+    utts = draw(st.lists(st.sampled_from(_UTTS), min_size=1, max_size=4, unique=True))
+    files = draw(st.lists(st.sampled_from(["f1", "f2", "g"]), min_size=len(utts),
+                          max_size=len(utts)))
+    segments = "".join(f"{u} {f} {k * 2.5:.2f} {k * 2.5 + 2:.2f}\n"
+                       for k, (u, f) in enumerate(zip(utts, files)))
+    lines = draw(st.lists(
+        st.tuples(st.sampled_from(utts), st.integers(0, 2),
+                  st.sampled_from(["0", "0.00", "-0.0", "0.25", "1.5e-1", "1.2345678"]),
+                  st.sampled_from(["0.01", "0.1", "1e-3", "0.30"]),
+                  st.sampled_from(_COLUMNS)),
+        max_size=25,
+    ))
+    blank = draw(st.sampled_from(["", "\n"]))
+    return "".join(f"{u} {c} {s} {d} {p}\n{blank}" for u, c, s, d, p in lines), segments
+
+
+# one bad line of each kind the reader reports
+_BAD_LINES = [
+    "u1 1 0.0 0.1",  # four fields
+    "u1 1 0.0 0.1 SIL x",  # six fields
+    "u1 1 zero 0.1 SIL",  # non-numeric time
+    "u1 1 0.0 nan SIL",  # non-finite time
+    "u1 one 0.0 0.1 SIL",  # non-integer channel
+    "u1 1 -0.5 0.1 SIL",  # negative start
+    "u1 1 0.0 0.0 SIL",  # zero duration
+    "u1 1 0.0 -0.1 SIL",  # negative duration
+    "u1 1 0.0 0.1 ²",  # a digit that is not decimal
+    "u1 1 0.0 0.1 999",  # unknown phone ID
+    "zz 1 0.0 0.1 SIL",  # unknown utterance
+]
+
+
+class TestOnePassReader:
+    """read_ctm gives what parse_ctm, resolve_phone_ids and alignment_rows give."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=_ctm_corpus())
+    def test_same_tokens_as_the_three_stages(self, corpus):
+        content, segments_text = corpus
+        segments = kaldi.parse_segments(segments_text)
+        expected = _reference_tokens(content, segments, _READER_TABLE)
+        tokens = ctm.read_ctm(content, segments, _READER_TABLE)
+        assert tokens == expected
+        assert [type(t) for t in tokens] == [PhoneToken] * len(expected)
+        assert _three_stages(content, segments, _READER_TABLE) == expected
+        # one string per distinct utterance ID and phone column
+        for column in ("utt", "phone_field"):
+            strings = {}
+            assert all(strings.setdefault(getattr(t, column), getattr(t, column))
+                       is getattr(t, column) for t in tokens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=_ctm_corpus(), bad=st.sampled_from(_BAD_LINES), at=st.integers(0, 30))
+    def test_same_error_for_one_bad_line(self, corpus, bad, at):
+        content, segments_text = corpus
+        segments = kaldi.parse_segments("u1 f1 0.0 2.0\n" + segments_text)
+        lines = content.splitlines(keepends=True)
+        lines.insert(min(at, len(lines)), bad + "\n")
+        content = "".join(lines)
+        outcomes = []
+        for read in (_reference_tokens, _three_stages, ctm.read_ctm):
+            with pytest.raises(ctm.CtmError) as info:
+                read(content, segments, _READER_TABLE)
+            outcomes.append((type(info.value), str(info.value)))
+        assert outcomes[0][1].startswith(f"line {min(at, len(lines) - 1) + 1}: ")
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]

@@ -24,6 +24,9 @@ KEPT = {
     "extract_channel",  # acceptance criterion 10
     "parse_wav_header",  # acceptance criterion 10
     "build_wav",  # acceptance criterion 10
+    "parse_ctm",  # acceptance criterion 5
+    "resolve_phone_ids",  # acceptance criterion 5
+    "alignment_rows",  # acceptance criterion 5
 }
 
 # read by the tests (acceptance criteria 2, 6 and 10 read errors)
