@@ -24,6 +24,8 @@ words or source column.
 
 from __future__ import annotations
 
+import errno
+import os
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -146,7 +148,11 @@ def parse_spk2utt(content: str) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def read_data_dir(path: Path | str) -> KaldiDataDir:
+    """The five files of a data directory; a missing file reads as empty."""
     path = Path(path)
+    if not path.is_dir():  # else every file would read as missing, and pass
+        code = errno.ENOTDIR if path.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(path))
     def load(name: str) -> str:
         f = path / name
         try:

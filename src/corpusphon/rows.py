@@ -1,6 +1,7 @@
-"""The one reader of line-oriented text files: Kaldi data files, CTM,
-phones.txt, lexicons, FAVE and .lab transcripts, word locations, records
-TSVs, word lists and config files."""
+"""The one line walker, which cuts every text input (TextGrids included),
+and the one reader of line-oriented files through it: Kaldi data files,
+CTM, phones.txt, lexicons, FAVE and .lab transcripts, word locations,
+records TSVs, word lists and config files."""
 
 from __future__ import annotations
 
@@ -8,28 +9,61 @@ import sys
 from typing import Iterator
 
 
+class Lines:
+    """The (line number, line) pairs of a text, split 8 K characters at a time.
+
+    Only '\\n' breaks lines ('\\r', in a text without any '\\n'), so each line
+    keeps its '\\r', form feed or U+2028. Holding one chunk at a time, it
+    never builds the list of every line. pos is where the next line starts;
+    a reader may move it on between two lines, and the numbering follows.
+    """
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+        self.sep = "\n" if "\n" in text else "\r"  # classic Mac OS line breaks
+
+    def __iter__(self):
+        text, sep, n = self.text, self.sep, 0
+        while (pos := self.pos) <= len(text):
+            cut = text.find(sep, pos + 8192)
+            for line in (text[pos:] if cut < 0 else text[pos:cut]).split(sep):
+                self.pos = pos = pos + len(line) + 1
+                n += 1
+                yield n, line
+                if self.pos != pos:  # the reader read on
+                    n += text.count(sep, pos, self.pos)
+                    break
+
+
 def read_rows(
     content: str, name: str, error: type[Exception], n: int, expected: str, *,
     sep: str | None = None, maxsplit: int = -1, exact: bool = True,
     times: tuple[int, ...] = (), time_error: type[Exception] | None = None,
 ) -> Iterator[tuple[int, list]]:
-    """(line number, fields) of each non-blank line of content.
+    """(line number, fields) of each non-blank line of content, cut by Lines.
 
-    A line ends at '\\n', or at '\\r' in a file without any '\\n'; a '\\r' just
-    before '\\n' belongs to the break. So a form feed, U+0085 or U+2028 stays
-    in its line, where str.splitlines() would break it. fields is
-    line.split(sep, maxsplit) followed by the float of each field in times.
-    A line with fewer than n fields, or more when exact, raises
-    error("<where>: <expected>"), where <where> is "<name> line <number>"
-    ("line <number>" when name is empty) and {got} in expected is the count.
-    A time field that is not a number raises time_error (error when None)
-    with "<where>: non-numeric time", a NaN or inf one "<where>: non-finite
-    time". Each parser keeps only the checks of its own format.
+    A '\\r' just before '\\n' belongs to the break, so it is dropped; one that
+    ends the text stays. A form feed, U+0085 or U+2028 stays in its line,
+    where str.splitlines() would break it. fields is line.split(sep,
+    maxsplit) followed by the float of each field in times. A text that
+    starts with a byte order mark (U+FEFF), which Kaldi's tools would read
+    as part of the first field, raises error at line 1. A line with fewer
+    than n fields, or more when exact, raises error("<where>: <expected>"),
+    where <where> is "<name> line <number>" ("line <number>" when name is
+    empty) and {got} in expected is the count. A time field that is not a
+    number raises time_error (error when None) with "<where>: non-numeric
+    time", a NaN or inf one "<where>: non-finite time". Each parser keeps
+    only the checks of its own format.
     """
-    lines = content.replace("\r\n", "\n").split("\n") if "\n" in content else content.split("\r")
+    if content.startswith("\ufeff"):
+        raise error(f"{_where(name, 1)}: starts with a byte order mark (U+FEFF); "
+                    "save the file as UTF-8 without one")
     most = n if exact else sys.maxsize
     time_error = time_error or error
-    for i, line in enumerate(lines, 1):
+    lines, end = Lines(content), len(content)
+    for i, line in lines:
+        if line[-1:] == "\r" and lines.pos <= end:  # a '\n' follows
+            line = line[:-1]
         fields = line.split(sep, maxsplit)
         if not fields or sep and not line.strip():
             continue

@@ -10,6 +10,11 @@ it out (single spaces around '=', a one-line label) with one compiled
 pattern. Everything else, and the first interval block that does not match
 or holds a bad time, goes to the general line tokenizer, which reads any
 spacing and line-break variant and is the only place errors are raised.
+Both take their lines from rows.Lines, the walker that cuts every text
+input, so a '\\r', form feed or U+2028 inside a label survives a round
+trip. What a '\\r' left at a line's end means is TextGrid's own rule: in
+a CRLF file (judged by its first line) it belongs to the break, so a label
+over several lines drops it; in any other file such a label keeps it.
 
 Every operation is a pure function. Tiers and grids are frozen. Interval
 and Point, built tens of thousands of times a file, are slotted records,
@@ -28,6 +33,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .errors import ToolkitError
+from .rows import Lines
 
 # Boundaries closer than this are considered coincident; real gaps and
 # overlaps in aligner output are at least one 10 ms frame wide.
@@ -328,35 +334,7 @@ def _closing_quote(s: str, start: int) -> int:
     return i
 
 
-class _Lines:
-    """The (line number, line) pairs of a decoded file, split 8 K characters at a time.
-
-    Only '\n' breaks lines (CR, in a file without any '\n'), so a CR, form
-    feed or U+2028 inside a label survives a round trip. In a CRLF file
-    (judged by its first line) the CR before each '\n' belongs to the line
-    break. pos is where the next line starts; the block matcher may move it
-    on between two lines.
-    """
-
-    def __init__(self, text: str):
-        self.text, self.pos = text, 0
-        self.sep = "\n" if "\n" in text else "\r"  # classic Mac OS line breaks
-        self.crlf = text.partition(self.sep)[0].endswith("\r")
-
-    def __iter__(self):
-        text, sep, n = self.text, self.sep, 0
-        while (pos := self.pos) <= len(text):
-            cut = text.find(sep, pos + 8192)
-            for line in (text[pos:] if cut < 0 else text[pos:cut]).split(sep):
-                self.pos = pos = pos + len(line) + 1
-                n += 1
-                yield n, line
-                if self.pos != pos:  # the block matcher read on
-                    n += text.count(sep, pos, self.pos)
-                    break
-
-
-def _tokens(lines: _Lines):
+def _tokens(lines: Lines):
     """Yield (line number, label, value) for each non-blank logical line.
 
     The label is the text before the first '=' with all whitespace removed
@@ -366,6 +344,7 @@ def _tokens(lines: _Lines):
     later line; continuation lines are joined with '\n' verbatim.
     """
     numbered = iter(lines)
+    crlf = lines.text.partition(lines.sep)[0].endswith("\r")  # judged by the first line
     for n, line in numbered:
         label, eq, raw = line.partition("=")
         if not eq:
@@ -378,7 +357,7 @@ def _tokens(lines: _Lines):
             if end < 0:  # the string goes on over the next lines
                 parts, rest = [], raw.lstrip()
                 while end < 0:
-                    parts.append(rest.removesuffix("\r") if lines.crlf else rest)
+                    parts.append(rest.removesuffix("\r") if crlf else rest)
                     last, rest = next(numbered, (n, None))
                     if rest is None:
                         raise TextGridParseError(f"line {n}: unterminated string value")
@@ -449,7 +428,7 @@ def parse_textgrid(content: bytes) -> TextGrid:
     """Parse a complete long-format TextGrid file image."""
     if content.startswith(b"ooBinaryFile"):
         raise MalformedHeader("binary TextGrid format is not supported")
-    lines = _Lines(_decode(content))
+    lines = Lines(_decode(content))
     tokens = _tokens(lines)
 
     try:
@@ -506,7 +485,7 @@ def parse_textgrid(content: bytes) -> TextGrid:
         raise _at_line(grid_line, exc) from None
 
 
-def _parse_tier(tokens, lines: _Lines, line: int) -> Tier:
+def _parse_tier(tokens, lines: Lines, line: int) -> Tier:
     """Parse the tier whose 'item [k]:' header is on the given line.
 
     Canonical interval blocks are matched whole; the tokens take over at the

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import gc
 import os
 import shlex
@@ -1443,6 +1444,22 @@ class TestKaldiCli:
         )
         assert (tmp_path / "fixed2" / "utt2spk").read_text() == "u1 s1\nu2 s1\n"
 
+    @pytest.mark.parametrize("code", [errno.ENOENT, errno.ENOTDIR], ids=["missing", "file"])
+    def test_a_path_that_is_not_a_directory_is_an_error(self, tmp_path, capsys, code):
+        # read as a directory of empty files, it passed validate with exit 0
+        data = tmp_path / "in" / "data"
+        data.parent.mkdir()
+        if code == errno.ENOTDIR:
+            data.write_text("u1 SAY PAT\n")
+        message = str(OSError(code, os.strerror(code), str(data)))
+        report, out = tmp_path / "r.tsv", tmp_path / "out"
+        assert main(["kaldi-prep", "validate", str(data), "--report", str(report)]) == 1
+        assert report.read_text() == f"ERROR\t{data}\t\t{message}\n"
+        capsys.readouterr()
+        assert main(["kaldi-prep", "fix", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"corpusphon: {message}\n"
+        assert not out.exists()
+
     def non_finite_segment_dir(self, tmp_path):
         data = tmp_path / "in"
         data.mkdir()
@@ -1626,6 +1643,24 @@ class TestLexiconCli:
             f"WARNING\t{lex}\t\tline 2: duplicate entry for 'PAT' collapsed"
         ]
         assert "DuplicateEntryWarning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["missing", "filter"])
+    def test_a_lexicon_with_a_byte_order_mark_is_an_error_at_line_1(self, tmp_path, command):
+        # read as part of the first word, the mark made PAT missing, with exit 0
+        lex = tmp_path / "in" / "lex.txt"
+        lex.parent.mkdir()
+        lex.write_bytes(b"\xef\xbb\xbfPAT  P AE1 T\nSAY  S EY1\n")
+        words = tmp_path / "in" / "words.txt"
+        words.write_text("PAT\nSAY\n")
+        report, out = tmp_path / "r.tsv", tmp_path / "out" / "x.txt"
+        rc = main(["lexicon", command, "--lexicon", str(lex), "--words", str(words),
+                   "--out", str(out), "--report", str(report)])
+        assert rc == 1
+        assert report.read_text() == (
+            f"ERROR\t{lex}\t\tline 1: starts with a byte order mark (U+FEFF); "
+            "save the file as UTF-8 without one\n"
+        )
+        assert not out.parent.exists()
 
     def test_phones(self, tmp_path):
         out = tmp_path / "lang"

@@ -10,23 +10,28 @@ build` through main, whose exit 2 the helper turns back into the
 UsageError it printed. The config and word-list readers take a path, so
 their helpers write the content to a file first.
 
-The last test is an ast scan that keeps it one reader: no other line
-splitting in src/ but the allow-listed reader of TextGrid blocks.
+read_rows and the TextGrid reader both cut lines with rows.Lines; two
+properties pin read_rows and the walker to plain copies of the rules they
+keep. The last tests are an ast scan that keeps one walker: no line
+splitting in src/ outside rows.py, with no exception.
 """
 
 import ast
 import contextlib
 import io
+import re
 import tempfile
+import tracemalloc
 from dataclasses import astuple, is_dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusphon import ctm, kaldi, transcripts, vot
 from corpusphon.cli import UsageError, load_config, main, read_words
+from corpusphon.rows import Lines, read_rows
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "corpusphon"
 
@@ -212,13 +217,103 @@ def test_only_the_format_error_escapes_a_mutated_input(case):
         pass
 
 
-# ---------------------------------------------------------------------------
-# one reader: the ast scan
+@pytest.mark.parametrize("name", FORMATS)
+def test_a_byte_order_mark_is_refused_at_line_1(name):
+    # Kaldi's tools read U+FEFF as part of the first field, so no reader may take it
+    parse, error, sep, rows, *_ = FORMATS[name]
+    message = "line 1: starts with a byte order mark (U+FEFF); save the file as UTF-8 without one"
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        parse("\ufeff" + render(sep, rows))
 
-# function or class (module.qualified name) -> why it splits lines itself
-ALLOWED = {
-    "textgrid._Lines": "TextGrid is not one record per line; its reader splits in blocks",
-}
+
+# ---------------------------------------------------------------------------
+# one line walker: rows.Lines and read_rows against plain copies of the rules they keep
+
+
+def reference_rows(content, sep, maxsplit):
+    """read_rows' (line number, fields) by the one-line rule of a list of every line."""
+    lines = content.replace("\r\n", "\n").split("\n") if "\n" in content else content.split("\r")
+    return [(i, fields) for i, line in enumerate(lines, 1)
+            if (fields := line.split(sep, maxsplit)) and not (sep and not line.strip())]
+
+
+class ReferenceLines:
+    """A plain copy of the walker: (line number, line) 8 K characters at a time."""
+
+    def __init__(self, text):
+        self.text, self.pos = text, 0
+        self.sep = "\n" if "\n" in text else "\r"
+
+    def __iter__(self):
+        text, sep, n = self.text, self.sep, 0
+        while (pos := self.pos) <= len(text):
+            cut = text.find(sep, pos + 8192)
+            for line in (text[pos:] if cut < 0 else text[pos:cut]).split(sep):
+                self.pos = pos = pos + len(line) + 1
+                n += 1
+                yield n, line
+                if self.pos != pos:
+                    n += text.count(sep, pos, self.pos)
+                    break
+
+
+PIECES = ["a", "b c", "\t", " = ", "\n", "\r\n", "\r", "\x0c", "\x85", "\u2028", "\u00e9"]
+short_text = st.lists(st.sampled_from(PIECES), max_size=12).map("".join)
+
+
+@st.composite
+def long_texts(draw):
+    """Short lines around long ones, the first of which ends within 3 of the 8 K cut."""
+    head = draw(short_text)
+    text = head + "x" * (8191 - len(head) + draw(st.integers(-3, 3))) + draw(short_text)
+    for _ in range(draw(st.integers(0, 2))):
+        text += "y" * draw(st.integers(8180, 8200)) + draw(short_text)
+    return text
+
+
+# the first chunk cut is the '\n' of a CRLF, and a '\r' ends the text
+@example("x" * 8191 + "\r\na\tb\r\nc\r")
+@example("x" * 8191 + "\r\r\nb\r")
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(short_text, long_texts()))
+def test_read_rows_gives_the_lines_of_the_one_line_rule(content):
+    for sep in (None, "\t", " = "):
+        for maxsplit in (-1, 1):
+            rows = read_rows(content, "", ValueError, 0, "", sep=sep, maxsplit=maxsplit,
+                             exact=False)
+            assert list(rows) == reference_rows(content, sep, maxsplit)
+
+
+@example("x" * 8191 + "\r\na\r\n\r\nb", [0, 5, 0])
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(short_text, long_texts()), st.lists(st.integers(0, 9000), max_size=8))
+def test_the_walker_follows_a_moved_pos(text, jumps):
+    # the TextGrid block matcher moves pos on between two lines; jumps[k] after line k
+    def walk(lines):
+        seen = []
+        for k, (n, line) in enumerate(lines):
+            seen.append((n, line, lines.pos))
+            if k < len(jumps) and jumps[k]:
+                lines.pos = min(lines.pos + jumps[k], len(text))
+        return seen
+
+    assert walk(Lines(text)) == walk(ReferenceLines(text))
+
+
+def test_read_rows_holds_one_chunk_not_every_line():
+    content = "u1 SAY\n" * 400_000  # 2.8 M characters, built before tracing starts
+    tracemalloc.start()
+    try:
+        for _ in read_rows(content, "", ValueError, 2, ""):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# one walker: the ast scan
 
 
 def _is_newline_split(node) -> bool:
@@ -254,20 +349,8 @@ def test_line_splitting_stays_in_the_row_reader():
         if path.name == "rows.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for scope, line in line_splits(tree, path.stem):
-            if not any(scope == a or scope.startswith(a + ".") for a in ALLOWED):
-                bad.append(f"{path.name}:{line} {scope}")
-    assert not bad, f"split lines with rows.read_rows, or allow-list with a reason: {bad}"
-
-
-def test_every_allowed_reader_still_splits_lines():
-    scopes = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        scopes |= {scope for scope, _ in line_splits(tree, path.stem)}
-    stale = {a for a in ALLOWED if not any(s == a or s.startswith(a + ".") for s in scopes)}
-    # _Lines splits at a separator held in a variable, which the scan does not see
-    assert stale <= {"textgrid._Lines"}, f"allow-listed but splitting no lines: {stale}"
+        bad += [f"{path.name}:{line} {scope}" for scope, line in line_splits(tree, path.stem)]
+    assert not bad, f"cut lines with rows.Lines or rows.read_rows: {bad}"
 
 
 def test_the_scan_finds_a_splitlines_loop():
