@@ -15,7 +15,9 @@ would cost more than a short step's own work. Only lexicon is imported here, as 
 Separator names are the --separator choices, so --help and a usage error
 load no other library module.
 
-Exit codes: 0 success, 1 validation errors found, 2 usage or I/O failure.
+Exit codes: 0 success, 1 validation errors found, 2 usage or I/O failure,
+141 stdout closed by its reader (`| head`), as for a tool that SIGPIPE ends;
+the command stops there, and its findings so far are still reported.
 Human-readable findings go to stderr; --report writes the machine format,
 one finding per line: SEVERITY<TAB>file<TAB>location<TAB>message.
 
@@ -47,7 +49,7 @@ from pathlib import Path
 from . import lexicon
 from .errors import ToolkitError
 from .report import Finding, Report, Severity
-from .rows import read_rows
+from .rows import UndecodableText, read_rows, read_utf8
 
 PROG = "corpusphon"
 
@@ -214,16 +216,19 @@ def process_files(ctx: Ctx, paths: list[Path] | list[str], fn) -> list[tuple]:
     """Call fn(path, report) for each file (path or file ID) in input order.
 
     Each file gets its own report: its warnings, whatever fn adds, and a
-    ToolkitError, OSError or undecodable text as an ERROR, so a bad file
-    costs only itself. A failed output write (UsageError) is not caught: it
-    ends the command. Returns (path, result) for each file that did not fail.
+    ToolkitError (undecodable text included) or OSError as an ERROR, so a bad
+    file costs only itself. A failed output write (UsageError) or a closed
+    stdout (BrokenPipeError) is not caught: it ends the command. Returns
+    (path, result) for each file that did not fail.
     """
     done = []
     for path in paths:
         with file_findings(ctx, str(path)) as report:
             try:
                 done.append((path, fn(path, report)))
-            except (ToolkitError, OSError, UnicodeDecodeError) as exc:
+            except BrokenPipeError:
+                raise
+            except (ToolkitError, OSError) as exc:
                 report.error("", str(exc))
     return done
 
@@ -231,9 +236,9 @@ def process_files(ctx: Ctx, paths: list[Path] | list[str], fn) -> list[tuple]:
 def read_input(path: str | Path) -> str:
     """A text input read outside a batch; text that is not UTF-8 is a usage error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        return read_utf8(path)
+    except UndecodableText as exc:
+        raise UsageError(str(exc)) from None
 
 
 def parse_input(ctx: Ctx, path: str, parse):
@@ -388,7 +393,9 @@ def _corpus_words(args, ctx: Ctx) -> set[str]:
         strip_chars=ctx.value(args, "strip_chars", lexicon.DEFAULT_STRIP_CHARS, str),
         keep_apostrophe=not args.strip_apostrophe,
     )
-    chunks = [read_input(p) for p in args.paths]
+    # through read_rows, so a transcript's byte order mark is refused at its line 1
+    chunks = [" ".join(fields) + "\n" for p in args.paths
+              for _, fields in read_rows(read_input(p), str(p), UsageError, 1, "", exact=False)]
     if args.kaldi_text:
         # the data-dir text file: drop the utterance-ID column
         chunks += [
@@ -511,7 +518,7 @@ def cmd_validate_mfa(args, ctx: Ctx) -> None:
     def check(path: Path, report: Report) -> None:
         # the MFA reads a .lab single-line transcript in place of a TextGrid
         lab = path.suffix == ".lab"
-        transcript = path.read_text(encoding="utf-8") if lab else read_grid(path)
+        transcript = read_utf8(path) if lab else read_grid(path)
         wav_path = wavs[path.stem]
         if wav_path is None:
             report.warning("wav", "no matching wav file; skipping audio checks")
@@ -534,7 +541,7 @@ def cmd_fave_check(args, ctx: Ctx) -> None:
     wavs = stem_wavs(ctx, args.wav_dir, (p.stem for p in args.paths))
 
     def check(path: Path, report: Report) -> None:
-        records = transcripts.parse_fave_transcript(path.read_text(encoding="utf-8"))
+        records = transcripts.parse_fave_transcript(read_utf8(path))
         wav = wavs[path.stem]
         duration = None if wav is None else read_wav_info(wav).duration
         report.extend(transcripts.validate_fave(records, duration, lex))
@@ -942,6 +949,7 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    stopped = False
     try:
         ctx = Ctx(args, load_config(getattr(args, "config", None)))
         globs = [getattr(args, d) for d in GLOB_ARGS if hasattr(args, d)]
@@ -949,12 +957,19 @@ def _run(argv: list[str] | None) -> int:
         reads = [Path(v) for d in READ_ARGS if (v := getattr(args, d, None)) is not None]
         ctx.check_outputs(args.paths + reads)
         with contextlib.suppress(_Reported), file_findings(ctx, ""):
-            args.func(args, ctx)
+            try:
+                args.func(args, ctx)
+                sys.stdout.flush()  # a closed stdout shows here, not at the interpreter's exit
+            except BrokenPipeError:
+                # stdout's reader has gone (`| head`): the command stops, as one that
+                # SIGPIPE ends, and what is still printed or flushed to stdout goes nowhere
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                stopped = True
         ctx.flush()
     except (UsageError, OSError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
-    return 1 if ctx.has_errors else 0
+    return 141 if stopped else 1 if ctx.has_errors else 0
 
 
 def entry() -> None:

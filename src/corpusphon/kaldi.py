@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ToolkitError
 from .report import Report
-from .rows import read_rows
+from .rows import read_rows, read_utf8
 from .textgrid import format_seconds
 
 class KaldiDataError(ToolkitError):
@@ -47,10 +47,6 @@ class DuplicateUtt(KaldiDataError):
 
 class EmptyResult(KaldiDataError):
     """No utterance survived repair; the inputs are grossly inconsistent."""
-
-
-class EncodingError(KaldiDataError):
-    """A data-directory file that is not valid UTF-8."""
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -148,17 +144,15 @@ def parse_spk2utt(content: str) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def read_data_dir(path: Path | str) -> KaldiDataDir:
-    """The five files of a data directory; a missing file reads as empty."""
+    """The five files of a data directory, read by rows.read_utf8; a missing one reads as empty."""
     path = Path(path)
     if not path.is_dir():  # else every file would read as missing, and pass
         code = errno.ENOTDIR if path.exists() else errno.ENOENT
         raise OSError(code, os.strerror(code), str(path))
+
     def load(name: str) -> str:
         f = path / name
-        try:
-            return f.read_text(encoding="utf-8") if f.exists() else ""
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"{name}: not valid UTF-8: {exc}") from None
+        return read_utf8(f) if f.exists() else ""
 
     return KaldiDataDir(
         text=parse_text(load("text")),

@@ -1,12 +1,34 @@
-"""The one line walker, which cuts every text input (TextGrids included),
-and the one reader of line-oriented files through it: Kaldi data files,
-CTM, phones.txt, lexicons, FAVE and .lab transcripts, word locations,
-records TSVs, word lists and config files."""
+"""The one reader from file to text, the one line walker, and the one row reader.
+
+read_utf8 reads every text input but a TextGrid, whose own decoder also
+reads UTF-16, as strict UTF-8 with its line breaks as they are. Lines cuts
+every text input, TextGrids included, and read_rows reads the line-oriented
+ones through it: Kaldi data files, CTM, phones.txt, lexicons, FAVE, .lab and
+--transcripts transcripts, word locations, records TSVs, word lists and
+config files."""
 
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 from typing import Iterator
+
+from .errors import ToolkitError
+
+
+class UndecodableText(ToolkitError):
+    """A text input that is not valid UTF-8."""
+
+
+def read_utf8(path: str | Path) -> str:
+    """The file's bytes as strict UTF-8, line breaks as they are: no '\r' becomes '\n'.
+
+    Bytes that are not UTF-8 raise UndecodableText("<path>: <codec reason>").
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableText(f"{path}: {exc}") from None
 
 
 class Lines:

@@ -1505,15 +1505,14 @@ class TestKaldiCli:
         (data / "text").write_text("u1 SAY PAT\n")
         (data / "utt2spk").write_bytes("u1 s\xe9\n".encode("latin-1"))
         out = tmp_path / "out"
+        message = (f"{data / 'utt2spk'}: 'utf-8' codec can't decode byte 0xe9 in position 4: "
+                   "invalid continuation byte")
         assert main(["kaldi-prep", "fix", str(data), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "ERROR" in err and "utt2spk: not valid UTF-8" in err
-        assert "Traceback" not in err and not out.exists()
+        assert capsys.readouterr().err == f"{data}: ERROR: {message}\n"
+        assert not out.exists()
         report = tmp_path / "r.tsv"
         assert main(["kaldi-prep", "validate", str(data), "--report", str(report)]) == 1
-        severity, file, _, message = report.read_text().rstrip("\n").split("\t")
-        assert (severity, file) == ("ERROR", str(data))
-        assert message.startswith("utt2spk: not valid UTF-8")
+        assert report.read_text() == f"ERROR\t{data}\t\t{message}\n"
 
 
 class TestLexiconCli:
@@ -1661,6 +1660,39 @@ class TestLexiconCli:
             "save the file as UTF-8 without one\n"
         )
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["missing", "filter"])
+    def test_a_transcript_with_a_byte_order_mark_is_refused_at_line_1(
+        self, tmp_path, capsys, command
+    ):
+        # read as part of the first word, the mark made PAT missing, with exit 0
+        lex = tmp_path / "in" / "lex.txt"
+        lex.parent.mkdir()
+        lex.write_text("PAT  P AE1 T\nSAY  S EY1\n")
+        t = tmp_path / "in" / "t.txt"
+        t.write_bytes(b"\xef\xbb\xbfpat say")
+        out = tmp_path / "out" / "x.txt"
+        rc = main(["lexicon", command, "--lexicon", str(lex), "--transcripts", str(t),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"corpusphon: {t} line 1: starts with a byte order mark (U+FEFF); "
+            "save the file as UTF-8 without one\n"
+        )
+        assert not out.parent.exists()
+
+    def test_a_lone_cr_stays_in_its_lexicon_line(self, tmp_path):
+        # a file with a '\n' breaks lines only there, as parse_lexicon and Kaldi count them
+        lex = tmp_path / "in" / "lex.txt"
+        lex.parent.mkdir()
+        lex.write_bytes(b"A  AH0\rB  B IY1\nX\n")
+        words = tmp_path / "in" / "words.txt"
+        words.write_text("A\n")
+        report = tmp_path / "r.tsv"
+        rc = main(["lexicon", "missing", "--lexicon", str(lex), "--words", str(words),
+                   "--report", str(report)])
+        assert rc == 1
+        assert report.read_text() == f"ERROR\t{lex}\t\tline 2: word 'X' has no phones\n"
 
     def test_phones(self, tmp_path):
         out = tmp_path / "lang"
@@ -2264,3 +2296,43 @@ class TestModuleEntry:
         )
         assert result.returncode == 0, result.stderr
         assert "ctm2tg" in result.stdout
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv, bad", [
+        (["vot", "lists", "--wav-dir", "{tmp}/wav", "--textgrid-dir", "{tmp}/tg", "--out-dir",
+          "{tmp}/out"], []),
+        # prints inside a batch; the bad file's ERROR comes before the first print
+        (["audio", "info", "{tmp}/bad/x.wav", "{tmp}/wav/a.wav", "{tmp}/wav/b.wav"],
+         ["{tmp}/bad/x.wav"]),
+    ], ids=["vot-lists", "audio-info"])
+    def test_a_closed_stdout_stops_the_command_with_141(self, tmp_path, argv, bad, unbuffered):
+        # `... | head -1`: the reader has closed the pipe before the command prints, so
+        # a print (unbuffered) or the last flush (buffered) fails
+        for d in ("tg", "wav", "bad"):
+            (tmp_path / d).mkdir()
+        for stem in ("a", "b"):
+            (tmp_path / "tg" / f"{stem}.TextGrid").touch()
+            write_wav(tmp_path / "wav" / f"{stem}.wav", seconds=0.1)
+        (tmp_path / "bad" / "x.wav").write_bytes(b"not a wav")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+        if not unbuffered:
+            del env["PYTHONUNBUFFERED"]
+        report = tmp_path / "r.tsv"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "corpusphon", *(a.format(tmp=tmp_path) for a in argv),
+                 "--report", str(report)],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert result.returncode == 141
+        # the findings so far are still reported, and nothing else is on stderr
+        rows = [line.split("\t") for line in report.read_text().splitlines()]
+        assert [(severity, file) for severity, file, _, _ in rows] == [
+            ("ERROR", b.format(tmp=tmp_path)) for b in bad]
+        assert result.stderr == "".join(f"{file}: ERROR: {message}\n"
+                                        for _, file, _, message in rows)

@@ -8,12 +8,16 @@ times the same way. The table below names each reader with a valid
 sample; the tests run every row. The records TSV is read by `kaldi-prep
 build` through main, whose exit 2 the helper turns back into the
 UsageError it printed. The config and word-list readers take a path, so
-their helpers write the content to a file first.
+their helpers write the content to a file first; each other format is also
+read from a file through the command that reads it, where a lone '\r'
+must stay in its line as it does in the library.
 
 read_rows and the TextGrid reader both cut lines with rows.Lines; two
 properties pin read_rows and the walker to plain copies of the rules they
-keep. The last tests are an ast scan that keeps one walker: no line
-splitting in src/ outside rows.py, with no exception.
+keep. The last tests are ast scans: one keeps one walker (no line
+splitting in src/ outside rows.py, with no exception), the other one
+decoder (no read_text( or text-mode open( in src/, and UnicodeDecodeError
+caught only by rows.read_utf8 and the TextGrid decoder).
 """
 
 import ast
@@ -130,7 +134,7 @@ def test_crlf_and_cr_parse_as_lf(name, newline):
 
 
 @pytest.mark.parametrize("name", FORMATS)
-@pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"], ids=["ff", "nel", "ls"])
+@pytest.mark.parametrize("char", ["\r", "\x0c", "\x85", "\u2028"], ids=["cr", "ff", "nel", "ls"])
 def test_a_line_break_str_splitlines_knows_stays_in_its_line(name, char):
     parse, error, sep, rows, times, free = FORMATS[name]
     lines = [with_char(sep, rows[0], free, char), *(sep.join(f) for f in rows[1:])]
@@ -226,6 +230,52 @@ def test_a_byte_order_mark_is_refused_at_line_1(name):
         parse("\ufeff" + render(sep, rows))
 
 
+# The formats whose FORMATS reader takes a string, each reached through the
+# command that reads its file from disk (records, config and words read a
+# file in FORMATS already): the file's name, the command with {dir} for the
+# input directory, and the valid files it reads before that one.
+KALDI_DIR = ["kaldi-prep", "validate", "{dir}"]
+CTM2TG = ["ctm2tg", "--ctm", "{dir}/ali.ctm", "--segments", "{dir}/segments",
+          "--phones", "{dir}/phones.txt", "--lexicon", "{dir}/lexicon.txt", "--out", "{out}"]
+CTM_INPUTS = {"segments": "u1 f1 0.0 1.5\n", "phones.txt": "SIL 1\nAH1 42\n",
+              "lexicon.txt": "SAY S EY1\n"}
+FROM_DISK = {
+    **{name: (name, KALDI_DIR, {})
+       for name in ("text", "segments", "wav.scp", "utt2spk", "spk2utt")},
+    "ctm": ("ali.ctm", CTM2TG, CTM_INPUTS),
+    "phones.txt": ("phones.txt", CTM2TG, CTM_INPUTS),
+    "fave": ("a.txt", ["fave", "check", "{dir}/a.txt"], {}),
+    "locations": ("loc.tsv", ["vot", "windows", "{dir}/a.TextGrid", "--locations",
+                              "{dir}/loc.tsv", "--out-dir", "{out}"], {}),
+    "lab": ("a.lab", ["validate-mfa", "{dir}/a.lab"], {}),
+}
+
+
+@pytest.mark.parametrize("name", FROM_DISK)
+def test_a_lone_cr_in_a_file_stays_in_its_line(name, tmp_path):
+    # a file read as text with universal newlines broke its line at the '\r', so the
+    # command named a later line than the library, and than Kaldi's line reader
+    parse, error, sep, rows, _, free = FORMATS[name]
+    file, argv, before = FROM_DISK[name]
+    lines = [with_char(sep, rows[0], free, "\r"), *(sep.join(f) for f in rows[1:]),
+             BAD_LINE.get(name, ("x",))[0]]
+    content = "".join(line + "\n" for line in lines)
+    with pytest.raises(error) as raised:
+        parse(content)
+    src, report = tmp_path / "in", tmp_path / "r.tsv"
+    src.mkdir()
+    for other, text in before.items():
+        (src / other).write_text(text)
+    (src / file).write_bytes(content.encode())
+    argv = [a.format(dir=src, out=tmp_path / "out") for a in argv]
+    assert main([*argv, "--report", str(report)]) == 1
+    findings = [line.split("\t") for line in report.read_text().splitlines()]
+    errors = [f"{where}: {message}" if where else message
+              for severity, _, where, message in findings if severity == "ERROR"]
+    assert errors == [str(raised.value)]
+    assert f"line {len(lines)}: " in errors[0]
+
+
 # ---------------------------------------------------------------------------
 # one line walker: rows.Lines and read_rows against plain copies of the rules they keep
 
@@ -313,7 +363,7 @@ def test_read_rows_holds_one_chunk_not_every_line():
 
 
 # ---------------------------------------------------------------------------
-# one walker: the ast scan
+# one walker and one decoder: the ast scans
 
 
 def _is_newline_split(node) -> bool:
@@ -324,18 +374,48 @@ def _is_newline_split(node) -> bool:
     )
 
 
-def line_splits(tree: ast.Module, module: str):
-    """(qualified name, line) of each .splitlines() call and loop over .split("\\n")."""
+def line_split(node):
+    """node if it is a .splitlines() call, the iterable if it loops over .split("\\n")."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "splitlines":
+        return node
+    if isinstance(node, (ast.For, ast.comprehension)):
+        if any(_is_newline_split(n) for n in ast.walk(node.iter)):
+            return node.iter
+    return None
+
+
+def text_read(node):
+    """node if it is a read_text( call or an open( in text mode (os.open opens no text)."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return None
+    name = getattr(func, "attr", getattr(func, "id", None))
+    # open(file, mode) or path.open(mode); with no "b" in its mode, a file is text
+    modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+    modes += [k.value for k in node.keywords if k.arg == "mode"]
+    binary = any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in modes)
+    return node if name == "read_text" or name == "open" and not binary else None
+
+
+def decode_handler(node):
+    """node if it is an except clause that catches UnicodeDecodeError."""
+    if isinstance(node, ast.ExceptHandler) and node.type is not None:
+        if any(getattr(n, "id", None) == "UnicodeDecodeError" for n in ast.walk(node.type)):
+            return node
+    return None
+
+
+def scan(tree: ast.Module, module: str, match):
+    """(qualified name, line) of each node for which match gives a node, at that node's line."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "splitlines":
-            found.append((scope, node.lineno))
-        if isinstance(node, (ast.For, ast.comprehension)):
-            if any(_is_newline_split(n) for n in ast.walk(node.iter)):
-                found.append((scope, node.iter.lineno))
+        if (at := match(node)) is not None:
+            found.append((scope, at.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -343,13 +423,14 @@ def line_splits(tree: ast.Module, module: str):
     return found
 
 
-def test_line_splitting_stays_in_the_row_reader():
-    bad = []
+def modules():
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "rows.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        bad += [f"{path.name}:{line} {scope}" for scope, line in line_splits(tree, path.stem)]
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_line_splitting_stays_in_the_row_reader():
+    bad = [f"{path.name}:{line} {scope}" for path, tree in modules() if path.name != "rows.py"
+           for scope, line in scan(tree, path.stem, line_split)]
     assert not bad, f"cut lines with rows.Lines or rows.read_rows: {bad}"
 
 
@@ -359,4 +440,31 @@ def test_the_scan_finds_a_splitlines_loop():
         "    for line in content.splitlines():\n        pass\n"
         "    return [l for l in content.split('\\n')]\n"
     )
-    assert line_splits(tree, "kaldi") == [("kaldi.parse", 2), ("kaldi.parse", 4)]
+    assert scan(tree, "kaldi", line_split) == [("kaldi.parse", 2), ("kaldi.parse", 4)]
+
+
+# the two functions that turn bytes into text: read_utf8 for every input but a
+# TextGrid, and the TextGrid decoder, which also reads UTF-16
+DECODERS = {"rows.read_utf8", "textgrid._decode"}
+
+
+def test_text_is_decoded_by_the_two_decoders_alone():
+    reads = [f"{path.name}:{line} {scope}" for path, tree in modules()
+             for scope, line in scan(tree, path.stem, text_read)]
+    assert not reads, f"read a text input with rows.read_utf8: {reads}"
+    handlers = {scope for path, tree in modules()
+                for scope, _ in scan(tree, path.stem, decode_handler)}
+    assert handlers == DECODERS
+
+
+def test_the_scan_finds_a_text_read_and_a_decode_handler():
+    tree = ast.parse(
+        "def read(path):\n"
+        "    text = path.read_text()\n"
+        "    with open(path) as f, path.open('rb') as g, open(path, mode='rb') as h:\n"
+        "        fd = os.open(path, os.O_RDONLY)\n"
+        "    try:\n        path.open('r')\n"
+        "    except (OSError, UnicodeDecodeError):\n        pass\n"
+    )
+    assert scan(tree, "cli", text_read) == [("cli.read", 2), ("cli.read", 3), ("cli.read", 6)]
+    assert scan(tree, "cli", decode_handler) == [("cli.read", 7)]
