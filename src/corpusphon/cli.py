@@ -16,8 +16,8 @@ Separator names are the --separator choices, so --help and a usage error
 load no other library module.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage or I/O failure,
-141 stdout closed by its reader (`| head`), as for a tool that SIGPIPE ends;
-the command stops there, and its findings so far are still reported.
+141 stdout or stderr closed by its reader (`| head`), as for a tool that SIGPIPE
+ends; the command stops there, and its findings so far are still reported.
 Human-readable findings go to stderr; --report writes the machine format,
 one finding per line: SEVERITY<TAB>file<TAB>location<TAB>message.
 
@@ -163,14 +163,14 @@ class Ctx:
                     )
 
     def flush(self) -> None:
+        """Write --report before anything is printed, as stderr or stdout may be closed."""
+        if self.report_path and not self.dry_run:
+            lines = "".join(f.machine_line() + "\n" for f in self.findings)
+            replace_file(Path(self.report_path), lines.encode("utf-8"))
         for f in self.findings:
             print(f.human_line(), file=sys.stderr)
-        if self.report_path:
-            lines = "".join(f.machine_line() + "\n" for f in self.findings)
-            if self.dry_run:
-                print(f"dry-run: would write {self.report_path}")
-            else:
-                replace_file(Path(self.report_path), lines.encode("utf-8"))
+        if self.report_path and self.dry_run:
+            print(f"dry-run: would write {self.report_path}")
 
 
 def expand_paths(ctx: Ctx, patterns: list[str]) -> list[Path]:
@@ -965,7 +965,13 @@ def _run(argv: list[str] | None) -> int:
                 # SIGPIPE ends, and what is still printed or flushed to stdout goes nowhere
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 stopped = True
-        ctx.flush()
+        try:
+            ctx.flush()
+            sys.stdout.flush()
+        except BrokenPipeError:  # stderr's reader has gone too (`2>&1 | head`), or stdout's
+            for stream in (sys.stdout, sys.stderr):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            stopped = True
     except (UsageError, OSError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2

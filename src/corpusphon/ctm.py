@@ -13,8 +13,9 @@ decimal phone ID), maps a numeric phone ID to its symbol through the
 phones.txt table, splits off the position suffix, and joins the line with
 its segments row for the file ID and file times. So the first bad line in
 line order is the one reported, and no per-line list but the tokens is
-built. Resolution and the suffix split run once per distinct phone column;
-tokens share one string per distinct utterance ID and phone column.
+built. The channel's conversion, the resolution and the suffix split run
+once per distinct column, the segments lookup once per run of an utterance's
+lines; tokens share one string per distinct utterance ID and phone column.
 `parse_ctm`, `resolve_phone_ids` and `alignment_rows` expose the reader's
 stages one at a time over the same code.
 
@@ -201,11 +202,13 @@ def _lines(content: str) -> Iterator[tuple[str, int, float, float, str, int]]:
     """(utterance, channel, start, duration, phone column, line) of each line, checked."""
     rows = read_rows(content, "", MalformedCtmLine, 5, "expected 5 fields, got {got}",
                      times=(2, 3))
+    channels: dict[str, int] = {}  # each distinct channel column converted once
     for i, (utt, raw_channel, _, _, column, start, dur) in rows:
-        try:
-            channel = int(raw_channel)
-        except ValueError:
-            raise MalformedCtmLine(f"line {i}: non-integer channel") from None
+        if (channel := channels.get(raw_channel)) is None:
+            try:
+                channel = channels[raw_channel] = int(raw_channel)
+            except ValueError:
+                raise MalformedCtmLine(f"line {i}: non-integer channel") from None
         if start < 0:
             raise MalformedCtmLine(f"line {i}: negative start time")
         if dur <= 0:
@@ -229,21 +232,24 @@ def _join(lines: Iterable[tuple], segments: list[SegmentLine], resolve) -> list[
     The CTM reports times relative to the utterance; the segments row
     supplies the utterance's offset and file ID. resolve(column, line) is
     called once per distinct phone column, whose B/I/E/S word-position
-    suffix is split off then. Tokens share the segments row's utterance ID
+    suffix is split off then, and segments rows are looked up once per run of
+    lines of an utterance. Tokens share the segments row's utterance ID
     and the first string read for each phone column.
     """
     seg_by_utt = {s.utt: s for s in segments}
     phones: dict[str, tuple[str, str, str, str | None]] = {}
     tokens = []
     append, new = tokens.append, tuple.__new__  # new skips PhoneToken's Python-level __new__
+    seg = None
     for utt, channel, in_utt, dur, column, line in lines:
         phone = phones.get(column)
         if phone is None:
             symbol = resolve(column, line)
             phone = phones[column] = (column, symbol, *split_position(symbol))
-        seg = seg_by_utt.get(utt)
-        if seg is None:
-            raise UnknownUtterance(f"line {line}: utterance {utt!r} has no segments row")
+        if seg is None or utt != seg.utt:
+            seg = seg_by_utt.get(utt)
+            if seg is None:
+                raise UnknownUtterance(f"line {line}: utterance {utt!r} has no segments row")
         start = seg.start + in_utt
         append(new(PhoneToken, (seg.utt, seg.file_id, phone[0], channel, in_utt, dur, phone[1],
                                 seg.start, seg.end, start, start + dur, phone[2], phone[3])))
@@ -406,15 +412,18 @@ def render_alignment_table(tokens: list[PhoneToken]) -> Iterator[bytes]:
     """final_ali.txt as UTF-8 chunks of TABLE_CHUNK_ROWS lines, the header first."""
     sec = _Seconds()
     rows = [ALIGNMENT_HEADER + "\n"]
+    seg = (None,) * 4  # utterance columns, formatted once per run of tokens holding these objects
     for (utt, file_id, phone_field, channel, start_in_utt, dur, phone,
          utt_start, utt_end, start, end, _, _) in tokens:
         if len(rows) == TABLE_CHUNK_ROWS:
             yield "".join(rows).encode("utf-8")
             rows.clear()
+        if not (utt is seg[0] and file_id is seg[1] and utt_start is seg[2] and utt_end is seg[3]):
+            seg = utt, file_id, utt_start, utt_end
+            head, times = f"{utt}\t{file_id}\t", f"\t{sec[utt_start]}\t{sec[utt_end]}\t"
         rows.append(
-            f"{utt}\t{file_id}\t{phone_field}\t{channel}\t{sec[start_in_utt]}\t"
-            f"{sec[dur]}\t{phone}\t{sec[utt_start]}\t{sec[utt_end]}\t"
-            f"{sec[start]}\t{sec[end]}\n"
+            f"{head}{phone_field}\t{channel}\t{sec[start_in_utt]}\t"
+            f"{sec[dur]}\t{phone}{times}{sec[start]}\t{sec[end]}\n"
         )
     yield "".join(rows).encode("utf-8")
 

@@ -39,8 +39,6 @@ from .rows import Lines
 # overlaps in aligner output are at least one 10 ms frame wide.
 _SNAP = 1e-9
 
-_TIME_FORMAT = "{:.6f}"
-
 
 class TextGridParseError(ToolkitError):
     """Structurally broken long-format file."""
@@ -87,7 +85,7 @@ class TierSelectionError(ToolkitError, ValueError):
 
 
 def format_time(t: float) -> str:
-    return _TIME_FORMAT.format(t)
+    return f"{t:.6f}"
 
 
 def format_seconds(t: float) -> str:
@@ -206,18 +204,25 @@ class IntervalTier:
 
         Sub-nanosecond float drift between consecutive boundaries is snapped
         shut; anything larger in the negative direction is an overlap.
-        A tier that already partitions its span is returned as it is, so
-        normalizing twice returns the very tier normalizing once did.
+        A tier that already partitions its span, found by a scan that builds
+        nothing, is returned as it is, so normalizing twice returns the very
+        tier normalizing once did.
         """
+        cursor = self.xmin
+        for iv in self.intervals:
+            if iv.xmin != cursor:
+                break
+            cursor = iv.xmax
+        else:
+            if self.intervals and cursor == self.xmax:
+                return self
         out: list[Interval] = []
-        changed = False
         cursor = self.xmin
         for iv in self.intervals:
             gap = iv.xmin - cursor
             if gap > _SNAP:
                 out.append(Interval(cursor, iv.xmin))
                 cursor = iv.xmin
-                changed = True
             elif gap < -_SNAP:
                 raise OverlapError(
                     f"tier {self.name!r}: interval starting at {iv.xmin} "
@@ -225,7 +230,6 @@ class IntervalTier:
                 )
             if iv.xmin != cursor:
                 iv = Interval(cursor, iv.xmax, iv.text)
-                changed = True
             out.append(iv)
             cursor = iv.xmax
         if self.xmax - cursor > _SNAP:
@@ -233,8 +237,6 @@ class IntervalTier:
         elif out and cursor != self.xmax:
             last = out[-1]
             out[-1] = Interval(last.xmin, self.xmax, last.text)
-        elif out and not changed:
-            return self  # already a partition: nothing to rebuild
         if not out:
             out.append(Interval(self.xmin, self.xmax))
         return IntervalTier(self.name, self.xmin, self.xmax, tuple(out))
@@ -567,14 +569,17 @@ def write_textgrid(grid: TextGrid) -> bytes:
         w.append(f"        xmin = {format_time(tier.xmin)}")
         w.append(f"        xmax = {format_time(tier.xmax)}")
         w.append(f"        {'intervals' if interval else 'points'}: size = {len(items)}")
-        # {x:.6f} spells a time exactly as format_time does
         if interval:
+            # a partition: each boundary is spelled once, the first from its interval, as a
+            # tier at -0.0 can start one at 0.0, and each label is quoted once
+            times = [f"{items[0].xmin:.6f}", *[f"{iv.xmax:.6f}" for iv in items]]
+            quoted = {text: _quote(text) for text in {iv.text for iv in items}}
             for j, iv in enumerate(items, 1):
                 w.append(
                     f"        intervals [{j}]:\n"
-                    f"            xmin = {iv.xmin:.6f}\n"
-                    f"            xmax = {iv.xmax:.6f}\n"
-                    f"            text = {_quote(iv.text)}"
+                    f"            xmin = {times[j - 1]}\n"
+                    f"            xmax = {times[j]}\n"
+                    f"            text = {quoted[iv.text]}"
                 )
         else:
             for j, pt in enumerate(items, 1):

@@ -2297,23 +2297,26 @@ class TestModuleEntry:
         assert result.returncode == 0, result.stderr
         assert "ctm2tg" in result.stdout
 
-    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("argv, bad", [
+    # `... | head -1`: the reader has closed the pipe before the command prints, so
+    # a print (unbuffered) or the last flush (buffered) fails
+    CLOSED_PIPE_CASES = [
         (["vot", "lists", "--wav-dir", "{tmp}/wav", "--textgrid-dir", "{tmp}/tg", "--out-dir",
           "{tmp}/out"], []),
         # prints inside a batch; the bad file's ERROR comes before the first print
         (["audio", "info", "{tmp}/bad/x.wav", "{tmp}/wav/a.wav", "{tmp}/wav/b.wav"],
          ["{tmp}/bad/x.wav"]),
-    ], ids=["vot-lists", "audio-info"])
-    def test_a_closed_stdout_stops_the_command_with_141(self, tmp_path, argv, bad, unbuffered):
-        # `... | head -1`: the reader has closed the pipe before the command prints, so
-        # a print (unbuffered) or the last flush (buffered) fails
+    ]
+
+    def run_into_a_closed_pipe(self, tmp_path, argv, unbuffered, stderr_too):
+        """The command's exit code, its stderr (None when closed) and its --report rows (None
+        when not written)."""
         for d in ("tg", "wav", "bad"):
             (tmp_path / d).mkdir()
         for stem in ("a", "b"):
             (tmp_path / "tg" / f"{stem}.TextGrid").touch()
             write_wav(tmp_path / "wav" / f"{stem}.wav", seconds=0.1)
         (tmp_path / "bad" / "x.wav").write_bytes(b"not a wav")
+        (tmp_path / "bad" / "x.TextGrid").write_text("not a grid\n")
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
         if not unbuffered:
@@ -2325,14 +2328,46 @@ class TestModuleEntry:
             result = subprocess.run(
                 [sys.executable, "-m", "corpusphon", *(a.format(tmp=tmp_path) for a in argv),
                  "--report", str(report)],
-                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                stdout=write, stderr=write if stderr_too else subprocess.PIPE, text=True,
+                env=env, timeout=60,
             )
         finally:
             os.close(write)
-        assert result.returncode == 141
-        # the findings so far are still reported, and nothing else is on stderr
+        if not report.exists():
+            return result.returncode, result.stderr, None
         rows = [line.split("\t") for line in report.read_text().splitlines()]
+        return result.returncode, result.stderr, rows
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv, bad", CLOSED_PIPE_CASES, ids=["vot-lists", "audio-info"])
+    def test_a_closed_stdout_stops_the_command_with_141(self, tmp_path, argv, bad, unbuffered):
+        code, stderr, rows = self.run_into_a_closed_pipe(tmp_path, argv, unbuffered, False)
+        assert code == 141
+        # the findings so far are still reported, and nothing else is on stderr
         assert [(severity, file) for severity, file, _, _ in rows] == [
             ("ERROR", b.format(tmp=tmp_path)) for b in bad]
-        assert result.stderr == "".join(f"{file}: ERROR: {message}\n"
-                                        for _, file, _, message in rows)
+        assert stderr == "".join(f"{file}: ERROR: {message}\n" for _, file, _, message in rows)
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv, bad", [
+        *CLOSED_PIPE_CASES,
+        # prints nothing to stdout: the ERROR on stderr is the first print that fails
+        (["tg", "diagnose", "{tmp}/bad/x.TextGrid"], ["{tmp}/bad/x.TextGrid"]),
+    ], ids=["vot-lists", "audio-info", "tg-diagnose"])
+    def test_a_closed_stderr_stops_the_command_with_141_after_the_report(
+        self, tmp_path, argv, bad, unbuffered
+    ):
+        # `... 2>&1 | head -1`: stdout and stderr on one pipe whose reader has gone
+        code, _, rows = self.run_into_a_closed_pipe(tmp_path, argv, unbuffered, True)
+        assert code == 141
+        assert [(severity, file) for severity, file, _, _ in rows] == [
+            ("ERROR", b.format(tmp=tmp_path)) for b in bad]
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_dry_run_report_line_into_a_closed_stdout_stops_with_141(self, tmp_path, unbuffered):
+        # the dry run's one stdout line comes after the findings on stderr
+        argv = ["tg", "diagnose", "{tmp}/bad/x.TextGrid", "--dry-run"]
+        code, stderr, rows = self.run_into_a_closed_pipe(tmp_path, argv, unbuffered, False)
+        assert (code, rows) == (141, None)
+        assert stderr == (f"{tmp_path}/bad/x.TextGrid: ERROR: missing 'File type = \"ooTextFile\"'"
+                          " or 'Object class = \"TextGrid\"' header\n")

@@ -721,3 +721,26 @@ class TestOnePassReader:
             outcomes.append((type(info.value), str(info.value)))
         assert outcomes[0][1].startswith(f"line {min(at, len(lines) - 1) + 1}: ")
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    # the first bad line comes after good lines that share its other fields
+    @pytest.mark.parametrize("bad, error, message", [
+        ("u1 1.0 0.2 0.1 SIL", MalformedCtmLine, "line 3: non-integer channel"),
+        ("u1 1 0.2 0.1 2\u00b2", MalformedCtmLine,
+         "line 3: phone ID '2\u00b2' is not a decimal integer"),
+        ("u1 1 0.2 0.1 22", UnknownPhoneId, "line 3: phone ID 22 not in phones.txt"),
+        ("u9 1 0.2 0.1 2", UnknownUtterance, "line 3: utterance 'u9' has no segments row"),
+    ], ids=["channel", "non-decimal-id", "unknown-id", "unknown-utterance"])
+    def test_a_bad_line_after_a_run_of_good_ones(self, bad, error, message):
+        segments = kaldi.parse_segments("u1 f1 0.0 2.0\n")
+        content = f"u1 1 0.0 0.1 2\nu1 1 0.1 0.1 2\n{bad}\nu1 1 0.3 0.1 2\n"
+        with pytest.raises(error) as info:
+            ctm.read_ctm(content, segments, _READER_TABLE)
+        assert str(info.value) == message
+
+    def test_an_utterance_that_comes_back_joins_its_own_segments_row(self):
+        segments = kaldi.parse_segments("u1 f1 1.0 3.0\nu2 f2 5.0 7.0\n")
+        content = "u1 1 0.0 0.1 2\nu2 2 0.0 0.1 2\nu2 2 0.1 0.1 2\nu1 1 0.5 0.1 2\n"
+        tokens = ctm.read_ctm(content, segments, _READER_TABLE)
+        assert [(t.utt, t.file_id, t.channel, t.start, t.utt_start) for t in tokens] == [
+            ("u1", "f1", 1, 1.0, 1.0), ("u2", "f2", 2, 5.0, 5.0),
+            ("u2", "f2", 2, 5.1, 5.0), ("u1", "f1", 1, 1.5, 1.0)]

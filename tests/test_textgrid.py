@@ -399,6 +399,145 @@ class TestProperties:
             pass
 
 
+def reference_normalized(tier: IntervalTier) -> IntervalTier:
+    """normalized() as one rebuild loop that also finds out whether anything changed."""
+    out: list[Interval] = []
+    changed = False
+    cursor = tier.xmin
+    for iv in tier.intervals:
+        gap = iv.xmin - cursor
+        if gap > 1e-9:
+            out.append(Interval(cursor, iv.xmin))
+            cursor = iv.xmin
+            changed = True
+        elif gap < -1e-9:
+            raise OverlapError(
+                f"tier {tier.name!r}: interval starting at {iv.xmin} "
+                f"overlaps previous boundary {cursor}"
+            )
+        if iv.xmin != cursor:
+            iv = Interval(cursor, iv.xmax, iv.text)
+            changed = True
+        out.append(iv)
+        cursor = iv.xmax
+    if tier.xmax - cursor > 1e-9:
+        out.append(Interval(cursor, tier.xmax))
+    elif out and cursor != tier.xmax:
+        last = out[-1]
+        out[-1] = Interval(last.xmin, tier.xmax, last.text)
+    elif out and not changed:
+        return tier
+    if not out:
+        out.append(Interval(tier.xmin, tier.xmax))
+    return IntervalTier(tier.name, tier.xmin, tier.xmax, tuple(out))
+
+
+def partitions(tier: IntervalTier) -> bool:
+    """Whether the tier's intervals tile [xmin, xmax] with no gap, overlap or drift."""
+    ivs = tier.intervals
+    return (bool(ivs) and ivs[0].xmin == tier.xmin and ivs[-1].xmax == tier.xmax
+            and all(a.xmax == b.xmin for a, b in zip(ivs, ivs[1:])))
+
+
+def reference_write(grid: TextGrid) -> bytes:
+    """The long format written field by field: each time and label formatted where it stands."""
+    def value(v):
+        return '"' + v.replace('"', '""') + '"' if isinstance(v, str) else f"{v:.6f}"
+
+    lines = ['File type = "ooTextFile"', 'Object class = "TextGrid"', "",
+             f"xmin = {value(grid.xmin)}", f"xmax = {value(grid.xmax)}",
+             "tiers? <exists>", f"size = {len(grid.tiers)}", "item []:"]
+    for i, tier in enumerate(grid.tiers, 1):
+        if isinstance(tier, IntervalTier):
+            cls, kind = "IntervalTier", "intervals"
+            blocks = [(("xmin", iv.xmin), ("xmax", iv.xmax), ("text", iv.text))
+                      for iv in reference_normalized(tier).intervals]
+        else:
+            cls, kind = "TextTier", "points"
+            blocks = [(("number", pt.time), ("mark", pt.mark)) for pt in tier.points]
+        lines += [f"    item [{i}]:", f"        class = {value(cls)}",
+                  f"        name = {value(tier.name)}", f"        xmin = {value(tier.xmin)}",
+                  f"        xmax = {value(tier.xmax)}", f"        {kind}: size = {len(blocks)}"]
+        for j, block in enumerate(blocks, 1):
+            lines.append(f"        {kind} [{j}]:")
+            lines += [f"            {key} = {value(v)}" for key, v in block]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# few labels, so that a tier repeats them, some holding quotes
+_REPEATED_LABELS = st.sampled_from(["", "a", "a", '"', 'say "hi"', 'x""y'])
+
+
+@st.composite
+def ragged_tiers(draw, overlaps: bool = False) -> IntervalTier:
+    """Interval tiers as write_textgrid meets them: gappy or already partitioned,
+    boundaries drifted by less than the snap tolerance, labels often repeated or
+    quoted, and xmin 0.0 or -0.0 (over an interval at 0.0 when the first is kept).
+    With overlaps, some intervals end a frame into the next one."""
+    span = draw(st.integers(2, 10**7))  # microseconds
+    cuts = draw(st.sets(st.integers(1, span - 1), max_size=8))
+    bounds = [0, *sorted(cuts), span]
+    drift = st.sampled_from([0.0, 0.0, 4e-10, -4e-10])
+    label = st.one_of(_REPEATED_LABELS, labels)
+    intervals = []
+    for a, b in zip(bounds, bounds[1:]):
+        if draw(st.integers(0, 3)) == 0:
+            continue  # a gap
+        start = a / 1e6 + (draw(drift) if a else 0.0)
+        end = b / 1e6 + draw(drift)
+        if overlaps and b < span and draw(st.integers(0, 3)) == 0:
+            end = min(end + 0.01, span / 1e6)
+        intervals.append(Interval(start, end, draw(label)))
+    xmin = draw(st.sampled_from([0.0, -0.0]))
+    return IntervalTier(draw(labels), xmin, span / 1e6, tuple(intervals))
+
+
+@st.composite
+def written_grids(draw) -> TextGrid:
+    """Grids of ragged interval tiers and point tiers, at xmin 0.0 or -0.0."""
+    tiers: list = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            tiers.append(draw(ragged_tiers()))
+            continue
+        span = draw(st.integers(1, 10**7))
+        times = draw(st.lists(st.integers(0, span), max_size=4))
+        points = tuple(Point(t / 1e6, draw(st.one_of(_REPEATED_LABELS, labels))) for t in times)
+        tiers.append(PointTier(draw(labels), draw(st.sampled_from([0.0, -0.0])), span / 1e6,
+                               points))
+    xmax = max((t.xmax for t in tiers), default=1.0)
+    return TextGrid(draw(st.sampled_from([0.0, -0.0])), xmax, tuple(tiers))
+
+
+class TestAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(written_grids())
+    @example(TextGrid(-0.0, 1.0, (
+        IntervalTier("t", -0.0, 1.0, (Interval(0.0, 0.5, '"'), Interval(0.5, 1.0, '"'))),
+        IntervalTier("u", -0.0, 1.0, (Interval(0.25, 0.5 + 4e-10, "a"), Interval(0.5, 1.0, "a"))),
+        PointTier("p", -0.0, 1.0, (Point(0.0, "a"), Point(0.5, "a"))),
+    )))
+    def test_write_textgrid_is_the_per_interval_writer(self, grid):
+        assert write_textgrid(grid) == reference_write(grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_tiers(overlaps=True))
+    @example(IntervalTier("t", 0.0, 1.0, ()))
+    @example(IntervalTier("t", -0.0, 1.0, (Interval(0.0, 1.0, "a"),)))
+    @example(IntervalTier("t", 0.0, 1.0, (Interval(0.0, 0.5, "a"), Interval(0.5, 1.0 - 4e-10))))
+    @example(IntervalTier("t", 0.0, 1.0, (Interval(0.0, 0.6, "a"), Interval(0.5, 1.0))))
+    def test_normalized_is_the_tier_exactly_when_it_partitions_its_span(self, tier):
+        try:
+            expected = reference_normalized(tier)
+        except OverlapError as exc:
+            with pytest.raises(OverlapError, match=re.escape(str(exc))):
+                tier.normalized()
+            return
+        once = tier.normalized()
+        assert (once is tier) == partitions(tier)
+        assert repr(once) == repr(expected)  # repr tells -0.0 from 0.0
+
+
 _LABELLED = re.compile(
     r"(?m)^( *)(File type|Object class|xmin|xmax|size|class|name"
     r"|intervals: size|points: size|number|mark|text) = "
