@@ -49,7 +49,7 @@ from pathlib import Path
 from . import lexicon
 from .errors import ToolkitError
 from .report import Finding, Report, Severity
-from .rows import UndecodableText, read_rows, read_utf8
+from .rows import UndecodableText, format_seconds, read_rows, read_utf8
 
 PROG = "corpusphon"
 
@@ -554,7 +554,7 @@ def cmd_fave_check(args, ctx: Ctx) -> None:
 
 
 def cmd_audio_info(args, ctx: Ctx) -> None:
-    from . import audio, textgrid
+    from . import audio
 
     def show(path: Path, report: Report) -> None:
         info = read_wav_info(path)
@@ -562,7 +562,7 @@ def cmd_audio_info(args, ctx: Ctx) -> None:
         print(
             f"{path}: {info.sample_rate} Hz, {info.channels} ch, "
             f"{info.bits_per_sample}-bit {kind}, "
-            f"{textgrid.format_seconds(info.duration)} s"
+            f"{format_seconds(info.duration)} s"
         )
 
     process_files(ctx, args.paths, show)
@@ -689,7 +689,7 @@ def cmd_vot_measure(args, ctx: Ctx) -> None:
 
 
 def cmd_vot_compare(args, ctx: Ctx) -> None:
-    from . import textgrid, vot
+    from . import vot
     tol = ctx.value(args, "tolerance", 0.0, float)
     lines = ["file_id\tlabel\tmanual_burst\tauto_burst\tburst_delta\tvowel_delta"]
 
@@ -700,7 +700,7 @@ def cmd_vot_compare(args, ctx: Ctx) -> None:
         cmp_result = vot.compare_boundaries(manual, auto, tol)
         for d in cmp_result.pairs:
             times = (d.manual.xmin, d.auto.xmin, d.burst_delta, d.vowel_delta)
-            lines.append("\t".join([path.stem, d.label, *map(textgrid.format_seconds, times)]))
+            lines.append("\t".join([path.stem, d.label, *map(format_seconds, times)]))
         for iv in cmp_result.unpaired_manual:
             report.warning(
                 f"[{iv.xmin}, {iv.xmax}]", "manual token with no auto counterpart"
@@ -963,19 +963,29 @@ def _run(argv: list[str] | None) -> int:
             except BrokenPipeError:
                 # stdout's reader has gone (`| head`): the command stops, as one that
                 # SIGPIPE ends, and what is still printed or flushed to stdout goes nowhere
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                _to_devnull(sys.stdout)
                 stopped = True
         try:
             ctx.flush()
             sys.stdout.flush()
         except BrokenPipeError:  # stderr's reader has gone too (`2>&1 | head`), or stdout's
-            for stream in (sys.stdout, sys.stderr):
-                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            _to_devnull(sys.stdout, sys.stderr)
             stopped = True
     except (UsageError, OSError) as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
+        try:
+            print(f"{PROG}: {exc}", file=sys.stderr)
+        except BrokenPipeError:  # stderr's reader has gone: the exit code still tells
+            _to_devnull(sys.stderr)
         return 2
     return 141 if stopped else 1 if ctx.has_errors else 0
+
+
+def _to_devnull(*streams) -> None:
+    """Point each stream at os.devnull: its reader has gone, and what it holds goes nowhere."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    for stream in streams:
+        os.dup2(null, stream.fileno())
+    os.close(null)
 
 
 def entry() -> None:

@@ -38,8 +38,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import ToolkitError
 from .kaldi import SegmentLine
 from .lexicon import Lexicon, Pron, split_position
-from .rows import read_rows
-from .textgrid import Interval, IntervalTier, format_seconds
+from .rows import format_seconds, read_rows
+from .textgrid import Interval, IntervalTier
 
 SILENCE_SYMBOLS = frozenset({"SIL", "sp", "SP", "oov", "<eps>"})
 

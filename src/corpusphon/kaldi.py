@@ -34,8 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ToolkitError
 from .report import Report
-from .rows import read_rows, read_utf8
-from .textgrid import format_seconds
+from .rows import format_seconds, read_rows, read_utf8
 
 class KaldiDataError(ToolkitError):
     """Malformed data-directory file content."""

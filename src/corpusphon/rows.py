@@ -1,10 +1,11 @@
-"""The one reader from file to text, the one line cut, and the one row reader.
+"""The one reader from file to text, the one line cut, the one row reader and time spelling.
 
 read_utf8 reads every text input but a TextGrid (whose decoder also reads
 UTF-16) as strict UTF-8, line breaks kept. Lines.chunk cuts every text input.
 read_rows reads Kaldi data files, CTM, phones.txt, lexicons, FAVE, .lab and
 --transcripts transcripts, word locations, records TSVs, word lists and config
-files straight from the chunks; the TextGrid reader walks Lines, moving its pos."""
+files straight from the chunks; the TextGrid reader walks Lines, moving its pos.
+format_seconds spells each time of a Kaldi file, table or finding (not a TextGrid's)."""
 
 from __future__ import annotations
 
@@ -28,6 +29,12 @@ def read_utf8(path: str | Path) -> str:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableText(f"{path}: {exc}") from None
+
+
+def format_seconds(t: float) -> str:
+    """Trailing-zero-free decimal with at least one fractional digit."""
+    s = f"{t:.6f}".rstrip("0")
+    return s + "0" if s.endswith(".") else s
 
 
 class Lines:

@@ -3,7 +3,9 @@
 Supports the long text format only (Praat's default save format). The short
 and binary formats are rejected with a clear error. Input may be UTF-8 (with
 or without BOM) or UTF-16 (BOM-sniffed, as written by older Praat versions);
-output is always UTF-8 without BOM, times with six decimal places.
+output is always UTF-8 without BOM, every time spelled f"{t:.6f}". Every number
+read matches one grammar, _NUMBER, as Praat writes them (ASCII, so '1_0' or '١'
+is an error at its line); its inf and nan spellings then fail as a time or count.
 
 The reader matches each interval block laid out as Praat and the writer lay
 it out (single spaces around '=', a one-line label) with one compiled
@@ -37,7 +39,7 @@ from .rows import Lines
 
 # Boundaries closer than this are considered coincident; real gaps and
 # overlaps in aligner output are at least one 10 ms frame wide.
-_SNAP = 1e-9
+SNAP = 1e-9
 
 
 class TextGridParseError(ToolkitError):
@@ -82,16 +84,6 @@ class TierNotFound(ToolkitError, KeyError):
 
 class TierSelectionError(ToolkitError, ValueError):
     """Tiers or grids an operation cannot take: none, repeats, or a point tier."""
-
-
-def format_time(t: float) -> str:
-    return f"{t:.6f}"
-
-
-def format_seconds(t: float) -> str:
-    """Trailing-zero-free decimal with at least one fractional digit."""
-    s = f"{t:.6f}".rstrip("0")
-    return s + "0" if s.endswith(".") else s
 
 
 def _require_finite(what: str, *times: float) -> None:
@@ -179,7 +171,7 @@ class IntervalTier:
 
     def __post_init__(self) -> None:
         _require_span(f"tier {self.name!r}", self.xmin, self.xmax)
-        ivs, lo, hi = tuple(self.intervals), self.xmin - _SNAP, self.xmax + _SNAP
+        ivs, lo, hi = tuple(self.intervals), self.xmin - SNAP, self.xmax + SNAP
         x0 = y0 = -math.inf
         for iv in ivs:
             x, y = iv.xmin, iv.xmax
@@ -220,10 +212,10 @@ class IntervalTier:
         cursor = self.xmin
         for iv in self.intervals:
             gap = iv.xmin - cursor
-            if gap > _SNAP:
+            if gap > SNAP:
                 out.append(Interval(cursor, iv.xmin))
                 cursor = iv.xmin
-            elif gap < -_SNAP:
+            elif gap < -SNAP:
                 raise OverlapError(
                     f"tier {self.name!r}: interval starting at {iv.xmin} "
                     f"overlaps previous boundary {cursor}"
@@ -232,7 +224,7 @@ class IntervalTier:
                 iv = Interval(cursor, iv.xmax, iv.text)
             out.append(iv)
             cursor = iv.xmax
-        if self.xmax - cursor > _SNAP:
+        if self.xmax - cursor > SNAP:
             out.append(Interval(cursor, self.xmax))
         elif out and cursor != self.xmax:
             last = out[-1]
@@ -254,13 +246,9 @@ class TextGrid:
     tiers: tuple[Tier, ...] = ()
 
     def __post_init__(self) -> None:
-        _require_finite("grid", self.xmin, self.xmax)
-        if self.xmax <= self.xmin:
-            raise NonMonotonicInterval(
-                f"grid xmax {self.xmax!r} <= xmin {self.xmin!r}"
-            )
+        _require_span("grid", self.xmin, self.xmax)
         for t in self.tiers:
-            if t.xmin < self.xmin - _SNAP or t.xmax > self.xmax + _SNAP:
+            if t.xmin < self.xmin - SNAP or t.xmax > self.xmax + SNAP:
                 raise NonMonotonicInterval(
                     f"tier {t.name!r} bounds [{t.xmin}, {t.xmax}] outside grid "
                     f"[{self.xmin}, {self.xmax}]"
@@ -308,7 +296,7 @@ def diagnose_overlaps(tier: IntervalTier) -> list[OverlapReport]:
     return [
         OverlapReport(i, i + 1, b.xmin, min(a.xmax, b.xmax))
         for i, (a, b) in enumerate(zip(ivs, ivs[1:]))
-        if b.xmin < a.xmax - _SNAP
+        if b.xmin < a.xmax - SNAP
     ]
 
 
@@ -376,9 +364,7 @@ def _is_block(token, kinds: tuple[str, ...]) -> bool:
     if token is None or token[2] is not None:
         return False
     kind, _, index = token[1].removesuffix(":").partition("[")
-    return kind in kinds and (
-        index == "]" or (index.endswith("]") and index[:-1].isdecimal())
-    )
+    return kind in kinds and re.fullmatch(r"[0-9]*\]", index) is not None
 
 
 _KINDS = {str: "a quoted string", float: "a number", int: "a non-negative integer"}
@@ -397,27 +383,24 @@ def _expect(tokens, kind: type, *labels: str):
     if kind is str:
         if value.startswith('"'):
             return value[1:-1].replace('""', '"')
-    else:
-        try:
-            number = float(value)
-        except ValueError:
-            pass
-        else:
-            if kind is float or (number >= 0 and number.is_integer()):
-                return kind(number)
+    elif re.fullmatch(_NUMBER, value):
+        number = float(value)
+        if kind is float or (number >= 0 and number.is_integer()):
+            return kind(number)
     raise TextGridParseError(f"line {n}: {label} must be {_KINDS[kind]}, got {value!r}")
 
 
 _TIME_ERRORS = (NonFiniteTime, NonMonotonicInterval)
 
+# The one number grammar, all of which float() takes: its letters match ASCII only
+# ('a'), as IGNORECASE alone takes 'ı' for 'i'. re compiles and caches on first use.
+_NUMBER = r"[-+]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|(?ai:inf(?:inity)?|nan))"
 # One interval block exactly as write_textgrid (or Praat) lays it out: single
-# spaces around '=', a one-line label, an ASCII number float() always takes.
-# re compiles it on first use and caches it, so an import does not pay.
-_NUMBER = r"([-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)[ \t\r]*\n"
+# spaces around '=' and a one-line label.
 _INTERVAL = (
     r"[ \t]*intervals \[[0-9]*\]:[ \t\r]*\n"
-    r"[ \t]*xmin = " + _NUMBER + r"[ \t]*xmax = " + _NUMBER
-    + r'[ \t]*text = "([^"\n]*(?:""[^"\n]*)*)"[ \t\r]*\n'
+    r"[ \t]*xmin = (" + _NUMBER + r")[ \t\r]*\n[ \t]*xmax = (" + _NUMBER + r")[ \t\r]*\n"
+    r'[ \t]*text = "([^"\n]*(?:""[^"\n]*)*)"[ \t\r]*\n'
 )
 
 
@@ -446,7 +429,7 @@ def parse_textgrid(content: bytes) -> TextGrid:
         raise MalformedHeader(f"object class {object_class!r} is not a TextGrid")
 
     token = next(tokens, None)
-    if token and token[2] is None and token[1].lstrip("-").replace(".", "").isdecimal():
+    if token and token[2] is None and re.fullmatch(_NUMBER, token[1]):
         raise MalformedHeader(
             "short text format is not supported; save as a full ('long') text file"
         )
@@ -557,7 +540,7 @@ def write_textgrid(grid: TextGrid) -> bytes:
     """
     w = [
         'File type = "ooTextFile"', 'Object class = "TextGrid"', "",
-        f"xmin = {format_time(grid.xmin)}", f"xmax = {format_time(grid.xmax)}",
+        f"xmin = {grid.xmin:.6f}", f"xmax = {grid.xmax:.6f}",
         "tiers? <exists>", f"size = {len(grid.tiers)}", "item []:",
     ]
     for i, tier in enumerate(grid.tiers, 1):
@@ -566,8 +549,8 @@ def write_textgrid(grid: TextGrid) -> bytes:
         w.append(f"    item [{i}]:")
         w.append(f"        class = {_quote('IntervalTier' if interval else 'TextTier')}")
         w.append(f"        name = {_quote(tier.name)}")
-        w.append(f"        xmin = {format_time(tier.xmin)}")
-        w.append(f"        xmax = {format_time(tier.xmax)}")
+        w.append(f"        xmin = {tier.xmin:.6f}")
+        w.append(f"        xmax = {tier.xmax:.6f}")
         w.append(f"        {'intervals' if interval else 'points'}: size = {len(items)}")
         if interval:
             # a partition: each boundary is spelled once, the first from its interval, as a
@@ -654,15 +637,13 @@ def merge_interval_tiers(
         ((iv, idx) for idx in indices for iv in grid.tiers[idx - 1].non_empty()),
         key=lambda pair: (pair[0].xmin, pair[0].xmax),
     )
-    for (a, ia), (b, ib) in zip(collected, collected[1:]):
-        if b.xmin < a.xmax - _SNAP:
-            raise MergeConflict(
-                f"intervals from tiers {ia} and {ib} overlap in "
-                f"[{max(a.xmin, b.xmin)}, {min(a.xmax, b.xmax)}]"
-            )
-
-    merged = IntervalTier(
-        new_name, grid.xmin, grid.xmax, tuple(iv for iv, _ in collected)
-    ).normalized()
+    # already in the tier's order, so an overlap's indices are those of collected
+    merged = IntervalTier(new_name, grid.xmin, grid.xmax, tuple(iv for iv, _ in collected))
+    if overlaps := diagnose_overlaps(merged):
+        o = overlaps[0]
+        raise MergeConflict(
+            f"intervals from tiers {collected[o.first_index][1]} and "
+            f"{collected[o.second_index][1]} overlap in [{o.start}, {o.end}]"
+        )
     kept = [t for i, t in enumerate(grid.tiers, 1) if i not in selected]
-    return TextGrid(grid.xmin, grid.xmax, tuple(kept) + (merged,))
+    return TextGrid(grid.xmin, grid.xmax, tuple(kept) + (merged.normalized(),))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .errors import ToolkitError
 from .lexicon import DEFAULT_STRIP_CHARS, Lexicon, MARKUP_TOKENS
 from .report import Report
-from .rows import read_rows
-from .textgrid import TextGrid, format_seconds
+from .rows import format_seconds, read_rows
+from .textgrid import SNAP, TextGrid
 
 # the overlap-bug precondition: a phone is assumed to take 30 ms
 PHONE_BUDGET_SECONDS = 0.030
@@ -169,7 +169,7 @@ def validate_mfa_textgrid(
             last_boundary = max(last_boundary, iv.xmax)
         if cfg.require_separator_intervals:
             for a, b in zip(texted, texted[1:]):
-                if abs(a.xmax - b.xmin) <= 1e-9:
+                if abs(a.xmax - b.xmin) <= SNAP:
                     report.warning(
                         f"tier {tier.name!r} at {a.xmax}",
                         "adjacent text intervals; an empty separator "

@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .errors import ToolkitError, ToolkitWarning
 from .lexicon import VOWELS, Lexicon, is_vowel, split_position, stress_base
-from .rows import read_rows
-from .textgrid import _SNAP, Interval, IntervalTier, TextGrid, format_seconds
+from .rows import format_seconds, read_rows
+from .textgrid import SNAP, Interval, IntervalTier, TextGrid
 
 VOICELESS = frozenset({"P", "T", "K"})
 VOICED = frozenset({"B", "D", "G"})
@@ -416,7 +416,7 @@ def prefer_manual(
         if m is not None:
             new_intervals.append(Interval(m.xmin, m.xmax, iv.text))
         elif not any(
-            _overlap_length(manual[i], iv, 0.0) > _SNAP
+            _overlap_length(manual[i], iv, 0.0) > SNAP
             for i in index.overlapping(iv.xmin, iv.xmax)
         ):
             new_intervals.append(iv)
@@ -507,7 +507,7 @@ def measure_cues(
             raise UnknownLabel(f"decoded token label {token.text!r} at {token.xmin}")
 
         # the stop holds the burst onset, or starts a float drift after it
-        onset = token.xmin + _SNAP
+        onset = token.xmin + SNAP
         holding = [
             i for i in phones.overlapping(onset, onset)
             if phones.intervals[i].xmax > onset
@@ -517,7 +517,7 @@ def measure_cues(
                 f"token at {token.xmin}: no phone interval holds its burst onset"
             )
         stop_iv = phones.intervals[holding[-1]]
-        i = bisect_left(phones.starts, stop_iv.xmax - _SNAP)
+        i = bisect_left(phones.starts, stop_iv.xmax - SNAP)
         if i == len(phones.starts):
             raise MissingVowel(f"token at {token.xmin}: nothing follows the stop")
         vowel_iv = phones.intervals[i]

@@ -288,6 +288,7 @@ class TestReadChannel:
     @example(build_wav(pcm16(range(10)), 16000, 2, 16), 1, 1, 3)  # a block of a frame and a bit
     @example(build_wav(b"", 16000, 1, 16), 1, 1, 0)  # no sample data
     @example(build_wav(b"\0\0", 16000, 2, 1), 1, 1, 0)  # a 1-bit sample takes a byte
+    @example(build_wav(b"\0" * 4, 16000, 2, 1), 1, 1, 0)  # blocks of one 1-byte sample
     def test_blocks_join_to_the_whole_buffer_deinterleave(self, blob, channel, frames, extra):
         try:
             frame = parse_wav_header(blob).bytes_per_frame
@@ -308,7 +309,8 @@ class TestReadChannel:
         assert got == want
         if isinstance(got, bytes):
             # the header, then blocks of whole frames of one size but the last
-            block = max(1, block_bytes // frame) * 2  # 16-bit mono samples
+            sample = (parse_wav_header(blob).bits_per_sample + 7) // 8  # whole bytes
+            block = max(1, block_bytes // frame) * sample
             sizes = [len(c) for c in chunks]
             assert sizes[0] == 44 and all(n == block for n in sizes[1:-1])
             assert all(0 < n <= block for n in sizes[1:])

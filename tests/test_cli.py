@@ -2307,9 +2307,9 @@ class TestModuleEntry:
          ["{tmp}/bad/x.wav"]),
     ]
 
-    def run_into_a_closed_pipe(self, tmp_path, argv, unbuffered, stderr_too):
+    def run_into_a_closed_pipe(self, tmp_path, argv, unbuffered, stderr_too, report="r.tsv"):
         """The command's exit code, its stderr (None when closed) and its --report rows (None
-        when not written)."""
+        when not written); report is the --report path under tmp_path."""
         for d in ("tg", "wav", "bad"):
             (tmp_path / d).mkdir()
         for stem in ("a", "b"):
@@ -2321,7 +2321,7 @@ class TestModuleEntry:
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
         if not unbuffered:
             del env["PYTHONUNBUFFERED"]
-        report = tmp_path / "r.tsv"
+        report = tmp_path / report
         read, write = os.pipe()
         os.close(read)
         try:
@@ -2362,6 +2362,14 @@ class TestModuleEntry:
         assert code == 141
         assert [(severity, file) for severity, file, _, _ in rows] == [
             ("ERROR", b.format(tmp=tmp_path)) for b in bad]
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_usage_error_into_a_closed_stderr_still_exits_2(self, tmp_path, unbuffered):
+        # a --report inside the input's directory is refused before the command runs;
+        # the refusal's own print is the first to fail
+        argv = ["tg", "diagnose", "{tmp}/bad/x.TextGrid"]
+        code, _, rows = self.run_into_a_closed_pipe(tmp_path, argv, unbuffered, True, "bad/r.tsv")
+        assert (code, rows) == (2, None)
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_a_dry_run_report_line_into_a_closed_stdout_stops_with_141(self, tmp_path, unbuffered):

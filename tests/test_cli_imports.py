@@ -5,13 +5,15 @@ library module is imported inside the function that uses it, so building
 the parser, --help and a usage error load none of them. The first test
 checks that in a fresh interpreter. The second guards code paths no test
 runs: a function that reads one of those modules without importing it
-would raise NameError only when it runs.
+would raise NameError only when it runs. The last checks that kaldi and
+audio info, which spell times but read no TextGrid, leave textgrid unloaded.
 """
 
 import os
 import subprocess
 import symtable
 import sys
+import wave
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,26 @@ def test_the_scan_sees_a_read_without_its_import():
         "    return lexicon.parse(path), audio.read(path), [step]\n"
     )
     assert global_module_reads(source) == ["forgets: audio", "step: vot"]
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import corpusphon.kaldi",
+     "import corpusphon.cli as cli; assert cli.main(['audio', 'info', 'a.wav']) == 0"],
+    ids=["kaldi", "audio-info"],
+)
+def test_times_in_tables_do_not_load_the_textgrid_module(tmp_path, code):
+    # format_seconds lives in rows, so a Kaldi step or audio info reads no TextGrid code
+    with wave.open(str(tmp_path / "a.wav"), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(16000)
+        w.writeframes(bytes(3200))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; {code}; print('\\nLOADED', *sorted(sys.modules))"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = done.stdout.rsplit("\nLOADED ", 1)[1].split()
+    assert "corpusphon.rows" in loaded and "corpusphon.textgrid" not in loaded

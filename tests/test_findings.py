@@ -4,8 +4,9 @@ The first tests pin the exact --report lines (severity, file, location,
 message) and stderr lines of the findings that command handlers make
 outside a batch: a glob that matches nothing, vot lists' unpaired files,
 lexicon filter's unstressed pronunciations, lexicon missing's words, a
-whole input with a warning and then an error, and an error raised outside
-any input. The last tests are an ast scan that keeps one way to make a
+whole input with a warning and then an error, kaldi-prep validate's
+findings on one data directory, tg diagnose's overlap, and an error raised
+outside any input. The last tests are an ast scan that keeps one way to make a
 finding (Report.add) and one way into the command's findings
 (cli.file_findings).
 """
@@ -99,6 +100,45 @@ def test_a_warning_then_an_error_in_one_input_both_name_it(tmp_path, capsys):
                       f"ERROR\t{lex}\t\tline 5: word 'BAD' has no phones"]
     assert err == [f"{lex}: WARNING: line 2: duplicate entry for 'PAT' collapsed",
                    f"{lex}: ERROR: line 5: word 'BAD' has no phones"]
+
+
+def test_kaldi_validate_names_each_file_of_the_directory(tmp_path, capsys):
+    data = tmp_path / "in"
+    data.mkdir()
+    for name, text in (("text", "u A\nu A\nv B\n"), ("segments", "u f -0.5 1.0\nv g 0 1\n"),
+                       ("utt2spk", "u s\nv s\n"), ("spk2utt", "s u v\n"),
+                       ("wav.scp", "f a.wav\nf a.wav\nf b.wav\n")):
+        (data / name).write_text(text, encoding="utf-8")
+    rc, report, err = run(tmp_path, capsys, ["kaldi-prep", "validate", str(data)])
+    assert rc == 1
+    assert report == [
+        f"ERROR\t{data}\ttext\tduplicate entry for 'u'",
+        f"WARNING\t{data}\twav.scp\trepeated identical entry for 'f'",
+        f"ERROR\t{data}\twav.scp\tconflicting sources for file ID 'f'",
+        f"ERROR\t{data}\tsegments\tu: negative start -0.5",
+        f"ERROR\t{data}\tsegments\tv: file ID 'g' not in wav.scp",
+    ]
+    assert err[0] == f"{data}: ERROR [text]: duplicate entry for 'u'"
+
+
+def test_tg_diagnose_names_the_tier_and_the_overlapping_intervals(tmp_path, capsys):
+    grid = tmp_path / "in" / "g.TextGrid"
+    grid.parent.mkdir()
+    blocks = "".join(
+        f"        intervals [{k}]:\n            xmin = {a}\n            xmax = {b}\n"
+        f'            text = "{t}"\n'
+        for k, (a, b, t) in enumerate([(0, 1, ""), (1, 2, "a"), (1.5, 3, "b")], 1)
+    )
+    grid.write_text(
+        'File type = "ooTextFile"\nObject class = "TextGrid"\n\nxmin = 0\nxmax = 3\n'
+        'tiers? <exists>\nsize = 1\nitem []:\n    item [1]:\n        class = "IntervalTier"\n'
+        '        name = "transcript"\n        xmin = 0\n        xmax = 3\n'
+        "        intervals: size = 3\n" + blocks, encoding="utf-8")
+    rc, report, err = run(tmp_path, capsys, ["tg", "diagnose", str(grid)])
+    assert rc == 1
+    message = "intervals 1 and 2 overlap in [1.5, 2.0]"
+    assert report == [f"ERROR\t{grid}\ttier 1 (transcript)\t{message}"]
+    assert err == [f"{grid}: ERROR [tier 1 (transcript)]: {message}"]
 
 
 def test_an_error_outside_any_input_has_an_empty_file_column(tmp_path, capsys, monkeypatch):

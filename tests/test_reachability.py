@@ -5,7 +5,8 @@ reachable from any subcommand: it is dead code, or code kept for a reason
 that belongs in KEPT. The same holds for a public method or property of a
 class (dunders aside), with KEPT_MEMBERS as its allow-list. A parameter with
 a default that no call in src/ passes takes one value everywhere, so it is
-a constant in disguise; KEPT_PARAMS lists the exceptions.
+a constant in disguise; KEPT_PARAMS lists the exceptions. No module
+imports another's private (_name) names.
 
 The scans read the source with ast, so a name counts as used when code
 refers to it (a call, an attribute, an annotation, an import), not when a
@@ -175,3 +176,39 @@ def test_every_defaulted_parameter_is_passed_in_src():
 def test_kept_params_still_exist_and_are_not_passed():
     assert KEPT_PARAMS <= set(_defaulted_params())
     assert not KEPT_PARAMS & _passed_params(), "a kept parameter gained a caller"
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """'line: module.name' for each private name imported from the package.
+
+    A name another module needs is part of its module's interface, so it is
+    public; a relative or corpusphon import of an _name reaches past that.
+    """
+    return [
+        f"{node.lineno}: {node.module or ''}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "corpusphon")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = [f"{name}:{where}" for name, tree in _trees() for where in private_imports(tree)]
+    assert not found, f"private names imported across modules: {found}"
+
+
+def test_the_private_import_scan_sees_one():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from .textgrid import SNAP, _quote\n"
+        "from .rows import Lines as _Lines\n"
+        "def f():\n"
+        "    from corpusphon.vot import _overlap_length\n"
+        "    from . import _private\n"
+        "    from os import _exit\n"
+    )
+    assert private_imports(tree) == [
+        "2: textgrid._quote", "5: corpusphon.vot._overlap_length", "6: ._private",
+    ]

@@ -1,3 +1,4 @@
+import codecs
 import math
 import random
 import re
@@ -26,7 +27,6 @@ from corpusphon.textgrid import (
     TierCountMismatch,
     diagnose_overlaps,
     merge_interval_tiers,
-    format_time,
     parse_textgrid,
     rename_tier,
     stack_tiers,
@@ -200,6 +200,35 @@ class TestParse:
         grid = parse_textgrid(data)
         assert grid.tiers[0].intervals[0].text == 'say "hi" now'
 
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (MINIMAL.replace(b'"ooTextFile"', b'"ooTextFile short"'),
+             MalformedHeader, "unsupported file type 'ooTextFile short'"),
+            (MINIMAL.replace(b'"IntervalTier"', b'"Foo"'),
+             TextGridParseError, "unsupported tier class 'Foo'"),
+            (MINIMAL.split(b"tiers?")[0],
+             TextGridParseError, "expected 'tiers? <exists>', got end of file"),
+            (MINIMAL.split(b"        xmin = 0\n        xmax")[0],
+             TextGridParseError, "expected 'xmin', got end of file"),
+            (MINIMAL.replace(b"size = 1\nitem", b"size = 0\nitem"),
+             TierCountMismatch, "grid declares 0 tiers but more item blocks follow"),
+            (codecs.BOM_UTF16_LE + b"a\x00\x00\xd8b\x00", EncodingError,
+             "invalid UTF-16 content: 'utf-16-le' codec can't decode bytes in position 4-5: "
+             "illegal UTF-16 surrogate"),
+            (MINIMAL.replace(b"xmax = 2.5\ntiers", b"xmax = 2\ntiers"), NonMonotonicInterval,
+             "line 4: tier 'phones' bounds [0.0, 2.5] outside grid [0.0, 2.0]"),
+            (MINIMAL.replace(b"xmax = 2.5\ntiers", b"xmax = 0\ntiers"), NonMonotonicInterval,
+             "line 4: grid: xmax 0.0 <= xmin 0.0"),
+        ],
+        ids=["file-type", "tier-class", "eof-after-xmax", "eof-in-tier-header",
+             "more-items", "utf-16", "tier-outside-grid", "grid-span"],
+    )
+    def test_reader_error_text(self, bad, error, message):
+        with pytest.raises(error) as caught:
+            parse_textgrid(bad)
+        assert type(caught.value) is error and str(caught.value) == message
+
     def test_point_tier_preserved(self):
         data = (
             b'File type = "ooTextFile"\nObject class = "TextGrid"\n\n'
@@ -336,14 +365,14 @@ def reference_lines(tier: IntervalTier) -> list[str]:
         "    item [1]:",
         '        class = "IntervalTier"',
         f"        name = {_quote(tier.name)}",
-        f"        xmin = {format_time(tier.xmin)}",
-        f"        xmax = {format_time(tier.xmax)}",
+        f"        xmin = {tier.xmin:.6f}",
+        f"        xmax = {tier.xmax:.6f}",
         f"        intervals: size = {len(tier.intervals)}",
     ]
     for j, iv in enumerate(tier.intervals, 1):
         lines.append(f"        intervals [{j}]:")
-        lines.append(f"            xmin = {format_time(iv.xmin)}")
-        lines.append(f"            xmax = {format_time(iv.xmax)}")
+        lines.append(f"            xmin = {iv.xmin:.6f}")
+        lines.append(f"            xmax = {iv.xmax:.6f}")
         lines.append(f"            text = {_quote(iv.text)}")
     return lines
 
@@ -631,6 +660,99 @@ class TestBlockHandOver:
         assert [iv.text for iv in cr.intervals] == ["a\nb", "c\n", "\nd\n\ne"]
 
 
+# Praat's number grammar, stated apart from the reader's pattern: an ASCII
+# decimal with an optional sign, fraction and exponent, or a spelling of inf
+# or nan that float() takes
+PRAAT_NUMBER = re.compile(
+    r"[-+]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|infinity|nan)",
+    re.ASCII | re.IGNORECASE,
+)
+# values float() or isdecimal() takes, or that look like numbers, in and out of the grammar
+NEAR_MISSES = ["1_0", "\u0661", "\u00b2", "0x1", "1.", ".5", "+1e-3", "-inf", "NaN",
+               "\u0131nf", "1e", "--1", "1.5.2"]
+numbers = st.one_of(
+    st.from_regex(r"\A[-+]?(?:[0-9]{1,4}(?:\.[0-9]{0,4})?|\.[0-9]{1,4})(?:[eE][-+]?[0-9]{1,3})?\Z"),
+    st.sampled_from(["inf", "-Infinity", "+NaN", "INF", "nan"]),
+    st.sampled_from(NEAR_MISSES),
+)
+# every line of the written grid that holds a number: a value or a block index
+ONE_GRAMMAR_GRID = write_textgrid(TextGrid(0.0, 3.0, (
+    IntervalTier("w", 0.0, 3.0, (Interval(0.0, 1.5, "a"), Interval(1.5, 3.0, "b"))),
+    PointTier("p", 0.0, 3.0, (Point(1.0, "x"),)),
+))).decode()
+SLOTS = [k for k, line in enumerate(ONE_GRAMMAR_GRID.split("\n"))
+         if re.search(r"(xmin|xmax|size|number) = |\[[0-9]+\]:$", line)]
+
+
+def with_value(k: int, value: str) -> str:
+    """The grid with the number on line k + 1 (its value or its block index) replaced."""
+    lines = ONE_GRAMMAR_GRID.split("\n")
+    lines[k] = re.sub(r"(?<= = ).*|(?<=\[)[0-9]+(?=\]:$)", lambda m: value, lines[k], count=1)
+    return "\n".join(lines)
+
+
+def laid_out_oddly(text: str, eq: str) -> str:
+    """The same lines, tab-indented, with eq in place of each ' = ' ('x=v', 'x<TAB>=<TAB>v')."""
+    def line(raw):
+        if not raw:
+            return raw
+        label, sep, value = raw.strip().partition(" = ")
+        return "\t" + (label + eq + value if sep else label.replace(" ", "\t"))
+    return "\n".join(map(line, text.split("\n")))
+
+
+def outcome(text: str):
+    try:
+        return parse_textgrid(text.encode())
+    except TextGridParseError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneGrammar:
+    """Every number the reader takes, in either path, follows one grammar."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SLOTS), numbers, st.sampled_from(["=", "\t=\t", " =\t", "  =  "]))
+    @example(SLOTS[0], "1_0", "=")
+    def test_both_layouts_read_a_value_alike(self, k, value, eq):
+        canonical = with_value(k, value)
+        odd = laid_out_oddly(canonical, eq)
+        assert odd.count("\n") == canonical.count("\n") and not re.search(_INTERVAL, odd)
+        got = outcome(canonical)
+        assert outcome(odd) == got
+        if not PRAAT_NUMBER.fullmatch(value):
+            assert isinstance(got, tuple)
+        elif isinstance(got, tuple):
+            assert "must be a number" not in got[1]
+
+    @pytest.mark.parametrize(
+        "old, new, error, message",
+        [
+            (b"xmax = 2.5\ntiers", b"xmax = 1_0\ntiers",
+             TextGridParseError, "line 5: xmax must be a number, got '1_0'"),
+            (b"\nsize = 1\n", "\nsize = \u0661\n".encode(),
+             TextGridParseError, "line 7: size must be a non-negative integer, got '\u0661'"),
+            (b"item [1]", "item [\u0661]".encode(),
+             TierCountMismatch, "grid declares 1 tiers but only 0 found"),
+            (b"xmin = 0\n            xmax", "xmin = \u00b2\n            xmax".encode(),
+             TextGridParseError, "line 16: xmin must be a number, got '\u00b2'"),
+        ],
+        ids=["underscore", "arabic-indic-size", "arabic-indic-index", "superscript"],
+    )
+    def test_what_float_or_isdecimal_takes_fails_at_its_line(self, old, new, error, message):
+        with pytest.raises(error) as caught:
+            parse_textgrid(MINIMAL.replace(old, new))
+        assert type(caught.value) is error and str(caught.value) == message
+
+    def test_short_format_is_told_by_the_same_grammar(self):
+        head = b'File type = "ooTextFile"\nObject class = "TextGrid"\n\n'
+        for first in (b"0", b"-1.5e3", b"inf"):
+            with pytest.raises(MalformedHeader, match="^short text format"):
+                parse_textgrid(head + first + b"\n2.5\n<exists>\n1\n")
+        with pytest.raises(TextGridParseError, match="^line 4: expected 'xmin'"):
+            parse_textgrid(head + "\u0661\n2.5\n".encode())
+
+
 class TestNonFinite:
     @pytest.mark.parametrize(
         "make",
@@ -786,6 +908,15 @@ class TestStack:
         with pytest.raises(ValueError):
             stack_tiers([])
 
+    def test_point_tier_takes_the_envelope_and_keeps_its_points(self):
+        a = TextGrid(1.0, 2.0, (PointTier("p", 1.0, 2.0, (Point(1.5, "x"),)),))
+        b = TextGrid(0.0, 3.0, (IntervalTier("w", 0.0, 3.0, ()),))
+        stacked = stack_tiers([a, b])
+        assert stacked.tiers == (
+            PointTier("p", 0.0, 3.0, (Point(1.5, "x"),)),
+            IntervalTier("w", 0.0, 3.0, (Interval(0.0, 3.0, ""),)),
+        )
+
 
 class TestRename:
     def test_rename(self):
@@ -838,6 +969,23 @@ class TestMerge:
         g = TextGrid(0.0, 10.0, (a.normalized(), b.normalized()))
         with pytest.raises(MergeConflict):
             merge_interval_tiers(g, [1, 2], "vot")
+
+    def test_conflict_names_the_tiers_and_the_overlap(self):
+        # the first overlap in time order, between tiers 3 and 1 of the selection
+        tiers = (
+            IntervalTier("a", 0.0, 10.0, (Interval(1.0, 1.1, "P"), Interval(4.0, 5.0, "Q"))),
+            IntervalTier("b", 0.0, 10.0, (Interval(2.0, 2.1, "T"),)),
+            IntervalTier("c", 0.0, 10.0, (Interval(0.5, 1.05, "B"), Interval(4.5, 6.0, "R"))),
+        )
+        g = TextGrid(0.0, 10.0, tuple(t.normalized() for t in tiers))
+        with pytest.raises(MergeConflict) as caught:
+            merge_interval_tiers(g, [3, 2, 1], "vot")
+        assert str(caught.value) == "intervals from tiers 3 and 1 overlap in [1.0, 1.05]"
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexOutOfRange) as caught:
+            merge_interval_tiers(self.grid_with_stop_tiers(), [1, 4], "vot")
+        assert str(caught.value) == "tier index 4 out of range 1..3"
 
     def test_kept_tiers_order(self):
         g = self.grid_with_stop_tiers()
